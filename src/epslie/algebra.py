@@ -92,6 +92,9 @@ class EpsLieAlgebra:
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraError("bracket index out of range: (%d,%d)" % (i, j))
             vec = vec_clean({k: Fraction(c) for k, c in vec.items()})
+            for k in vec:
+                if not 0 <= k < n:
+                    raise AlgebraError("bracket term index out of range: %d" % k)
             if i <= j:
                 key, val = (i, j), vec
             else:

@@ -195,10 +195,6 @@ def sl3():
 _SL12_LABELS = ["Q+", "Q-", "Q3", "B", "V+", "V-", "W+", "W-"]
 
 
-def _matrix_31(entries):
-    return {k: Fraction(v) for k, v in entries.items()}
-
-
 def _sl12_matrices():
     # 3x3 realization; index (row, col), 0-based; row/col 0 is the even slot
     E = lambda i, j, c=1: {(i - 1, j - 1): Fraction(c)}
@@ -280,13 +276,6 @@ def sl12(grading="Z"):
         return L
 
     return _cached(("sl12", grading), build)
-
-
-def _zdeg(L, z):
-    """Map a consistent Z-degree onto the algebra's grading group."""
-    if L.group.free_rank == 1:
-        return (z,)
-    return (z % 2,)
 
 
 def omega_matrix(L):

@@ -32,6 +32,8 @@ from .exactlin import (
     ONE,
     RationalSparseMatrix,
     SpanTracker,
+    sector_positions,
+    split_sectors,
     vec_axpy,
     vec_clean,
     vec_is_zero,
@@ -435,7 +437,7 @@ class CochainComplex:
         self._index = {}
         self._sectors = {}
         self._delta = {}
-        self._delta_sector = {}
+        self._delta_blocks = {}
         for n in range(n_max + 2):
             self._monos[n] = exterior.basis(L.factor, L.degrees, n)
 
@@ -475,10 +477,9 @@ class CochainComplex:
         if n < 0:
             return {}
         if n not in self._sectors:
-            out = {}
-            for k, p in enumerate(self.basis(n)):
-                out.setdefault(self.pair_degree(p), []).append(k)
-            self._sectors[n] = dict(sorted(out.items()))
+            self._sectors[n] = sector_positions(
+                [self.pair_degree(p) for p in self.basis(n)]
+            )
         return self._sectors[n]
 
     def delta(self, n):
@@ -523,27 +524,16 @@ class CochainComplex:
         return mat
 
     def delta_sector(self, n, deg):
-        """Block of delta(n) on the degree sector (rows C^{n+1}, cols C^n)."""
-        if n < 0:
-            rows = self.sectors(0).get(deg, []) if n == -1 else []
-            return RationalSparseMatrix(len(rows), 0)
-        key = (n, deg)
-        if key in self._delta_sector:
-            return self._delta_sector[key]
-        cols = self.sectors(n).get(deg, [])
-        rows = self.sectors(n + 1).get(deg, [])
-        rpos = {p: k for k, p in enumerate(rows)}
-        cpos = {p: k for k, p in enumerate(cols)}
-        full = self.delta(n)
-        ent = {}
-        for (r, c), v in full.entries.items():
-            if c in cpos:
-                if r not in rpos:
-                    raise CochainError("coboundary leaves its degree sector")
-                ent[(rpos[r], cpos[c])] = v
-        mat = RationalSparseMatrix(len(rows), len(cols), ent)
-        self._delta_sector[key] = mat
-        return mat
+        """Block of delta(n) on the degree sector (rows C^{n+1}, cols C^n).
+
+        The whole level is split into its sectors the first time any of its
+        blocks is asked for."""
+        if n not in self._delta_blocks:
+            self._delta_blocks[n] = split_sectors(
+                self.delta(n), self.sectors(n + 1), self.sectors(n)
+            )
+        block = self._delta_blocks[n].get(deg)
+        return block if block is not None else RationalSparseMatrix(0, 0)
 
     # ---------------------------------------------------------- cochain <-> vec
 
@@ -586,16 +576,12 @@ class CochainComplex:
         for n in range(self.n_max + 1):
             level = {}
             if split:
-                degs = set(self.sectors(n))
-                degs.update(self.sectors(n + 1))
-                if n > 0:
-                    degs.update(self.sectors(n - 1))
-                for deg in sorted(degs):
-                    dim_c = len(self.sectors(n).get(deg, []))
+                # a degree missing from C^n has z = b = 0
+                for deg, positions in self.sectors(n).items():
+                    dim_c = len(positions)
                     z = dim_c - self.delta_sector(n, deg).rank()
                     b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
-                    if dim_c or z or b:
-                        level[deg] = (z, b, z - b)
+                    level[deg] = (z, b, z - b)
             else:
                 dim_c = len(self.basis(n))
                 z = dim_c - self.delta(n).rank()
@@ -705,153 +691,3 @@ def invariant_cochains(L, V, n, sub_vectors):
             vals.setdefault(M, {})[w] = c
         out.append(make_cochain(L, V, n, vals))
     return out
-
-
-def _form_invariance_defect(L, values, arity):
-    """Invariance failures of a multilinear form on L (adjoint arguments)."""
-    import itertools
-
-    g = L.group
-    fac = L.factor
-    bad = []
-    for i in range(L.dim):
-        alpha = L.degrees[i]
-        for T in itertools.product(range(L.dim), repeat=arity):
-            D = g.sum(L.degrees[t] for t in T)
-            eta = g.neg(g.add(D, alpha))
-            acc = Fraction(0)
-            prefix = eta
-            for k, tk in enumerate(T):
-                e = fac.eps(alpha, prefix)
-                for s, c in L.bracket_basis(i, tk).items():
-                    acc += e * c * values.get(T[:k] + (s,) + T[k + 1 :], Fraction(0))
-                prefix = g.add(prefix, L.degrees[tk])
-            if acc:
-                bad.append((i, T))
-    return bad
-
-
-def skew_symmetrize_form(L, values, arity):
-    """Full skew-symmetrization of a multilinear form on L (no 1/n! factor)."""
-    import itertools
-
-    fac = L.factor
-    out = {}
-    for T in itertools.product(range(L.dim), repeat=arity):
-        acc = Fraction(0)
-        degs = [L.degrees[t] for t in T]
-        for perm in itertools.permutations(range(arity)):
-            sgn = exterior.permutation_sign(perm)
-            epsn = fac.eps_n(perm, degs)
-            args = tuple(T[p] for p in perm)
-            acc += sgn * epsn * values.get(args, Fraction(0))
-        if acc:
-            out[T] = acc
-    return out
-
-
-def invariant_form_to_cocycle(L, values, mode="general", check=True):
-    """Classical cocycle from an invariant (m+1)-linear form on L.
-
-    values: {(i_1..i_{m+1}): Fraction} on basis tuples.  The result is the
-    level-(2m+1) cochain obtained by skew-symmetrizing
-    phi(<A_0,A_1>,...,<A_{2m-2},A_{2m-1}>, A_{2m}); in symmetric mode
-    (phi eps-symmetric) only the inner 2m-1 slots are symmetrized.
-    """
-    import itertools
-
-    arities = {len(k) for k in values}
-    if len(arities) != 1:
-        raise CochainError("form values must share one arity")
-    mp1 = arities.pop()
-    m = mp1 - 1
-    if m < 1:
-        raise CochainError("need at least a bilinear form")
-    if check and _form_invariance_defect(L, values, mp1):
-        raise CochainError("form is not invariant")
-    fac = L.factor
-    gr = L.group
-    r = 2 * m + 1
-
-    def phi_of_brackets(args):
-        # phi(<a0,a1>,...,<a_{2m-2},a_{2m-1}>, a_{2m})
-        total = Fraction(0)
-        pairs = [(args[2 * t], args[2 * t + 1]) for t in range(m)]
-        choices = []
-        for (x, y) in pairs:
-            br = L.bracket_basis(x, y)
-            if not br:
-                return total
-            choices.append(sorted(br.items()))
-        for combo in itertools.product(*choices):
-            coeff = ONE
-            for _, c in combo:
-                coeff *= c
-            key = tuple(k for k, _ in combo) + (args[r - 1],)
-            v = values.get(key)
-            if v:
-                total += coeff * v
-        return total
-
-    raw = {}
-    if mode == "general":
-        for T in itertools.product(range(L.dim), repeat=r):
-            degs = [L.degrees[t] for t in T]
-            acc = Fraction(0)
-            for perm in itertools.permutations(range(r)):
-                sgn = exterior.permutation_sign(perm)
-                epsn = fac.eps_n(perm, degs)
-                acc += sgn * epsn * phi_of_brackets(tuple(T[p] for p in perm))
-            if acc:
-                raw[T] = acc
-    elif mode == "symmetric":
-        if check:
-            for T in itertools.product(range(L.dim), repeat=mp1):
-                for k in range(mp1 - 1):
-                    e = fac.eps(L.degrees[T[k]], L.degrees[T[k + 1]])
-                    U = T[:k] + (T[k + 1], T[k]) + T[k + 2 :]
-                    if values.get(U, Fraction(0)) != e * values.get(T, Fraction(0)):
-                        raise CochainError("form is not eps-symmetric")
-        inner = r - 2
-        for T in itertools.product(range(L.dim), repeat=r):
-            degs = [L.degrees[t] for t in T[1 : r - 1]]
-            acc = Fraction(0)
-            for perm in itertools.permutations(range(inner)):
-                sgn = exterior.permutation_sign(perm)
-                epsn = fac.eps_n(perm, degs)
-                args = (T[0],) + tuple(T[1 + p] for p in perm) + (T[r - 1],)
-                acc += sgn * epsn * phi_of_brackets(args)
-            if acc:
-                raw[T] = acc
-    else:
-        raise CochainError("mode must be 'general' or 'symmetric'")
-
-    # verify skewness of the raw table, then keep canonical monomials
-    vals = {}
-    for T, v in raw.items():
-        sg, mono = exterior.canonicalize(fac, L.degrees, T)
-        if sg == 0:
-            if v:
-                raise CochainError("construction is not skew-symmetric")
-            continue
-        expect = raw.get(mono, Fraction(0)) * sg
-        if expect != v:
-            raise CochainError("construction is not skew-symmetric")
-        if T == mono and v:
-            vals[mono] = v
-    triv = _trivial_module_cache(L)
-    return make_cochain(L, triv, r, {m_: {0: v} for m_, v in vals.items()})
-
-
-_TRIV_CACHE = {}
-
-
-def _trivial_module_cache(L):
-    key = id(L)
-    mod = _TRIV_CACHE.get(key)
-    if mod is None or mod.algebra is not L:
-        from .gmodule import trivial
-
-        mod = trivial(L)
-        _TRIV_CACHE[key] = mod
-    return mod

@@ -10,6 +10,7 @@ twin as fallback (set EPSLIE_PURE_PYTHON=1 to force it).
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -50,9 +51,6 @@ def vec_add(a, b):
             out.pop(k, None)
     return out
 
-def vec_sub(a, b):
-    return vec_add(a, {k: -x for k, x in b.items()})
-
 def vec_scale(a, c):
     c = Fraction(c)
     if not c:
@@ -76,22 +74,6 @@ def vec_eq(a, b):
 
 def vec_is_zero(a):
     return not any(a.values())
-
-
-def vec_primitive(v):
-    """Scale to integer entries with gcd 1 and positive leading entry."""
-    v = vec_clean(v)
-    if not v:
-        return {}
-    mult = lcm(*[x.denominator for x in v.values()])
-    ints = {k: int(x * mult) for k, x in v.items()}
-    from math import gcd
-    g = 0
-    for x in ints.values():
-        g = gcd(g, x)
-    lead = ints[min(ints)]
-    sign = -1 if lead < 0 else 1
-    return {k: Fraction(x, sign * g) for k, x in ints.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +103,6 @@ class SpanTracker:
             c = v.get(p)
             if c:
                 vec_axpy(v, -c, self.rows[p])
-        # second pass: reductions can reintroduce earlier pivots
-        changed = True
-        while changed:
-            changed = False
-            for p in list(v):
-                if p in self.rows and v[p]:
-                    vec_axpy(v, -v[p], self.rows[p])
-                    changed = True
         return v
 
     def contains(self, vec):
@@ -425,7 +399,7 @@ class RationalSparseMatrix:
         return x
 
     def det(self):
-        """Exact determinant of a square matrix (dense Bareiss)."""
+        """Exact determinant of a square matrix (dense Fraction Gaussian elimination)."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
@@ -467,3 +441,51 @@ def stack_rows(mats):
             ent[(r0 + r, c)] = v
         r0 += m.rows
     return RationalSparseMatrix(r0, cols, ent)
+
+
+# ---------------------------------------------------------------------------
+# degree sectors
+
+
+def sector_positions(keys):
+    """{key: sorted list of the indices holding it}, in sorted key order."""
+    out = {}
+    for k, key in enumerate(keys):
+        out.setdefault(key, []).append(k)
+    return dict(sorted(out.items()))
+
+
+def split_sectors(mat, row_positions, col_positions):
+    """Diagonal blocks {key: block} of a sector-preserving matrix, in one
+    pass over its entries.
+
+    row_positions and col_positions come from sector_positions and cover
+    every row and column.  Each key of either gets a block, with no rows or
+    no columns where the other side lacks it.  An entry whose row and
+    column lie in different sectors raises ShapeError.
+    """
+    def sector_of(positions, size):
+        where = [None] * size
+        for key, ps in positions.items():
+            for p in ps:
+                where[p] = key
+        return where
+
+    row_keys = sector_of(row_positions, mat.rows)
+    col_keys = sector_of(col_positions, mat.cols)
+    keys = sorted(set(row_positions) | set(col_positions))
+    ents = {key: {} for key in keys}
+    for (r, c), v in mat.entries.items():
+        key = col_keys[c]
+        if row_keys[r] != key:
+            raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
+        rk = bisect_left(row_positions[key], r)
+        ck = bisect_left(col_positions[key], c)
+        ents[key][(rk, ck)] = v
+    # pop, so that the entries are not held twice
+    return {
+        key: RationalSparseMatrix(
+            len(row_positions.get(key, ())), len(col_positions.get(key, ())), ents.pop(key)
+        )
+        for key in keys
+    }

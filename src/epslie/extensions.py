@@ -21,7 +21,15 @@ from .cohomology import (
     is_cocycle,
     make_cochain,
 )
-from .exactlin import ONE, RationalSparseMatrix, SpanTracker, vec_axpy, vec_clean
+from .exactlin import (
+    ONE,
+    RationalSparseMatrix,
+    SpanTracker,
+    sector_positions,
+    split_sectors,
+    vec_axpy,
+    vec_clean,
+)
 from .gmodule import GradedModule, trivial
 
 
@@ -99,22 +107,20 @@ def homology_h2(L):
     """H_2 = ker d2 / im d3 per degree sector, with cycle representatives."""
     g = L.group
     monos2 = lambda2_basis(L)
-    d2 = boundary2(L)
-    d3 = boundary3(L)
-    mono_deg = [g.sum(L.degrees[i] for i in m) for m in monos2]
-    mono3_deg = [
-        g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.factor, L.degrees, 3)
-    ]
-    alg_deg = [g.reduce(d) for d in L.degrees]
-    sectors = sorted(set(mono_deg) | set(mono3_deg))
+    pos1 = sector_positions([g.reduce(d) for d in L.degrees])
+    pos2 = sector_positions([g.sum(L.degrees[i] for i in m) for m in monos2])
+    pos3 = sector_positions(
+        [g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.factor, L.degrees, 3)]
+    )
+    blocks2 = split_sectors(boundary2(L), pos1, pos2)
+    blocks3 = split_sectors(boundary3(L), pos2, pos3)
     dims = {}
     cycles = {}
-    for D in sectors:
-        cols2 = [k for k, d in enumerate(mono_deg) if d == D]
-        rows_l = [k for k, d in enumerate(alg_deg) if d == D]
-        cols3 = [k for k, d in enumerate(mono3_deg) if d == D]
-        sub2 = _slice(d2, rows_l, cols2)
-        sub3 = _slice(d3, cols2, cols3)
+    # a degree missing from the exterior square has z = b = 0; blocks are
+    # popped so that each is freed, with its elimination, once used
+    for D, cols2 in pos2.items():
+        sub2 = blocks2.pop(D)
+        sub3 = blocks3.pop(D)
         z = len(cols2) - sub2.rank()
         b = sub3.rank()
         if not (z or b):
@@ -131,16 +137,6 @@ def homology_h2(L):
     return H2Result(dims, cycles, monos2)
 
 
-def _slice(mat, rows, cols):
-    rpos = {p: k for k, p in enumerate(rows)}
-    cpos = {p: k for k, p in enumerate(cols)}
-    ent = {}
-    for (r, c), v in mat.entries.items():
-        if c in cpos and r in rpos:
-            ent[(rpos[r], cpos[c])] = v
-    return RationalSparseMatrix(len(rows), len(cols), ent)
-
-
 # ---------------------------------------------------------------------------
 # central extensions
 
@@ -153,9 +149,6 @@ class CentralExtension:
         self.total = total                # E = L(g)
         self.inject = inject              # H -> E matrix
         self.project = project            # E -> L matrix
-
-    def center_dim(self):
-        return self.coefficients.dim
 
     def __repr__(self):
         return "CentralExtension(dim %d over dim %d, center %d)" % (
@@ -277,9 +270,8 @@ def universal_covering(L):
     g = L.group
     monos2 = lambda2_basis(L)
     mono_deg = [g.sum(L.degrees[i] for i in m) for m in monos2]
-    d3 = boundary3(L)
     image = SpanTracker()
-    for col in d3.columns():
+    for col in boundary3(L).columns():
         image.add(col)
     comp = SpanTracker()
     for p in range(len(monos2)):

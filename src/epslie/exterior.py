@@ -43,10 +43,6 @@ def basis(factor, degrees, n, skew=True):
     return out
 
 
-def monomial_degree(group, degrees, mono):
-    return group.sum(degrees[i] for i in mono)
-
-
 def canonicalize(factor, degrees, indices, skew=True):
     """Sort an index tuple into canonical order with its sign.
 

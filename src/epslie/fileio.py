@@ -43,6 +43,19 @@ def parse_coeff(s):
         raise ParseError("bad coefficient %r: %s" % (s, e))
 
 
+def parse_degree(group, raw):
+    """A degree as given in a file: exactly ncoords JSON integers."""
+    if not (
+        isinstance(raw, list)
+        and len(raw) == group.ncoords
+        and all(type(c) is int for c in raw)
+    ):
+        raise ParseError(
+            "degree %r is not a list of %d integers" % (raw, group.ncoords)
+        )
+    return tuple(raw)
+
+
 def algebra_to_dict(L: EpsLieAlgebra):
     brackets = []
     for (i, j) in sorted(L.table):
@@ -71,7 +84,7 @@ def algebra_from_dict(data):
         group = GradingGroup(int(gr["free_rank"]), tuple(gr.get("torsion", ())))
         factor = CommutationFactor(group, tuple(tuple(r) for r in gr["form"]))
         labels = [str(b["label"]) for b in data["basis"]]
-        degrees = [tuple(b["degree"]) for b in data["basis"]]
+        degrees = [parse_degree(group, b["degree"]) for b in data["basis"]]
         brackets = {}
         for rec in data.get("brackets", ()):
             vec = {int(t["k"]): parse_coeff(t["coeff"]) for t in rec["terms"]}
@@ -107,7 +120,7 @@ def module_to_dict(V: GradedModule):
 def module_from_dict(data, L: EpsLieAlgebra):
     try:
         labels = [str(b["label"]) for b in data["basis"]]
-        degrees = [tuple(b["degree"]) for b in data["basis"]]
+        degrees = [parse_degree(L.group, b["degree"]) for b in data["basis"]]
         dim = len(labels)
         mats = [RationalSparseMatrix(dim, dim) for _ in range(L.dim)]
         for rec in data.get("action", ()):

@@ -100,9 +100,6 @@ class GradedModule:
                     )
         return rep
 
-    def vector_degree(self, vec):
-        return degree_of_vector(self.group, self.degrees, vec)
-
     def __repr__(self):
         return "GradedModule(dim %d over dim-%d algebra)" % (self.dim, self.algebra.dim)
 
@@ -508,8 +505,3 @@ def regrade_algebra(L, new_factor, degree_map):
             if L.factor.eps(da, db) != new_factor.eps(new_degrees[a], nb):
                 raise AlgebraError("regrading changes commutation signs")
     return EpsLieAlgebra(new_factor, list(L.labels), new_degrees, dict(L.table))
-
-
-def regrade_module(V, new_algebra, degree_map):
-    new_degrees = [new_algebra.group.reduce(degree_map(d)) for d in V.degrees]
-    return GradedModule(new_algebra, list(V.labels), new_degrees, list(V.action))

@@ -191,6 +191,41 @@ def test_malformed_json_is_parse_error(tmp_path):
     code, out = run_cli(["check", "--algebra", path])
     assert code == 2
 
+    # bad values in otherwise well-formed files end in one line, never a
+    # traceback, and are never coerced
+    L = catalog.sl12()
+    alg_path = str(tmp_path / "alg.json")
+    mod_path = str(tmp_path / "mod.json")
+
+    def bracket_k(data):
+        data["brackets"][0]["terms"][0]["k"] = 99
+
+    def degree(value):
+        def mutate(data):
+            data["basis"][0]["degree"] = value
+        return mutate
+
+    cases = [
+        ("algebra", bracket_k),
+        ("algebra", degree(["a"])),
+        ("algebra", degree([0, 0])),
+        ("algebra", degree([0.5])),
+        ("module", degree(["a"])),
+        ("module", degree([1, 0])),
+        ("module", degree([0.5])),
+    ]
+    for which, mutate in cases:
+        alg = fileio.algebra_to_dict(L)
+        mod = fileio.module_to_dict(catalog.get_module(L, "sl12", "v_half"))
+        mutate(alg if which == "algebra" else mod)
+        for path, data in ((alg_path, alg), (mod_path, mod)):
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+        code, out = run_cli(["cohomology", "--algebra", alg_path,
+                             "--module", mod_path, "--nmax", "0"])
+        assert code in (2, 3), (which, out)
+        assert len(out.splitlines()) == 1, (which, out)
+
 
 def test_no_floating_point_in_reports():
     import re

@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epslie.exactlin import (
     BACKEND,
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
+    sector_positions,
+    split_sectors,
     stack_rows,
+    vec_axpy,
+    vec_clean,
     vec_eq,
 )
 
@@ -145,6 +150,52 @@ def test_span_tracker_express():
     assert vec_eq(rebuilt, {0: Fraction(3), 1: Fraction(5)})
     _, rem2 = t.express({2: Fraction(1)})
     assert rem2
+
+
+_vectors = st.dictionaries(
+    st.integers(0, 5), st.fractions(-4, 4, max_denominator=3), max_size=6
+)
+
+
+@given(st.lists(_vectors, max_size=6), _vectors)
+def test_span_tracker_reduce_is_a_full_reduction(added, vec):
+    """One pass clears every pivot, and only span elements are removed."""
+    t = SpanTracker()
+    for v in added:
+        t.add(v)
+    red = t.reduce(vec)
+    assert not set(red) & set(t.rows)
+    removed = vec_clean(vec)
+    vec_axpy(removed, -1, red)
+    span = RationalSparseMatrix.from_columns(added, 6).rank()
+    assert RationalSparseMatrix.from_columns(added + [removed], 6).rank() == span
+
+
+def test_split_sectors_matches_direct_slices():
+    rng = random.Random(53)
+    row_keys = [rng.choice("abc") for _ in range(9)]
+    col_keys = [rng.choice("bcd") for _ in range(7)]
+    rows, cols = sector_positions(row_keys), sector_positions(col_keys)
+    assert list(rows) == ["a", "b", "c"] and list(cols) == ["b", "c", "d"]
+    assert sorted(p for ps in rows.values() for p in ps) == list(range(9))
+    full = random_matrix(rng, 9, 7, density=0.6)
+    full = RationalSparseMatrix(9, 7, {
+        (r, c): v for (r, c), v in full.entries.items() if row_keys[r] == col_keys[c]
+    })
+    blocks = split_sectors(full, rows, cols)
+    assert list(blocks) == ["a", "b", "c", "d"]
+    for key, block in blocks.items():
+        rs, cs = rows.get(key, []), cols.get(key, [])
+        assert (block.rows, block.cols) == (len(rs), len(cs))
+        for i, r in enumerate(rs):
+            for j, c in enumerate(cs):
+                assert block.get(i, j) == full.get(r, c)
+    assert sum(len(b.entries) for b in blocks.values()) == len(full.entries)
+
+    r = next(r for r in range(9) if row_keys[r] != col_keys[0])
+    crossing = RationalSparseMatrix(9, 7, {(r, 0): 1})
+    with pytest.raises(ShapeError):
+        split_sectors(crossing, rows, cols)
 
 
 def test_elimination_preserves_the_row_space():
