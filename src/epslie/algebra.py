@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import SpanTracker, vec_add, vec_axpy, vec_clean, vec_is_zero
+from .exactlin import SpanTracker, vec_axpy, vec_clean, vec_is_zero
 from .grading import CommutationFactor
 
 
@@ -240,12 +240,7 @@ class EpsLieAlgebra:
                 if not ideal_span.contains(self.bracket(a, b)):
                     raise AlgebraError("ideal_vectors do not span an ideal")
 
-        comp = SpanTracker()
-        reps = []
-        for v in sub:
-            w = ideal_span.reduce(v)
-            if comp.add(w):
-                reps = comp.basis()
+        comp = SpanTracker(ideal_span.reduce(v) for v in sub)
         reps = comp.basis()
         rep_deg = [degree_of_vector(g, self.degrees, v) for v in reps]
         rep_pos = {}
@@ -256,17 +251,15 @@ class EpsLieAlgebra:
         rep_deg = [rep_deg[a] for a in sorted_reps]
         for a, v in enumerate(reps):
             rep_pos[min(v)] = a
+        # coordinate i of comp.express belongs to the i-th smallest pivot
+        rep_of_coord = [rep_pos[p] for p in sorted(comp.rows)]
 
         def express(vec):
             w = ideal_span.reduce(vec)
             coords, rem = comp.express(w)
             if rem:
                 raise AlgebraError("vector escapes the subalgebra span")
-            out = {}
-            pivots = sorted(comp.rows)
-            for ci, c in coords.items():
-                out[rep_pos[pivots[ci]]] = c
-            return out
+            return {rep_of_coord[ci]: c for ci, c in coords.items()}
 
         prefix = label_prefix if label_prefix is not None else ""
         labels = ["%s[%s]" % (prefix, self.labels[min(v)]) for v in reps]

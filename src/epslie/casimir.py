@@ -133,7 +133,7 @@ class CasimirOperator:
         return "CasimirOperator(degree %s on %r)" % (self.degree, self.module)
 
 
-def casimir_operator(L, form: InvariantForm, V: GradedModule, check=True):
+def casimir_operator(L, form: InvariantForm, V: GradedModule):
     """Assemble C_V and the partial operators from an invariant form on the
     coadjoint module; graded centrality of C_V is verified exactly."""
     if form.module.algebra is not L:
@@ -154,15 +154,14 @@ def casimir_operator(L, form: InvariantForm, V: GradedModule, check=True):
         if partials[i].entries:
             op = op.add(partials[i].multiply(V.action[i]))
     eta = form.degree
-    if check:
-        for j in range(L.dim):
-            e = L.factor.eps(L.degrees[j], eta)
-            lhs = V.action[j].multiply(op)
-            rhs = op.multiply(V.action[j]).scale(e)
-            if lhs != rhs:
-                raise CasimirError(
-                    "operator is not graded-central (fails at %s)" % L.labels[j]
-                )
+    for j in range(L.dim):
+        e = L.factor.eps(L.degrees[j], eta)
+        lhs = V.action[j].multiply(op)
+        rhs = op.multiply(V.action[j]).scale(e)
+        if lhs != rhs:
+            raise CasimirError(
+                "operator is not graded-central (fails at %s)" % L.labels[j]
+            )
     return CasimirOperator(form, V, op, partials, eta)
 
 

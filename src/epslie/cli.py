@@ -74,8 +74,6 @@ def _resolve_module(spec, L, algebra_name):
 
 
 def _fmt_deg(deg):
-    if deg is None:
-        return "(total)"
     return "(" + ",".join(str(x) for x in deg) + ")"
 
 
@@ -122,11 +120,11 @@ def cmd_cohomology(args, out):
     if args.nmax < 0:
         raise CliError(EXIT_PRECONDITION, "nmax must be >= 0")
     cx = CochainComplex(L, V, args.nmax)
-    res = cx.cohomology(split=not args.no_split)
+    res = cx.cohomology()
     if args.csv:
         out("n,sector,dim_Z,dim_B,dim_H")
         for n in range(args.nmax + 1):
-            for deg, (z, b, h) in sorted(res.dims(n).items(), key=lambda t: (t[0] is None, t[0])):
+            for deg, (z, b, h) in sorted(res.dims(n).items()):
                 out("%d,%s,%d,%d,%d" % (n, _fmt_deg(deg).replace(",", ";"), z, b, h))
         return EXIT_OK
     out("cohomology of %s with coefficients in %s, n = 0..%d"
@@ -303,8 +301,6 @@ def build_parser():
     sp.add_argument("--representatives", action="store_true")
     sp.add_argument("--oracle-check", action="store_true",
                     help="cross-check trivial coefficients against invariant forms")
-    sp.add_argument("--no-split", action="store_true",
-                    help="skip the degree-sector dispatch")
     sp.add_argument("--csv", action="store_true")
 
     sp = sub.add_parser("invariant-forms", help="invariant multilinear forms")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exterior
-from .algebra import AlgebraError
+from .algebra import AlgebraError, degree_of_vector, graded_echelon
 from .exactlin import (
     ONE,
     RationalSparseMatrix,
@@ -230,8 +230,6 @@ def is_cocycle(g):
 def act(avec, g):
     """Action of a homogeneous algebra vector on a cochain."""
     L, V = g.algebra, g.module
-    from .algebra import degree_of_vector
-
     alpha = degree_of_vector(L.group, L.degrees, avec)
     if alpha is None:
         return zero_cochain(L, V, g.level)
@@ -340,7 +338,7 @@ def cup_product(g, h, target=None):
     return out
 
 
-def push_forward(fmat, W, g, check=True):
+def push_forward(fmat, W, g):
     """Compose with an invariant homogeneous map V -> W given by a matrix."""
     L, V = g.algebra, g.module
     gr = L.group
@@ -351,7 +349,7 @@ def push_forward(fmat, W, g, check=True):
             phi = d
         elif phi != d:
             raise CochainError("map is not homogeneous")
-    if check and not fmat.is_zero():
+    if not fmat.is_zero():
         for i in range(L.dim):
             e = L.factor.eps(phi, L.degrees[i])
             lhs = fmat.multiply(V.action[i])
@@ -368,22 +366,19 @@ def push_forward(fmat, W, g, check=True):
     return make_cochain(L, W, g.level, vals)
 
 
-def pull_back(omega, Lsub, g, check=True):
+def pull_back(omega, Lsub, g):
     """Compose the arguments with a degree-zero homomorphism Lsub -> L given
     by the column matrix omega.  Returns a cochain over (Lsub, V^omega)."""
     L, V = g.algebra, g.module
     if Lsub.factor != L.factor:
         raise CochainError("pull-back requires a shared commutation factor")
     cols = omega.columns()
-    if check:
-        for j in range(Lsub.dim):
-            from .algebra import degree_of_vector
-
-            d = degree_of_vector(L.group, L.degrees, cols[j])
-            if d is not None and d != L.group.reduce(Lsub.degrees[j]):
-                raise CochainError("homomorphism does not preserve degrees")
-        if Lsub.homomorphism_defect(L, omega):
-            raise CochainError("omega is not an algebra homomorphism")
+    for j in range(Lsub.dim):
+        d = degree_of_vector(L.group, L.degrees, cols[j])
+        if d is not None and d != L.group.reduce(Lsub.degrees[j]):
+            raise CochainError("homomorphism does not preserve degrees")
+    if Lsub.homomorphism_defect(L, omega):
+        raise CochainError("omega is not an algebra homomorphism")
     Vsub = GradedModule(
         Lsub,
         list(V.labels),
@@ -537,56 +532,41 @@ class CochainComplex:
 
     # ---------------------------------------------------------- cochain <-> vec
 
-    def cochain_vector(self, g, sector=True):
-        """Coordinates of a homogeneous cochain over the sector basis (or the
-        full level basis with sector=False)."""
+    def cochain_vector(self, g):
+        """Coordinates of a homogeneous cochain over its sector basis."""
         if g.degree is None:
             raise CochainError("sector vector of an inhomogeneous cochain")
         dex = self.index(g.level)
-        if sector:
-            positions = self.sectors(g.level).get(g.degree, [])
-            pos = {p: k for k, p in enumerate(positions)}
+        positions = self.sectors(g.level).get(g.degree, [])
+        pos = {p: k for k, p in enumerate(positions)}
         vec = {}
         for mono, v in g.values.items():
             for w, c in v.items():
-                p = dex[(mono, w)]
-                vec[pos[p] if sector else p] = c
+                vec[pos[dex[(mono, w)]]] = c
         return vec
 
-    def cochain_from_vector(self, n, vec, deg=None):
-        """Inverse of cochain_vector; deg selects the sector basis."""
+    def cochain_from_vector(self, n, vec, deg):
+        """Inverse of cochain_vector: a vector over the sector deg of C^n."""
         basis = self.basis(n)
-        if deg is not None:
-            positions = self.sectors(n).get(deg, [])
-            pick = lambda k: basis[positions[k]]
-        else:
-            pick = lambda k: basis[k]
+        positions = self.sectors(n).get(deg, [])
         vals = {}
         for k, c in vec.items():
-            if not c:
-                continue
-            M, w = pick(k)
-            vals.setdefault(M, {})[w] = c
+            if c:
+                M, w = basis[positions[k]]
+                vals.setdefault(M, {})[w] = c
         return make_cochain(self.algebra, self.module, n, vals)
 
     # ----------------------------------------------------------------- results
 
-    def cohomology(self, split=True):
+    def cohomology(self):
         res = CohomologyResult(self)
         for n in range(self.n_max + 1):
             level = {}
-            if split:
-                # a degree missing from C^n has z = b = 0
-                for deg, positions in self.sectors(n).items():
-                    dim_c = len(positions)
-                    z = dim_c - self.delta_sector(n, deg).rank()
-                    b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
-                    level[deg] = (z, b, z - b)
-            else:
-                dim_c = len(self.basis(n))
-                z = dim_c - self.delta(n).rank()
-                b = self.delta(n - 1).rank() if n > 0 else 0
-                level[None] = (z, b, z - b)
+            # a degree missing from C^n has z = b = 0
+            for deg, positions in self.sectors(n).items():
+                z = len(positions) - self.delta_sector(n, deg).rank()
+                b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
+                level[deg] = (z, b, z - b)
             res.levels[n] = level
         return res
 
@@ -649,9 +629,9 @@ class CohomologyResult:
         return "CohomologyResult(%s)" % core
 
 
-def cohomology(L, V, n_max, split=True):
+def cohomology(L, V, n_max):
     """Convenience wrapper: dimensions of H^0..H^n_max."""
-    return CochainComplex(L, V, n_max).cohomology(split=split)
+    return CochainComplex(L, V, n_max).cohomology()
 
 
 def coboundary_witness(g):
@@ -670,8 +650,6 @@ def invariant_cochains(L, V, n, sub_vectors):
     dex = cx.index(n)
     rows = {}
     ent = {}
-    from .algebra import degree_of_vector, graded_echelon
-
     vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])
     for t, avec in enumerate(vecs):
         for col, pair in enumerate(basis):

@@ -3,24 +3,20 @@
 Scalars are ``fractions.Fraction`` (the field is Q; nothing here ever
 rounds).  Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
 {(row, col): Fraction}.  Rank / kernel / solve run on an integer elimination
-kernel; the compiled kernel is used when available, with the pure-Python
-twin as fallback (set EPSLIE_PURE_PYTHON=1 to force it).
+kernel; the compiled kernel is used when it imports, with the pure-Python
+twin as fallback.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
-if os.environ.get("EPSLIE_PURE_PYTHON"):
+try:
+    from . import _elim_cy as _elim  # type: ignore[attr-defined]
+except ImportError:
     from . import _elim_py as _elim
-else:
-    try:
-        from . import _elim_cy as _elim  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _elim_py as _elim
 
 BACKEND = _elim.BACKEND
 
@@ -40,16 +36,6 @@ class ShapeError(ValueError):
 
 def vec_clean(v):
     return {k: x for k, x in v.items() if x}
-
-def vec_add(a, b):
-    out = dict(a)
-    for k, x in b.items():
-        y = out.get(k, ZERO) + x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
 
 def vec_scale(a, c):
     c = Fraction(c)

@@ -158,7 +158,7 @@ class CentralExtension:
         )
 
 
-def extension_from_cocycle(L, H: GradedModule, g: Cochain, validate=True):
+def extension_from_cocycle(L, H: GradedModule, g: Cochain):
     """The algebra L(g) on L x H for a degree-zero 2-cocycle with values in
     the graded vector space H (carried as a trivial module)."""
     if g.level != 2 or g.module is not H:
@@ -182,10 +182,9 @@ def extension_from_cocycle(L, H: GradedModule, g: Cochain, validate=True):
             if vec:
                 brackets[(i, j)] = vec
     E = EpsLieAlgebra(L.factor, labels, degrees, brackets)
-    if validate:
-        rep = E.validate()
-        if not rep.ok:
-            raise ExtensionError("extension failed validation: %r" % rep)
+    rep = E.validate()
+    if not rep.ok:
+        raise ExtensionError("extension failed validation: %r" % rep)
     inject = RationalSparseMatrix(
         E.dim, H.dim, {(nl + h, h): ONE for h in range(H.dim)}
     )

@@ -5,9 +5,6 @@ degree has parity +1 (eps(d, d) = +1) may appear at most once, an index of
 parity -1 may repeat.  canonicalize() sorts an arbitrary index tuple into
 this form, accumulating -eps(a, b) per adjacent swap, which is exactly the
 skew-symmetry sign convention used by the cochain complex.
-
-The same machinery with the symmetric sign rule (+eps per swap, repetition
-rules flipped) serves symmetric forms; pass skew=False.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import itertools
 Monomial = tuple  # weakly increasing indices
 
 
-def basis(factor, degrees, n, skew=True):
+def basis(factor, degrees, n):
     """All canonical n-monomials over basis elements with the given degrees."""
     if n < 0:
         return []
@@ -25,15 +22,13 @@ def basis(factor, degrees, n, skew=True):
         return [()]
     par = [factor.parity(d) for d in degrees]
     out = []
-    # repetition allowed exactly for parity -1 (skew) / parity +1 (sym)
-    rep_par = -1 if skew else 1
 
     def extend(prefix, start):
         if len(prefix) == n:
             out.append(tuple(prefix))
             return
         for i in range(start, len(degrees)):
-            if prefix and prefix[-1] == i and par[i] != rep_par:
+            if prefix and prefix[-1] == i and par[i] == 1:
                 continue
             prefix.append(i)
             extend(prefix, i)
@@ -43,25 +38,23 @@ def basis(factor, degrees, n, skew=True):
     return out
 
 
-def canonicalize(factor, degrees, indices, skew=True):
+def canonicalize(factor, degrees, indices):
     """Sort an index tuple into canonical order with its sign.
 
     Returns (sign, monomial); sign == 0 when the tuple dies (a repeated
-    index of parity +1 in the skew case, parity -1 in the symmetric case).
-    Applying canonicalize to its own output returns (+1, same monomial).
+    index of parity +1).  Applying canonicalize to its own output returns
+    (+1, same monomial).
     """
     arr = list(indices)
     sign = 1
     for i in range(1, len(arr)):
         j = i
         while j > 0 and arr[j - 1] > arr[j]:
-            e = factor.eps(degrees[arr[j - 1]], degrees[arr[j]])
-            sign *= (-e) if skew else e
+            sign *= -factor.eps(degrees[arr[j - 1]], degrees[arr[j]])
             arr[j - 1], arr[j] = arr[j], arr[j - 1]
             j -= 1
-    rep_par = -1 if skew else 1
     for k in range(1, len(arr)):
-        if arr[k - 1] == arr[k] and factor.parity(degrees[arr[k]]) != rep_par:
+        if arr[k - 1] == arr[k] and factor.parity(degrees[arr[k]]) == 1:
             return 0, None
     return sign, tuple(arr)
 
@@ -82,12 +75,7 @@ def shuffles(m, n):
     for left in itertools.combinations(range(total), m):
         right = tuple(i for i in range(total) if i not in left)
         perm = left + right
-        inv = 0
-        for a in range(total):
-            for b in range(a + 1, total):
-                if perm[a] > perm[b]:
-                    inv += 1
-        out.append((perm, -1 if inv % 2 else 1))
+        out.append((perm, permutation_sign(perm)))
     return out
 
 

@@ -43,17 +43,28 @@ def parse_coeff(s):
         raise ParseError("bad coefficient %r: %s" % (s, e))
 
 
+def parse_int(raw, what):
+    """A JSON integer; a float, string or boolean is rejected, never coerced."""
+    if type(raw) is not int:
+        raise ParseError("%s %r is not an integer" % (what, raw))
+    return raw
+
+
+def parse_ints(raw, what):
+    """A JSON list of integers, as a tuple."""
+    if not isinstance(raw, list):
+        raise ParseError("%s %r is not a list of integers" % (what, raw))
+    return tuple(parse_int(c, what) for c in raw)
+
+
 def parse_degree(group, raw):
     """A degree as given in a file: exactly ncoords JSON integers."""
-    if not (
-        isinstance(raw, list)
-        and len(raw) == group.ncoords
-        and all(type(c) is int for c in raw)
-    ):
+    deg = parse_ints(raw, "degree")
+    if len(deg) != group.ncoords:
         raise ParseError(
             "degree %r is not a list of %d integers" % (raw, group.ncoords)
         )
-    return tuple(raw)
+    return deg
 
 
 def algebra_to_dict(L: EpsLieAlgebra):
@@ -81,14 +92,22 @@ def algebra_to_dict(L: EpsLieAlgebra):
 def algebra_from_dict(data):
     try:
         gr = data["grading"]
-        group = GradingGroup(int(gr["free_rank"]), tuple(gr.get("torsion", ())))
-        factor = CommutationFactor(group, tuple(tuple(r) for r in gr["form"]))
+        group = GradingGroup(
+            parse_int(gr["free_rank"], "free_rank"),
+            parse_ints(gr.get("torsion", []), "torsion order"),
+        )
+        form = tuple(parse_ints(r, "form entry") for r in gr["form"])
+        factor = CommutationFactor(group, form)
         labels = [str(b["label"]) for b in data["basis"]]
         degrees = [parse_degree(group, b["degree"]) for b in data["basis"]]
         brackets = {}
         for rec in data.get("brackets", ()):
-            vec = {int(t["k"]): parse_coeff(t["coeff"]) for t in rec["terms"]}
-            brackets[(int(rec["i"]), int(rec["j"]))] = vec
+            i = parse_int(rec["i"], "bracket i")
+            j = parse_int(rec["j"], "bracket j")
+            brackets[(i, j)] = {
+                parse_int(t["k"], "bracket term k"): parse_coeff(t["coeff"])
+                for t in rec["terms"]
+            }
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise
@@ -124,13 +143,14 @@ def module_from_dict(data, L: EpsLieAlgebra):
         dim = len(labels)
         mats = [RationalSparseMatrix(dim, dim) for _ in range(L.dim)]
         for rec in data.get("action", ()):
-            i = int(rec["op"])
+            i = parse_int(rec["op"], "action op")
             if not 0 <= i < L.dim:
                 raise ParseError("action op index %d out of range" % i)
-            ent = {
-                (int(t["row"]), int(t["col"])): parse_coeff(t["coeff"])
-                for t in rec["entries"]
-            }
+            ent = {}
+            for t in rec["entries"]:
+                r = parse_int(t["row"], "action row")
+                c = parse_int(t["col"], "action col")
+                ent[(r, c)] = parse_coeff(t["coeff"])
             mats[i] = RationalSparseMatrix(dim, dim, ent)
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):

@@ -197,34 +197,40 @@ def test_malformed_json_is_parse_error(tmp_path):
     alg_path = str(tmp_path / "alg.json")
     mod_path = str(tmp_path / "mod.json")
 
-    def bracket_k(data):
-        data["brackets"][0]["terms"][0]["k"] = 99
-
-    def degree(value):
-        def mutate(data):
-            data["basis"][0]["degree"] = value
-        return mutate
-
+    k = fileio.algebra_to_dict(L)["brackets"][0]["terms"][0]["k"]
+    bracket_k = ("brackets", 0, "terms", 0, "k")
+    degree = ("basis", 0, "degree")
+    # (file, path to the field, bad value, exit code)
     cases = [
-        ("algebra", bracket_k),
-        ("algebra", degree(["a"])),
-        ("algebra", degree([0, 0])),
-        ("algebra", degree([0.5])),
-        ("module", degree(["a"])),
-        ("module", degree([1, 0])),
-        ("module", degree([0.5])),
+        ("algebra", bracket_k, 99, 3),
+        ("algebra", bracket_k, k + 0.5, 2),
+        ("algebra", ("brackets", 0, "i"), 0.5, 2),
+        ("algebra", ("grading", "free_rank"), 1.5, 2),
+        ("algebra", ("grading", "form"), [[1.5]], 2),
+        ("algebra", ("grading", "form"), [["1"]], 2),
+        ("algebra", degree, ["a"], 2),
+        ("algebra", degree, [0, 0], 2),
+        ("algebra", degree, [0.5], 2),
+        ("module", degree, ["a"], 2),
+        ("module", degree, [1, 0], 2),
+        ("module", degree, [0.5], 2),
+        ("module", ("action", 0, "entries", 0, "row"), 0.5, 2),
+        ("module", ("action", 0, "op"), 0.5, 2),
     ]
-    for which, mutate in cases:
+    for which, keys, value, want in cases:
         alg = fileio.algebra_to_dict(L)
         mod = fileio.module_to_dict(catalog.get_module(L, "sl12", "v_half"))
-        mutate(alg if which == "algebra" else mod)
+        field = alg if which == "algebra" else mod
+        for key in keys[:-1]:
+            field = field[key]
+        field[keys[-1]] = value
         for path, data in ((alg_path, alg), (mod_path, mod)):
             with open(path, "w") as fh:
                 json.dump(data, fh)
         code, out = run_cli(["cohomology", "--algebra", alg_path,
                              "--module", mod_path, "--nmax", "0"])
-        assert code in (2, 3), (which, out)
-        assert len(out.splitlines()) == 1, (which, out)
+        assert code == want, (which, keys, value, out)
+        assert len(out.splitlines()) == 1, (which, keys, value, out)
 
 
 def test_no_floating_point_in_reports():

@@ -81,20 +81,6 @@ def test_skew_square_matches_exterior_square():
         assert n2 == skew_square(adjoint(L)).dim
 
 
-def test_symmetric_mode():
-    L = catalog.sl12()
-    f, d = L.factor, L.degrees
-    # symmetric: odd repetition dies, even repetition survives
-    assert exterior.canonicalize(f, d, (4, 4), skew=False) == (0, None)
-    s, mono = exterior.canonicalize(f, d, (0, 0), skew=False)
-    assert (s, mono) == (1, (0, 0))
-    # symmetric swap sign is +eps
-    assert exterior.canonicalize(f, d, (5, 4), skew=False) == (-1, (4, 5))
-    n_sym = len(exterior.basis(f, d, 2, skew=False))
-    n_skew = len(exterior.basis(f, d, 2, skew=True))
-    assert n_sym + n_skew == 8 * 8
-
-
 def test_shuffles_count_and_signs():
     sh = exterior.shuffles(2, 1)
     assert len(sh) == 3

@@ -1,10 +1,12 @@
 import os
+import re
 import shutil
 import subprocess
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "epslie")
 
 
 def _git(*args):
@@ -23,3 +25,22 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_engine_reads_no_environment():
+    """The engine has one configuration: no module consults the environment."""
+    readers = []
+    for dirpath, _, names in os.walk(SRC):
+        for name in sorted(names):
+            if name.endswith((".py", ".pyx")):
+                with open(os.path.join(dirpath, name)) as fh:
+                    if re.search(r"\b(environ|getenv)\b", fh.read()):
+                        readers.append(name)
+    assert readers == []
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
