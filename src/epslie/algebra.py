@@ -56,6 +56,31 @@ def graded_echelon(group, degrees, vectors):
     return out
 
 
+def graded_subquotient(group, degrees, vectors, divisor):
+    """Basis of the span of homogeneous vectors modulo the span held by the
+    SpanTracker divisor (an empty tracker for a plain subspace).
+
+    Returns (basis, basis_degrees, coords).  The basis is the reduced echelon
+    basis ordered by (degree, pivot); coords(vec) is {slot: coeff} for vec
+    modulo divisor, or None when vec leaves the span.
+    """
+    comp = SpanTracker()
+    for v in vectors:
+        degree_of_vector(group, degrees, v)  # rejects a mixed vector
+        comp.add(divisor.reduce(v))
+    deg = {p: degree_of_vector(group, degrees, row) for p, row in comp.rows.items()}
+    pivots = sorted(comp.rows, key=lambda p: (deg[p], p))
+    slot = {p: a for a, p in enumerate(pivots)}
+
+    def coords(vec):
+        c, rem = comp.express(divisor.reduce(vec))
+        if rem:
+            return None
+        return {slot[p]: x for p, x in c.items()}
+
+    return [dict(comp.rows[p]) for p in pivots], [deg[p] for p in pivots], coords
+
+
 class ValidationReport:
     def __init__(self):
         self.problems = []
@@ -240,36 +265,17 @@ class EpsLieAlgebra:
                 if not ideal_span.contains(self.bracket(a, b)):
                     raise AlgebraError("ideal_vectors do not span an ideal")
 
-        comp = SpanTracker(ideal_span.reduce(v) for v in sub)
-        reps = comp.basis()
-        rep_deg = [degree_of_vector(g, self.degrees, v) for v in reps]
-        rep_pos = {}
-        sorted_reps = sorted(
-            range(len(reps)), key=lambda a: (rep_deg[a], min(reps[a]))
-        )
-        reps = [reps[a] for a in sorted_reps]
-        rep_deg = [rep_deg[a] for a in sorted_reps]
-        for a, v in enumerate(reps):
-            rep_pos[min(v)] = a
-        # coordinate i of comp.express belongs to the i-th smallest pivot
-        rep_of_coord = [rep_pos[p] for p in sorted(comp.rows)]
-
-        def express(vec):
-            w = ideal_span.reduce(vec)
-            coords, rem = comp.express(w)
-            if rem:
-                raise AlgebraError("vector escapes the subalgebra span")
-            return {rep_of_coord[ci]: c for ci, c in coords.items()}
-
+        reps, rep_deg, coords = graded_subquotient(g, self.degrees, sub, ideal_span)
         prefix = label_prefix if label_prefix is not None else ""
         labels = ["%s[%s]" % (prefix, self.labels[min(v)]) for v in reps]
         brackets = {}
         for a in range(len(reps)):
             for b in range(a, len(reps)):
-                w = self.bracket(reps[a], reps[b])
-                coords = express(w)
-                if coords:
-                    brackets[(a, b)] = coords
+                w = coords(self.bracket(reps[a], reps[b]))
+                if w is None:
+                    raise AlgebraError("vector escapes the subalgebra span")
+                if w:
+                    brackets[(a, b)] = w
         out = EpsLieAlgebra(self.factor, labels, rep_deg, brackets)
         report = out.validate()
         if not report.ok:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cohomology import CochainComplex, _act_terms, _sub_terms  # noqa: F401
+from .cohomology import CochainComplex
 from .exactlin import ONE, RationalSparseMatrix
 from .exterior import canonicalize
 from .gmodule import GradedModule, coadjoint

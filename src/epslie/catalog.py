@@ -11,14 +11,16 @@ constants are computed from the 3x3 matrix realization at build time.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebra import EpsLieAlgebra
-from .exactlin import ONE, RationalSparseMatrix, SpanTracker, vec_clean
+from .exactlin import ONE, RationalSparseMatrix
 from .cohomology import make_cochain
 from .gmodule import (
     GradedModule,
     adjoint,
+    coadjoint,
     submodule_span,
     tensor,
     trivial,
@@ -329,7 +331,7 @@ def osp12():
 # basis indices: Q+=0, Q-=1, Q3=2, B=3, V+=4, V-=5, W+=6, W-=7
 
 
-def _module_from_table(L, labels, zdegrees, parities, table):
+def _module_from_table(L, labels, zdegrees, table):
     """table: {op_index: {col_label: [(row_label, coeff), ...]}}."""
     if L.group.free_rank == 1:
         degrees = [(z,) for z in zdegrees]
@@ -361,7 +363,7 @@ def module_v_half(L):
             7: {"e0": [("e-", -1)]},                   # W-
         }
         return _module_from_table(
-            L, ["e+", "e-", "e0"], [1, 1, 2], None, table
+            L, ["e+", "e-", "e0"], [1, 1, 2], table
         )
 
     return _cached(("v_half", id(L)), build)
@@ -382,7 +384,7 @@ def module_typical_v0_half(L):
             7: {"v0": [("v-", 1)], "v+": [("v1", -HALF)]},    # W-
         }
         return _module_from_table(
-            L, ["v0", "v+", "v-", "v1"], [0, 1, -1, 0], None, table
+            L, ["v0", "v+", "v-", "v1"], [0, 1, -1, 0], table
         )
 
     return _cached(("v0half", id(L)), build)
@@ -417,7 +419,6 @@ def module_v8(L):
             L,
             ["t", "s", "v", "w", "v+", "v-", "w+", "w-"],
             [0, 0, 2, -2, 1, 1, -1, -1],
-            None,
             table,
         )
 
@@ -604,69 +605,57 @@ def typicality_sl12(b, q):
 # registry for the command-line interface
 
 
+def _v8_member(name):
+    return lambda L: module_v8_family(L)[name]
+
+
+_BASE_MODULES = {"trivial": trivial, "adjoint": adjoint, "coadjoint": coadjoint}
+_SL12_MODULES = {
+    **_BASE_MODULES,
+    "v_half": module_v_half,
+    "v_typical": module_typical_v0_half,
+    **{"w%d" % k: functools.partial(module_wn, k=k) for k in range(1, 5)},
+    **{name: _v8_member(name) for name in ("v8", "v7", "v4", "v4bar", "v1")},
+    "ts2": module_ts2,
+}
+
+# name -> (algebra builder, {module name: module builder})
+_REGISTRY = {
+    "sl2": (sl2, _BASE_MODULES),
+    "sl3": (sl3, _BASE_MODULES),
+    "osp12": (osp12, _BASE_MODULES),
+    "sl12": (lambda: sl12("Z"), _SL12_MODULES),
+    "sl12_z2": (lambda: sl12("Z2"), _SL12_MODULES),
+    "gl11": (lambda: gl(1, 1), _BASE_MODULES),
+    "gl21": (lambda: gl(2, 1), _BASE_MODULES),
+    "gl12": (lambda: gl(1, 2), _BASE_MODULES),
+    "gl22": (lambda: gl(2, 2), _BASE_MODULES),
+    "sl21": (lambda: sl(2, 1), _BASE_MODULES),
+    "sl22": (lambda: sl(2, 2), _BASE_MODULES),
+    "sl33": (lambda: sl(3, 3), _BASE_MODULES),
+    "psl22": (lambda: psl_nn(2), _BASE_MODULES),
+    "psl33": (lambda: psl_nn(3), _BASE_MODULES),
+}
+
+
 def algebra_names():
-    return [
-        "sl2", "sl3", "osp12", "sl12", "sl12_z2",
-        "gl11", "gl21", "gl12", "gl22",
-        "sl21", "sl22", "sl33", "psl22", "psl33",
-    ]
+    return list(_REGISTRY)
 
 
 def get_algebra(name):
-    builders = {
-        "sl2": sl2,
-        "sl3": sl3,
-        "osp12": osp12,
-        "sl12": lambda: sl12("Z"),
-        "sl12_z2": lambda: sl12("Z2"),
-        "gl11": lambda: gl(1, 1),
-        "gl21": lambda: gl(2, 1),
-        "gl12": lambda: gl(1, 2),
-        "gl22": lambda: gl(2, 2),
-        "sl21": lambda: sl(2, 1),
-        "sl22": lambda: sl(2, 2),
-        "sl33": lambda: sl(3, 3),
-        "psl22": lambda: psl_nn(2),
-        "psl33": lambda: psl_nn(3),
-    }
-    if name not in builders:
+    if name not in _REGISTRY:
         raise KeyError("unknown catalog algebra %r" % name)
-    return builders[name]()
+    return _REGISTRY[name][0]()
 
 
 def module_names(algebra_name):
-    base = ["trivial", "adjoint", "coadjoint"]
-    if algebra_name in ("sl12", "sl12_z2"):
-        return base + [
-            "v_half", "v_typical", "w1", "w2", "w3", "w4",
-            "v8", "v7", "v4", "v4bar", "v1", "ts2",
-        ]
-    return base
+    return list(_REGISTRY[algebra_name][1])
 
 
 def get_module(L, algebra_name, module_name):
-    from .gmodule import coadjoint
-
-    if module_name == "trivial":
-        return trivial(L)
-    if module_name == "adjoint":
-        return adjoint(L)
-    if module_name == "coadjoint":
-        return coadjoint(L)
-    if algebra_name in ("sl12", "sl12_z2"):
-        if module_name == "v_half":
-            return module_v_half(L)
-        if module_name == "v_typical":
-            return module_typical_v0_half(L)
-        if module_name.startswith("w") and module_name[1:].isdigit():
-            return module_wn(L, int(module_name[1:]))
-        fam = {
-            "v8": "v8", "v7": "v7", "v4": "v4", "v4bar": "v4bar", "v1": "v1",
-        }
-        if module_name in fam:
-            return module_v8_family(L)[fam[module_name]]
-        if module_name == "ts2":
-            return module_ts2(L)
-    raise KeyError(
-        "unknown module %r for algebra %r" % (module_name, algebra_name)
-    )
+    modules = _REGISTRY[algebra_name][1] if algebra_name in _REGISTRY else {}
+    if module_name not in modules:
+        raise KeyError(
+            "unknown module %r for algebra %r" % (module_name, algebra_name)
+        )
+    return modules[module_name](L)

@@ -83,13 +83,20 @@ class SpanTracker:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
+    def express(self, vec):
+        """Coordinates of vec over the basis rows, keyed by pivot, plus the
+        irreducible remainder.  Rows are fully reduced, so the coordinate
+        at pivot p is the entry of vec at p."""
         v = vec_clean(vec)
+        coords = {}
         for p in sorted(set(v) & set(self.rows)):
-            c = v.get(p)
-            if c:
-                vec_axpy(v, -c, self.rows[p])
-        return v
+            c = v[p]
+            coords[p] = c
+            vec_axpy(v, -c, self.rows[p])
+        return coords, v
+
+    def reduce(self, vec):
+        return self.express(vec)[1]
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -111,18 +118,6 @@ class SpanTracker:
 
     def basis(self):
         return [dict(self.rows[p]) for p in sorted(self.rows)]
-
-    def express(self, vec):
-        """Coordinates of vec over basis() plus irreducible remainder."""
-        v = vec_clean(vec)
-        pivots = sorted(self.rows)
-        coords = {}
-        for i, p in enumerate(pivots):
-            c = v.get(p)
-            if c:
-                coords[i] = c
-                vec_axpy(v, -c, self.rows[p])
-        return coords, v
 
 
 # ---------------------------------------------------------------------------

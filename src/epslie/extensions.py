@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exterior
-from .algebra import AlgebraError, EpsLieAlgebra, degree_of_vector
+from .algebra import EpsLieAlgebra, degree_of_vector
 from .cohomology import (
     Cochain,
     CochainComplex,
@@ -28,7 +28,6 @@ from .exactlin import (
     sector_positions,
     split_sectors,
     vec_axpy,
-    vec_clean,
 )
 from .gmodule import GradedModule, trivial
 
@@ -226,7 +225,7 @@ def cocycle_from_section(E, L, project, section):
         coords, rem = span.express(w)
         if rem:
             raise ExtensionError("section defect escapes the kernel of project")
-        vals[mono] = dict(coords)
+        vals[mono] = {k: coords[p] for k, p in enumerate(pivots) if p in coords}
     g = make_cochain(L, H, 2, vals)
     if not is_cocycle(g):
         raise ExtensionError("section defect is not a cocycle")
@@ -275,19 +274,18 @@ def universal_covering(L):
     comp = SpanTracker()
     for p in range(len(monos2)):
         comp.add(image.reduce({p: ONE}))
-    reps = comp.basis()
-    wdegs = [degree_of_vector(g, mono_deg, v) for v in reps]
+    # W keeps pivot order, which fixes the basis of the exported covering
     pivots = sorted(comp.rows)
-    pos = {p: k for k, p in enumerate(pivots)}
+    wdegs = [degree_of_vector(g, mono_deg, comp.rows[p]) for p in pivots]
     W = trivial(
-        L, degrees=wdegs, labels=["w%d" % k for k in range(len(reps))]
+        L, degrees=wdegs, labels=["w%d" % k for k in range(len(pivots))]
     )
 
     def w_class(vec):
         coords, rem = comp.express(image.reduce(vec))
         if rem:
             raise ExtensionError("class computation failed")
-        return {pos[pivots[k]]: c for k, c in coords.items()}
+        return {k: coords[p] for k, p in enumerate(pivots) if p in coords}
 
     vals = {}
     for k, mono in enumerate(monos2):
@@ -348,7 +346,7 @@ def covering_from_h2_basis(L, cocycles):
     """Central extension built from an independent basis of second-cohomology
     classes with trivial coefficients; dual-degree one-dimensional summands."""
     if not cocycles:
-        H = trivial(L, dim=0, degrees=[], labels=[])
+        H = trivial(L, degrees=[], labels=[])
         zero = make_cochain(L, H, 2, {})
         return extension_from_cocycle(L, H, zero)
     g = L.group
@@ -436,7 +434,7 @@ def _w_coordinate_to_pairs(cov, widx):
     return reps[widx]
 
 
-def h2_pairing_check(L, n_max=2):
+def h2_pairing_check(L):
     """dim H_2(L) at degree d equals dim H^2(L, K) at degree -d, per sector."""
     g = L.group
     h2 = homology_h2(L).graded_dims()

@@ -36,7 +36,15 @@ def coeff_str(x: Fraction):
     return str(x)
 
 
-def parse_coeff(s):
+def parse_str(raw, what):
+    """A JSON string; a number, boolean or null is rejected, never coerced."""
+    if not isinstance(raw, str):
+        raise ParseError("%s %r is not a string" % (what, raw))
+    return raw
+
+
+def parse_coeff(raw):
+    s = parse_str(raw, "coefficient")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -50,11 +58,16 @@ def parse_int(raw, what):
     return raw
 
 
+def parse_list(raw, what):
+    """A JSON list; a string, object or scalar is rejected, never iterated."""
+    if not isinstance(raw, list):
+        raise ParseError("%s %r is not a list" % (what, raw))
+    return raw
+
+
 def parse_ints(raw, what):
     """A JSON list of integers, as a tuple."""
-    if not isinstance(raw, list):
-        raise ParseError("%s %r is not a list of integers" % (what, raw))
-    return tuple(parse_int(c, what) for c in raw)
+    return tuple(parse_int(c, what) for c in parse_list(raw, what))
 
 
 def parse_degree(group, raw):
@@ -96,17 +109,20 @@ def algebra_from_dict(data):
             parse_int(gr["free_rank"], "free_rank"),
             parse_ints(gr.get("torsion", []), "torsion order"),
         )
-        form = tuple(parse_ints(r, "form entry") for r in gr["form"])
+        form = tuple(
+            parse_ints(r, "form entry") for r in parse_list(gr["form"], "form")
+        )
         factor = CommutationFactor(group, form)
-        labels = [str(b["label"]) for b in data["basis"]]
-        degrees = [parse_degree(group, b["degree"]) for b in data["basis"]]
+        basis = parse_list(data["basis"], "basis")
+        labels = [parse_str(b["label"], "label") for b in basis]
+        degrees = [parse_degree(group, b["degree"]) for b in basis]
         brackets = {}
-        for rec in data.get("brackets", ()):
+        for rec in parse_list(data.get("brackets", []), "brackets"):
             i = parse_int(rec["i"], "bracket i")
             j = parse_int(rec["j"], "bracket j")
             brackets[(i, j)] = {
                 parse_int(t["k"], "bracket term k"): parse_coeff(t["coeff"])
-                for t in rec["terms"]
+                for t in parse_list(rec["terms"], "bracket terms")
             }
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
@@ -138,16 +154,17 @@ def module_to_dict(V: GradedModule):
 
 def module_from_dict(data, L: EpsLieAlgebra):
     try:
-        labels = [str(b["label"]) for b in data["basis"]]
-        degrees = [parse_degree(L.group, b["degree"]) for b in data["basis"]]
+        basis = parse_list(data["basis"], "basis")
+        labels = [parse_str(b["label"], "label") for b in basis]
+        degrees = [parse_degree(L.group, b["degree"]) for b in basis]
         dim = len(labels)
         mats = [RationalSparseMatrix(dim, dim) for _ in range(L.dim)]
-        for rec in data.get("action", ()):
+        for rec in parse_list(data.get("action", []), "action"):
             i = parse_int(rec["op"], "action op")
             if not 0 <= i < L.dim:
                 raise ParseError("action op index %d out of range" % i)
             ent = {}
-            for t in rec["entries"]:
+            for t in parse_list(rec["entries"], "action entries"):
                 r = parse_int(t["row"], "action row")
                 c = parse_int(t["col"], "action col")
                 ent[(r, c)] = parse_coeff(t["coeff"])

@@ -14,8 +14,8 @@ from .algebra import (
     AlgebraError,
     EpsLieAlgebra,
     ValidationReport,
-    degree_of_vector,
     graded_echelon,
+    graded_subquotient,
     split_components,
 )
 from .exactlin import (
@@ -25,7 +25,6 @@ from .exactlin import (
     stack_rows,
     vec_axpy,
     vec_clean,
-    vec_is_zero,
 )
 
 
@@ -108,12 +107,11 @@ class GradedModule:
 # constructions
 
 
-def trivial(L, sigma=None, dim=1, labels=None, degrees=None):
-    """Trivial module; by default one-dimensional concentrated in sigma."""
-    g = L.group
+def trivial(L, sigma=None, labels=None, degrees=None):
+    """Trivial module on the given degrees; by default one-dimensional,
+    concentrated in sigma."""
     if degrees is None:
-        sigma = g.zero() if sigma is None else g.reduce(sigma)
-        degrees = [sigma] * dim
+        degrees = [L.group.zero() if sigma is None else sigma]
     if labels is None:
         labels = ["1"] if len(degrees) == 1 else ["u%d" % k for k in range(len(degrees))]
     zero = RationalSparseMatrix(len(degrees), len(degrees))
@@ -227,33 +225,17 @@ def invariants_subspace(V):
 def submodule_span(V, vectors, labels=None):
     """Submodule on an invariant homogeneous span; raises when the span is
     not invariant.  Basis is the deterministic graded echelon of the span."""
-    basis = graded_echelon(V.group, V.degrees, [vec_clean(v) for v in vectors])
-    span = SpanTracker(basis)
-    for i in range(V.algebra.dim):
-        for b in basis:
-            if not span.contains(V.apply_basis(i, b)):
-                raise ModuleError(
-                    "span is not invariant under %s" % V.algebra.labels[i]
-                )
-    deg = [degree_of_vector(V.group, V.degrees, b) for b in basis]
-    order = sorted(range(len(basis)), key=lambda a: (deg[a], min(basis[a])))
-    basis = [basis[a] for a in order]
-    deg = [deg[a] for a in order]
-    tracker = SpanTracker(basis)
-    pivots = sorted(tracker.rows)
-    pos = {min(basis[a]): a for a in range(len(basis))}
-
-    def express(vec):
-        coords, rem = tracker.express(vec)
-        if rem:
-            raise ModuleError("vector escapes the span")
-        return {pos[pivots[ci]]: c for ci, c in coords.items()}
-
+    basis, deg, coords = graded_subquotient(V.group, V.degrees, vectors, SpanTracker())
     mats = []
     for i in range(V.algebra.dim):
         ent = {}
         for a, b in enumerate(basis):
-            for r, c in express(V.apply_basis(i, b)).items():
+            w = coords(V.apply_basis(i, b))
+            if w is None:
+                raise ModuleError(
+                    "span is not invariant under %s" % V.algebra.labels[i]
+                )
+            for r, c in w.items():
                 ent[(r, a)] = c
         mats.append(RationalSparseMatrix(len(basis), len(basis), ent))
     if labels is None:
@@ -290,22 +272,15 @@ def quotient(V, sub_vectors):
         for b in sub:
             if not span.contains(V.apply_basis(i, b)):
                 raise ModuleError("quotient by a non-invariant subspace")
-    comp = SpanTracker()
-    for a in range(V.dim):
-        comp.add(span.reduce({a: ONE}))
-    reps = comp.basis()
-    deg = [degree_of_vector(V.group, V.degrees, r) for r in reps]
-    order = sorted(range(len(reps)), key=lambda a: (deg[a], min(reps[a])))
-    reps = [reps[a] for a in order]
-    deg = [deg[a] for a in order]
-    pivots = sorted(comp.rows)
-    pos = {min(reps[a]): a for a in range(len(reps))}
+    reps, deg, coords = graded_subquotient(
+        V.group, V.degrees, [{a: ONE} for a in range(V.dim)], span
+    )
 
     def project(vec):
-        coords, rem = comp.express(span.reduce(vec))
-        if rem:
+        w = coords(vec)
+        if w is None:
             raise ModuleError("projection failed")
-        return {pos[pivots[ci]]: c for ci, c in coords.items()}
+        return w
 
     mats = []
     for i in range(V.algebra.dim):
@@ -424,16 +399,16 @@ def weight_spaces(V, cartan_vectors):
         new = {}
         for key, basis in spaces.items():
             tracker = SpanTracker(basis)
-            basis = tracker.basis()
             pivots = sorted(tracker.rows)
-            pos = {p: k for k, p in enumerate(pivots)}
+            basis = [tracker.rows[p] for p in pivots]
             ent = {}
             for a, b in enumerate(basis):
                 coords, rem = tracker.express(op.apply(b))
                 if rem:
                     raise ModuleError("element does not preserve the subspace")
-                for ci, c in coords.items():
-                    ent[(ci, a)] = c
+                for k, p in enumerate(pivots):
+                    if p in coords:
+                        ent[(k, a)] = coords[p]
             R = RationalSparseMatrix(len(basis), len(basis), ent)
             found = 0
             for lam in _rational_eigenvalues(R):

@@ -11,7 +11,7 @@ and Z_2^n color cases, all of which take values in {+1, -1}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Degree = tuple  # integer tuple; length = free_rank + number of torsion coords
 
@@ -85,7 +85,8 @@ def super_group() -> GradingGroup:
 
 @dataclass(frozen=True)
 class CommutationFactor:
-    """eps(a, b) = (-1)^(a^T B b) with B symmetric mod 2."""
+    """eps(a, b) = (-1)^(a^T B b) with B symmetric mod 2 and even on every
+    coordinate of odd torsion order, so that eps is a bicharacter."""
 
     group: GradingGroup
     form: tuple = None  # tuple of row tuples, ints
@@ -105,6 +106,13 @@ class CommutationFactor:
             for j in range(i):
                 if (B[i][j] - B[j][i]) % 2:
                     raise GradingError("form must be symmetric mod 2")
+        # eps(a + t e_i, b) = eps(a, b) for a coordinate of odd order t
+        # needs every entry of row i even
+        for i, t in enumerate(self.group.torsion_orders, self.group.free_rank):
+            if t % 2 and any(x % 2 for x in B[i]):
+                raise GradingError(
+                    "form row %d must be even on a coordinate of odd order %d" % (i, t)
+                )
 
     def eps(self, a: Degree, b: Degree) -> int:
         a = self.group.reduce(a)

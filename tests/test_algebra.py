@@ -1,11 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epslie import catalog
-from epslie.algebra import AlgebraError, EpsLieAlgebra, degree_of_vector
-from epslie.exactlin import ONE, RationalSparseMatrix
-from epslie.grading import super_factor, trivial_factor
+from epslie.algebra import (
+    AlgebraError,
+    EpsLieAlgebra,
+    degree_of_vector,
+    graded_subquotient,
+)
+from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker, vec_axpy
+from epslie.grading import GradingGroup, super_factor, trivial_factor
 
 # catalog index map for sl(1|2): Q+ Q- Q3 B V+ V- W+ W-
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
@@ -152,3 +158,51 @@ def test_homomorphism_defect_detects_failure():
     assert not L.homomorphism_defect(L, ident)
     wrong = RationalSparseMatrix.from_dense([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
     assert L.homomorphism_defect(L, wrong)
+
+
+_DIM = 6
+_entries = st.dictionaries(
+    st.integers(0, _DIM - 1), st.fractions(-3, 3, max_denominator=2), max_size=_DIM
+)
+
+
+@st.composite
+def _graded_case(draw):
+    """Degrees on Z, homogeneous spanning and divided-out vectors, and a
+    test vector that is a combination of both, sometimes plus a unit vector."""
+    degrees = [(d,) for d in draw(st.lists(st.integers(0, 2), min_size=_DIM,
+                                           max_size=_DIM))]
+
+    def homogeneous(v):
+        if not v:
+            return v
+        d = degrees[min(v)]
+        return {k: c for k, c in v.items() if degrees[k] == d}
+
+    vectors = [homogeneous(v) for v in draw(st.lists(_entries, max_size=5))]
+    divided = [homogeneous(v) for v in draw(st.lists(_entries, max_size=3))]
+    vec = {}
+    for v in vectors + divided:
+        vec_axpy(vec, draw(st.fractions(-2, 2, max_denominator=2)), v)
+    if draw(st.booleans()):
+        vec_axpy(vec, ONE, {draw(st.integers(0, _DIM - 1)): ONE})
+    return degrees, vectors, divided, vec
+
+
+@given(_graded_case())
+def test_graded_subquotient_coordinates_rebuild_modulo_the_span(case):
+    degrees, vectors, divided, vec = case
+    g = GradingGroup(1, ())
+    basis, degs, coords = graded_subquotient(g, degrees, vectors, SpanTracker(divided))
+    assert len(basis) == SpanTracker(vectors + divided).dim - SpanTracker(divided).dim
+    assert degs == [degree_of_vector(g, degrees, b) for b in basis]
+    assert [(d, min(b)) for d, b in zip(degs, basis)] == sorted(
+        (d, min(b)) for d, b in zip(degs, basis)
+    )
+    c = coords(vec)
+    assert (c is None) == (not SpanTracker(vectors + divided).contains(vec))
+    if c is not None:
+        rest = dict(vec)
+        for a, x in c.items():
+            vec_axpy(rest, -x, basis[a])
+        assert SpanTracker(divided).contains(rest)

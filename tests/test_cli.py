@@ -3,6 +3,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epslie import catalog, fileio
 from epslie.cli import main
@@ -216,6 +217,11 @@ def test_malformed_json_is_parse_error(tmp_path):
         ("module", degree, [0.5], 2),
         ("module", ("action", 0, "entries", 0, "row"), 0.5, 2),
         ("module", ("action", 0, "op"), 0.5, 2),
+        ("module", ("action", 0, "entries", 0, "coeff"), 1.0, 2),
+        ("algebra", ("brackets", 0, "terms", 0, "coeff"), True, 2),
+        ("algebra", ("basis", 0, "label"), 5, 2),
+        ("module", ("basis", 0, "label"), None, 2),
+        ("algebra", ("grading",), {"free_rank": 0, "torsion": [3], "form": [[1]]}, 2),
     ]
     for which, keys, value, want in cases:
         alg = fileio.algebra_to_dict(L)
@@ -231,6 +237,22 @@ def test_malformed_json_is_parse_error(tmp_path):
                              "--module", mod_path, "--nmax", "0"])
         assert code == want, (which, keys, value, out)
         assert len(out.splitlines()) == 1, (which, keys, value, out)
+
+    # a form that is not a bicharacter on Z_3, on an algebra valid otherwise
+    z3 = {"grading": {"free_rank": 0, "torsion": [3], "form": [[1]]},
+          "basis": [{"label": "x", "degree": [1]}], "brackets": []}
+    with open(alg_path, "w") as fh:
+        json.dump(z3, fh)
+    code, out = run_cli(["check", "--algebra", alg_path])
+    assert code == 2, out
+    assert len(out.splitlines()) == 1, out
+
+
+@pytest.mark.parametrize("name", ["w0", "w07", "w5", "v9"])
+def test_unlisted_catalog_module_is_parse_error(name):
+    code, out = run_cli(["check", "--algebra", "sl12", "--module", name])
+    assert code == 2
+    assert out.splitlines()[-1].startswith("error: unknown module")
 
 
 def test_no_floating_point_in_reports():
@@ -256,3 +278,57 @@ def test_covering_export_round_trips(tmp_path):
     C = fileio.load_algebra(path)
     assert C.dim == 17
     assert C.is_perfect()
+
+
+_FUZZ_SOURCES = [("sl12", "v_half"), ("sl12_z2", "trivial"), ("sl2", "adjoint")]
+
+
+def _json_paths(node, path=()):
+    """(path, value) for every value below the root of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield path + (key,), child
+        yield from _json_paths(child, path + (key,))
+
+
+def _other_type(value):
+    """Values of another JSON type: int -> float, str -> int, list -> str,
+    anything -> null or bool."""
+    other = st.none() | st.booleans()
+    if type(value) is int:
+        other |= st.floats(allow_nan=False, allow_infinity=False)
+    elif isinstance(value, str):
+        other |= st.integers()
+    elif isinstance(value, list):
+        other |= st.text(max_size=3)
+    return other
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_loader_fuzz_wrong_json_type_is_parse_error(tmp_path_factory, data):
+    aname, mname = data.draw(st.sampled_from(_FUZZ_SOURCES))
+    L = catalog.get_algebra(aname)
+    files = {
+        "algebra": fileio.algebra_to_dict(L),
+        "module": fileio.module_to_dict(catalog.get_module(L, aname, mname)),
+    }
+    which = data.draw(st.sampled_from(sorted(files)))
+    path, old = data.draw(st.sampled_from(list(_json_paths(files[which]))))
+    new = data.draw(_other_type(old))
+    parent = files[which]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    tmp = tmp_path_factory.mktemp("fuzz")
+    args = ["cohomology", "--nmax", "0"]
+    for kind, content in files.items():
+        name = str(tmp / ("%s.json" % kind))
+        with open(name, "w") as fh:
+            json.dump(content, fh)
+        args += ["--" + kind, name]
+    code, out = run_cli(args)
+    assert code == 2, (which, path, new, out)
+    assert len(out.splitlines()) == 1, (which, path, new, out)

@@ -138,17 +138,16 @@ def test_span_tracker_basis_is_order_independent():
 
 def test_span_tracker_express():
     t = SpanTracker()
-    t.add({0: Fraction(1), 1: Fraction(1)})
-    t.add({1: Fraction(2)})
-    coords, rem = t.express({0: Fraction(3), 1: Fraction(5)})
+    t.add({1: Fraction(1), 2: Fraction(1)})
+    t.add({2: Fraction(2)})
+    coords, rem = t.express({1: Fraction(3), 2: Fraction(5)})
     assert not rem
+    assert set(coords) == {1, 2}  # keyed by pivot
     rebuilt = {}
-    basis = t.basis()
-    for i, c in coords.items():
-        for k, v in basis[i].items():
-            rebuilt[k] = rebuilt.get(k, Fraction(0)) + c * v
-    assert vec_eq(rebuilt, {0: Fraction(3), 1: Fraction(5)})
-    _, rem2 = t.express({2: Fraction(1)})
+    for p, c in coords.items():
+        vec_axpy(rebuilt, c, t.rows[p])
+    assert vec_eq(rebuilt, {1: Fraction(3), 2: Fraction(5)})
+    _, rem2 = t.express({3: Fraction(1)})
     assert rem2
 
 

@@ -72,7 +72,7 @@ def test_homology_h2_psl33():
 
 def test_trivial_cocycle_gives_direct_product():
     L = catalog.sl2()
-    H = trivial(L, dim=2, degrees=[(0,), (0,)], labels=["x", "y"])
+    H = trivial(L, degrees=[(0,), (0,)], labels=["x", "y"])
     z = make_cochain(L, H, 2, {})
     ext = extension_from_cocycle(L, H, z)
     assert ext.total.dim == 5
@@ -191,7 +191,7 @@ def test_cocycle_from_section():
 
 def test_section_of_direct_product_is_homomorphism_gives_zero():
     L = catalog.sl2()
-    H = trivial(L, dim=1, degrees=[(0,)], labels=["z"])
+    H = trivial(L, degrees=[(0,)], labels=["z"])
     z = make_cochain(L, H, 2, {})
     ext = extension_from_cocycle(L, H, z)
     sect = RationalSparseMatrix(

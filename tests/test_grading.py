@@ -50,6 +50,38 @@ def test_form_must_be_symmetric_mod2():
     CommutationFactor(g, ((0, 1), (1, 0)))  # fine
 
 
+def _raw_eps(form, a, b):
+    total = sum(a[i] * form[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+    return -1 if total % 2 else 1
+
+
+@pytest.mark.parametrize("torsion", [(3,), (2, 3), (3, 3), (4, 3)])
+def test_accepted_forms_are_exactly_the_symmetric_bicharacters(torsion):
+    """A form on a coordinate of odd order needs an even row; with
+    torsion (3,) and form ((1,),), eps((1,)+(2,), (1,)) = 1 but
+    eps((1,),(1,)) * eps((2,),(1,)) = -1."""
+    g = GradingGroup(0, torsion)
+    els = g.elements()
+    n = len(torsion)
+    for entries in itertools.product((0, 1), repeat=n * n):
+        form = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        good = all(
+            _raw_eps(form, a, b) * _raw_eps(form, b, a) == 1
+            and _raw_eps(form, g.add(a, b), c)
+            == _raw_eps(form, a, c) * _raw_eps(form, b, c)
+            and _raw_eps(form, c, g.add(a, b))
+            == _raw_eps(form, c, a) * _raw_eps(form, c, b)
+            for a in els
+            for b in els
+            for c in els
+        )
+        if good:
+            CommutationFactor(g, form)
+        else:
+            with pytest.raises(GradingError):
+                CommutationFactor(g, form)
+
+
 @pytest.mark.parametrize(
     "factor",
     [
