@@ -28,7 +28,7 @@ from .extensions import (
     homology_h2,
     universal_covering,
 )
-from .gmodule import ModuleError, adjoint, trivial
+from .gmodule import ModuleError, adjoint
 from .glmn import (
     GlWeight,
     WeightError,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exterior
-from .algebra import AlgebraError, degree_of_vector, graded_echelon
+from .algebra import degree_of_vector, graded_echelon
 from .exactlin import (
     ONE,
     RationalSparseMatrix,
@@ -36,10 +36,9 @@ from .exactlin import (
     split_sectors,
     vec_axpy,
     vec_clean,
-    vec_is_zero,
     vec_scale,
 )
-from .gmodule import GradedModule, tensor, twist
+from .gmodule import GradedModule, tensor
 
 
 class CochainError(ValueError):
@@ -383,10 +382,7 @@ def pull_back(omega, Lsub, g):
         Lsub,
         list(V.labels),
         list(V.degrees),
-        [
-            _combine_action(V, cols[j])
-            for j in range(Lsub.dim)
-        ],
+        [V.action_matrix(cols[j]) for j in range(Lsub.dim)],
     )
     vals = {}
     import itertools
@@ -405,13 +401,6 @@ def pull_back(omega, Lsub, g):
         if acc:
             vals[N] = acc
     return make_cochain(Lsub, Vsub, g.level, vals), Vsub
-
-
-def _combine_action(V, col):
-    m = RationalSparseMatrix(V.dim, V.dim)
-    for j, c in col.items():
-        m = m.add(V.action[j].scale(c))
-    return m
 
 
 # ---------------------------------------------------------------------------

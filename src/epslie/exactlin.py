@@ -215,14 +215,6 @@ class RationalSparseMatrix:
             len(self.entries),
         )
 
-    def to_triplets(self):
-        """Debug dump: sorted (row, col, "p/q") triplets."""
-        out = []
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            out.append((r, c, str(v)))
-        return out
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -378,34 +370,6 @@ class RationalSparseMatrix:
         if not vec_eq(self.apply(x), b):
             raise ArithmeticError("solver produced an invalid solution")
         return x
-
-    def det(self):
-        """Exact determinant of a square matrix (dense Fraction Gaussian elimination)."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return ONE
-        m = [[self.get(r, c) for c in range(n)] for r in range(n)]
-        sign = 1
-        for k in range(n):
-            if not m[k][k]:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return ZERO
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    f = m[i][k] / m[k][k]
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-        det = Fraction(sign)
-        for k in range(n):
-            det *= m[k][k]
-        return det
 
 
 def stack_rows(mats):

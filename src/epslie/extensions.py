@@ -90,10 +90,12 @@ def boundary3(L):
 
 
 class H2Result:
-    def __init__(self, dims, cycles, monomials):
-        self.dims = dims            # degree -> (z, b, h)
-        self.cycles = cycles        # degree -> list of vectors over monomials
+    def __init__(self, dims, cycles, monomials, degrees, boundaries):
+        self.dims = dims              # degree -> (z, b, h)
+        self.cycles = cycles          # degree -> list of vectors over monomials
         self.monomials = monomials
+        self.degrees = degrees        # degree of each monomial
+        self.boundaries = boundaries  # pivot -> reduced echelon row of im d3
 
     def total(self):
         return sum(t[2] for t in self.dims.values())
@@ -103,11 +105,13 @@ class H2Result:
 
 
 def homology_h2(L):
-    """H_2 = ker d2 / im d3 per degree sector, with cycle representatives."""
+    """H_2 = ker d2 / im d3 per degree sector, with cycle representatives
+    and the echelon basis of im d3 over all monomials."""
     g = L.group
     monos2 = lambda2_basis(L)
+    degs2 = [g.sum(L.degrees[i] for i in m) for m in monos2]
     pos1 = sector_positions([g.reduce(d) for d in L.degrees])
-    pos2 = sector_positions([g.sum(L.degrees[i] for i in m) for m in monos2])
+    pos2 = sector_positions(degs2)
     pos3 = sector_positions(
         [g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.factor, L.degrees, 3)]
     )
@@ -115,6 +119,7 @@ def homology_h2(L):
     blocks3 = split_sectors(boundary3(L), pos2, pos3)
     dims = {}
     cycles = {}
+    boundaries = {}
     # a degree missing from the exterior square has z = b = 0; blocks are
     # popped so that each is freed, with its elimination, once used
     for D, cols2 in pos2.items():
@@ -128,12 +133,16 @@ def homology_h2(L):
         span = SpanTracker()
         for col in sub3.columns():
             span.add(col)
+        # sectors have disjoint supports, so their echelon rows together are
+        # the echelon basis of the whole image; taken before cycles join
+        for p, row in span.rows.items():
+            boundaries[cols2[p]] = {cols2[k]: c for k, c in row.items()}
         reps = []
         for kv in sub2.kernel_basis():
             if span.add(kv):
                 reps.append({cols2[k]: c for k, c in kv.items()})
         cycles[D] = reps
-    return H2Result(dims, cycles, monos2)
+    return H2Result(dims, cycles, monos2, degs2, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +248,15 @@ def cocycle_from_section(E, L, project, section):
 
 
 class CoveringResult:
-    def __init__(self, covering, projection, center_vectors, center_dims, h2_dims):
+    def __init__(self, covering, projection, center_vectors, center_dims, h2_dims,
+                 hat_reps, w_reps):
         self.covering = covering            # the perfect algebra L-hat
         self.projection = projection        # L-hat -> L matrix
         self.center_vectors = center_vectors  # kernel of projection, covering coords
         self.center_dims = center_dims      # degree -> dim
         self.h2_dims = h2_dims              # degree -> dim of H_2(L)
+        self.hat_reps = hat_reps            # covering basis in L x W coords
+        self.w_reps = w_reps                # pair monomial whose class is W's k-th vector
 
     def center_total(self):
         return sum(self.center_dims.values())
@@ -266,57 +278,41 @@ def universal_covering(L):
     if not L.is_perfect():
         raise NotPerfectError("algebra is not perfect; no covering exists")
     g = L.group
-    monos2 = lambda2_basis(L)
-    mono_deg = [g.sum(L.degrees[i] for i in m) for m in monos2]
-    image = SpanTracker()
-    for col in boundary3(L).columns():
-        image.add(col)
-    comp = SpanTracker()
-    for p in range(len(monos2)):
-        comp.add(image.reduce({p: ONE}))
-    # W keeps pivot order, which fixes the basis of the exported covering
-    pivots = sorted(comp.rows)
-    wdegs = [degree_of_vector(g, mono_deg, comp.rows[p]) for p in pivots]
+    h2 = homology_h2(L)
+    monos2 = h2.monomials
+    image = h2.boundaries
+    # the monomials off the pivots of im d3 span a complement W; it keeps
+    # pivot order, which fixes the basis of the exported covering
+    free = [p for p in range(len(monos2)) if p not in image]
+    slot = {p: k for k, p in enumerate(free)}
     W = trivial(
-        L, degrees=wdegs, labels=["w%d" % k for k in range(len(pivots))]
+        L,
+        degrees=[h2.degrees[p] for p in free],
+        labels=["w%d" % k for k in range(len(free))],
     )
-
-    def w_class(vec):
-        coords, rem = comp.express(image.reduce(vec))
-        if rem:
-            raise ExtensionError("class computation failed")
-        return {k: coords[p] for k, p in enumerate(pivots) if p in coords}
-
+    # the class of a monomial in W is its remainder modulo im d3
     vals = {}
-    for k, mono in enumerate(monos2):
-        cls = w_class({k: ONE})
-        if cls:
-            vals[mono] = cls
+    for p, mono in enumerate(monos2):
+        rem = vec_axpy({p: ONE}, -ONE, image.get(p, {}))
+        if rem:
+            vals[mono] = {slot[q]: c for q, c in sorted(rem.items())}
     f = make_cochain(L, W, 2, vals)
-    ext = extension_from_cocycle(L, W, f)
-    E = ext.total
+    E = extension_from_cocycle(L, W, f).total
 
     derived = E.derived_subalgebra()
     Lhat, hat_reps = E.subquotient(derived, (), label_prefix="^")
-    # center part: elements of the derived span supported on the W block
     nl = L.dim
-    ent = {}
-    for c, v in enumerate(hat_reps):
-        for r, val in v.items():
-            if r < nl:
-                ent[(r, c)] = val
-    lpart = RationalSparseMatrix(nl, len(hat_reps), ent)
-    center_vecs = lpart.kernel_basis()
+    proj = RationalSparseMatrix(
+        nl, Lhat.dim, {(r, c): val for c, v in enumerate(hat_reps)
+                       for r, val in v.items() if r < nl}
+    )
+    # center part: elements of the derived span supported on the W block
+    center_vecs = proj.kernel_basis()
     center_dims = {}
     for v in center_vecs:
         d = degree_of_vector(g, Lhat.degrees, v)
         center_dims[d] = center_dims.get(d, 0) + 1
     center_dims = dict(sorted(center_dims.items()))
-
-    proj = RationalSparseMatrix(
-        nl, Lhat.dim, {(r, c): val for c, v in enumerate(hat_reps)
-                       for r, val in v.items() if r < nl}
-    )
     if proj.rank() != nl:
         raise ExtensionError("covering projection is not surjective")
     if Lhat.homomorphism_defect(L, proj):
@@ -328,18 +324,15 @@ def universal_covering(L):
         if not center_span.contains(v):
             raise ExtensionError("projection kernel is not central")
 
-    h2 = homology_h2(L)
     h2_dims = h2.graded_dims()
     if h2_dims != {d: n for d, n in center_dims.items() if n}:
         raise ExtensionError(
             "covering center %r does not match H_2 %r" % (center_dims, h2_dims)
         )
-    res = CoveringResult(Lhat, proj, center_vecs, center_dims, h2_dims)
-    res.extension = ext
-    res.hat_reps = hat_reps
-    res.w_class = w_class
-    res.lambda2 = monos2
-    return res
+    return CoveringResult(
+        Lhat, proj, center_vecs, center_dims, h2_dims, hat_reps,
+        [monos2[p] for p in free],
+    )
 
 
 def covering_from_h2_basis(L, cocycles):
@@ -384,54 +377,19 @@ def covering_morphism(cov: CoveringResult, ext: CentralExtension):
     """The unique morphism from a universal covering to a central extension,
     as a matrix covering.covering -> ext.total; determined by sending the
     class of A^B to g(A, B)."""
-    base = ext.base
-    nl = base.dim
+    nl = ext.base.dim
     g = ext.cocycle
-    # psi' on the W part: class of the pair monomial -> g value
-    ncols = cov.covering.dim
     ent = {}
     for c, rep in enumerate(cov.hat_reps):
-        acc = {}
+        col = {r: val for r, val in rep.items() if r < nl}
         for r, val in rep.items():
-            if r < nl:
-                acc[r] = acc.get(r, Fraction(0)) + val
-            else:
-                # W coordinate: expand back over pair monomials
-                wv = _w_coordinate_to_pairs(cov, r - nl)
-                for mono, cmono in wv.items():
-                    hval = evaluate(g, mono)
-                    for h, ch in hval.items():
-                        key = nl + h
-                        acc[key] = acc.get(key, Fraction(0)) + val * cmono * ch
-        for r, val in acc.items():
-            if val:
-                ent[(r, c)] = val
-    return RationalSparseMatrix(ext.total.dim, ncols, ent)
-
-
-def _w_coordinate_to_pairs(cov, widx):
-    """Express the W basis vector widx as a combination of pair monomials
-    (a fixed representative; any representative works for cocycle pairing)."""
-    reps = getattr(cov, "_w_pair_reps", None)
-    if reps is None:
-        W = cov.extension.coefficients
-        # invert the class map: any pair-monomial preimage of each W basis
-        # vector will do, cocycle values agree on a class
-        cols = {}
-        for k in range(len(cov.lambda2)):
-            cols[k] = cov.w_class({k: ONE})
-        mat = RationalSparseMatrix(
-            W.dim, len(cov.lambda2),
-            {(h, k): c for k, col in cols.items() for h, c in col.items()},
-        )
-        reps = {}
-        for h in range(W.dim):
-            sol = mat.image_membership({h: ONE})
-            if sol is None:
-                raise ExtensionError("class map is not surjective")
-            reps[h] = {cov.lambda2[k]: c for k, c in sol.items()}
-        cov._w_pair_reps = reps
-    return reps[widx]
+            if r >= nl:
+                # W coordinate: g on the pair monomial of that W vector
+                hval = evaluate(g, cov.w_reps[r - nl])
+                vec_axpy(col, val, {nl + h: ch for h, ch in hval.items()})
+        for r, val in col.items():
+            ent[(r, c)] = val
+    return RationalSparseMatrix(ext.total.dim, cov.covering.dim, ent)
 
 
 def h2_pairing_check(L):

@@ -60,6 +60,13 @@ class GradedModule:
     def apply_basis(self, i, vec):
         return self.action[i].apply(vec)
 
+    def action_matrix(self, avec):
+        """Matrix of rho(x) = sum c_j rho(e_j) for an algebra vector x."""
+        ent = {}
+        for j, c in avec.items():
+            vec_axpy(ent, c, self.action[j].entries)
+        return RationalSparseMatrix(self.dim, self.dim, ent)
+
     def act(self, avec, vec):
         """Action of an algebra vector (any) on a module vector."""
         out = {}
@@ -84,9 +91,7 @@ class GradedModule:
                     )
         for i in range(L.dim):
             for j in range(i, L.dim):
-                lhs = RationalSparseMatrix(self.dim, self.dim)
-                for k, c in L.bracket_basis(i, j).items():
-                    lhs = lhs.add(self.action[k].scale(c))
+                lhs = self.action_matrix(L.bracket_basis(i, j))
                 e = L.factor.eps(L.degrees[i], L.degrees[j])
                 rhs = self.action[i].multiply(self.action[j]).sub(
                     self.action[j].multiply(self.action[i]).scale(e)
@@ -196,15 +201,8 @@ def shift(V, sigma):
 def twist(V, omega_matrix):
     """Module with action rho(omega(e_i)): pull-back along an algebra
     endomorphism given by columns in the basis."""
-    L = V.algebra
-    cols = omega_matrix.columns()
-    mats = []
-    for i in range(L.dim):
-        m = RationalSparseMatrix(V.dim, V.dim)
-        for j, c in cols[i].items():
-            m = m.add(V.action[j].scale(c))
-        mats.append(m)
-    return GradedModule(L, list(V.labels), list(V.degrees), mats)
+    mats = [V.action_matrix(col) for col in omega_matrix.columns()]
+    return GradedModule(V.algebra, list(V.labels), list(V.degrees), mats)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +386,7 @@ def weight_spaces(V, cartan_vectors):
     Returns {eigenvalue-tuple: [module vectors]}; raises ModuleError when an
     operator is not diagonalizable over Q.
     """
-    ops = []
-    for av in cartan_vectors:
-        m = RationalSparseMatrix(V.dim, V.dim)
-        for i, c in av.items():
-            m = m.add(V.action[i].scale(c))
-        ops.append(m)
+    ops = [V.action_matrix(av) for av in cartan_vectors]
     spaces = {(): [{a: ONE} for a in range(V.dim)]}
     for op in ops:
         new = {}

@@ -100,16 +100,6 @@ def test_add_scale_block_diag():
     assert b.rank() == m.rank() + 2
 
 
-def test_det():
-    m = RationalSparseMatrix.from_dense([[1, 2], [3, 4]])
-    assert m.det() == -2
-    assert RationalSparseMatrix.identity(3).det() == 1
-    s = RationalSparseMatrix.from_dense([[1, 2], [2, 4]])
-    assert s.det() == 0
-    with pytest.raises(ShapeError):
-        RationalSparseMatrix.zero(2, 3).det()
-
-
 def test_shape_errors():
     m = RationalSparseMatrix.zero(2, 3)
     with pytest.raises(ShapeError):
@@ -213,11 +203,6 @@ def test_elimination_preserves_the_row_space():
         for row in piv_rows:
             reduced.add({c: Fraction(v) for c, v in row.items()})
         assert original.basis() == reduced.basis()
-
-
-def test_triplet_dump_deterministic():
-    m = RationalSparseMatrix.from_dense([[0, Fraction(1, 2)], [3, 0]])
-    assert m.to_triplets() == [(0, 1, "1/2"), (1, 0, "3")]
 
 
 def test_backends_agree_when_compiled_present():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epslie import catalog
+from epslie import catalog, extensions
 from epslie.algebra import EpsLieAlgebra
 from epslie.cohomology import (
     CochainComplex,
@@ -44,6 +44,16 @@ def catalog_algebras():
 def test_boundary_composition_vanishes_everywhere():
     for L in catalog_algebras():
         assert boundary2(L).multiply(boundary3(L)).is_zero()
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names())
+def test_boundaries_are_transposed_trivial_coboundaries(name):
+    """d2 and d3 are the transposes of delta^1 and delta^2 with trivial
+    coefficients, entry by entry and with no sign change."""
+    L = catalog.get_algebra(name)
+    cx = CochainComplex(L, trivial(L), 2)
+    assert boundary2(L) == cx.delta(1).transpose()
+    assert boundary3(L) == cx.delta(2).transpose()
 
 
 def test_boundary2_abelian_and_sl2():
@@ -243,6 +253,43 @@ def test_universal_covering_psl22():
     cov2 = universal_covering(P2)
     assert cov2.covering.table == cov.covering.table
     assert cov2.center_dims == cov.center_dims
+
+
+def test_universal_covering_assembles_each_boundary_once(monkeypatch):
+    calls = {"boundary2": 0, "boundary3": 0}
+
+    def counted(name):
+        original = getattr(extensions, name)
+
+        def wrapper(L):
+            calls[name] += 1
+            return original(L)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(extensions, name, counted(name))
+    universal_covering(catalog.psl_nn(2))
+    assert calls == {"boundary2": 1, "boundary3": 1}
+
+
+def test_covering_w_reps_are_classes_of_the_w_basis():
+    """Lifts x, y of e_i, e_j to the covering bracket to ([e_i, e_j], w_k) in
+    L x W when (i, j) is the pair monomial w_reps[k]: the class of
+    w_reps[k] under the extension cocycle is the k-th W basis vector."""
+    P = catalog.psl_nn(2)
+    cov = universal_covering(P)
+    nl = P.dim
+    assert len(cov.w_reps) == cov.covering.dim  # exterior square mod im d3
+    for k, (i, j) in enumerate(cov.w_reps):
+        x = cov.projection.image_membership({i: ONE})
+        y = cov.projection.image_membership({j: ONE})
+        xy = {}
+        for c, v in cov.covering.bracket(x, y).items():
+            vec_axpy(xy, v, cov.hat_reps[c])
+        want = dict(P.bracket_basis(i, j))
+        want[nl + k] = ONE
+        assert xy == want
 
 
 def test_covering_from_h2_basis_matches_universal():

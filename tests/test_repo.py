@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shutil
@@ -44,3 +45,25 @@ def test_no_runtime_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_engine_has_no_unused_imports():
+    """Every name an engine module imports is read in that module; the
+    package __init__ only re-exports."""
+    unused = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = alias.name
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s: %s" % (name, imported[b]) for b in sorted(set(imported) - used)]
+    assert unused == []
