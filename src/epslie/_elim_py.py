@@ -1,16 +1,20 @@
-"""Pure-Python exact elimination kernel.
-
-Twin of ``_elim_cy.pyx``; the two must stay in algorithmic lock-step and
-produce byte-identical results (same pivot choices, same normalized rows).
+"""Exact elimination kernel.
 
 Rows are sparse dicts {column: int} with no stored zeros.  Elimination is
 integer cross-multiplication followed by content removal, which keeps every
 intermediate value exact and controls coefficient growth on the sparse
-+-1-dominated matrices this package produces.  Pivoting is Markowitz-style:
-shortest row first, then the column with fewest occurrences among active
-rows, with bit-length and index tie-breaks for determinism.
++-1-dominated matrices this package produces.
+
+Pivoting is Markowitz-style and fully deterministic: the pivot row is the
+shortest live row, ties broken by row index; its pivot column is the one
+with the smallest (live column count, bit length of the entry, column).
+Two indexes keep each step from rescanning every live row: a lazy heap of
+(row length, row index) finds the pivot row, and a column -> row-index list
+finds the rows holding the pivot column.  Both may hold stale entries,
+which are skipped when read.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 BACKEND = "python"
@@ -62,25 +66,24 @@ def rref(rows, full=True):
             work.append(_strip_normalize(row))
     alive = [True] * len(work)
     col_count = {}
-    for row in work:
+    # col_rows[c] lists every live row holding column c, perhaps twice, and
+    # perhaps rows that have since lost c or died.
+    col_rows = {}
+    for i, row in enumerate(work):
         for c in row:
             col_count[c] = col_count.get(c, 0) + 1
+            col_rows.setdefault(c, []).append(i)
+    # Every live row has an entry (len(row), i) with its current length.
+    heap = [(len(row), i) for i, row in enumerate(work)]
+    heapify(heap)
 
     finished = []  # list of (piv_col, row)
-    n_alive = len(work)
-    while n_alive:
-        best = -1
-        best_key = None
-        for i, row in enumerate(work):
-            if not alive[i]:
-                continue
-            key = (len(row), i)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = i
+    while heap:
+        length, best = heappop(heap)
         prow = work[best]
+        if not alive[best] or len(prow) != length:
+            continue
         alive[best] = False
-        n_alive -= 1
         for c in prow:
             col_count[c] -= 1
         pcol = None
@@ -95,7 +98,9 @@ def rref(rows, full=True):
                 prow[c] = -prow[c]
         pval = prow[pcol]
 
-        for i, row in enumerate(work):
+        # After this step no live row holds pcol, and none regains it.
+        for i in sorted(set(col_rows.pop(pcol))):
+            row = work[i]
             if not alive[i] or pcol not in row:
                 continue
             for c in row:
@@ -105,9 +110,12 @@ def rref(rows, full=True):
             if new:
                 for c in new:
                     col_count[c] = col_count.get(c, 0) + 1
+                    if c not in row:
+                        col_rows[c].append(i)
+                if len(new) != len(row):
+                    heappush(heap, (len(new), i))
             else:
                 alive[i] = False
-                n_alive -= 1
         if full:
             for k, (fc, frow) in enumerate(finished):
                 if pcol in frow:

@@ -73,6 +73,14 @@ def _resolve_module(spec, L, algebra_name):
     )
 
 
+def _save(save, obj, path):
+    """Write an export file; a path that cannot be written is exit 2."""
+    try:
+        save(obj, path)
+    except OSError as e:
+        raise CliError(EXIT_PARSE, "cannot write %s: %s" % (path, e.strerror or e))
+
+
 def _fmt_deg(deg):
     return "(" + ",".join(str(x) for x in deg) + ")"
 
@@ -224,13 +232,14 @@ def cmd_covering(args, out):
         cov = universal_covering(L)
     except NotPerfectError as e:
         raise CliError(EXIT_PRECONDITION, str(e))
+    if args.export:
+        _save(fileio.save_algebra, cov.covering, args.export)
     out("universal covering: dim %d" % cov.covering.dim)
     out("center dim %d" % cov.center_total())
     for deg, d in sorted(cov.center_dims.items()):
         out("center sector %s dim %d" % (_fmt_deg(deg), d))
     out("perfect: yes")
     if args.export:
-        fileio.save_algebra(cov.covering, args.export)
         out("exported covering to %s" % args.export)
     return EXIT_OK
 
@@ -266,13 +275,16 @@ def cmd_catalog(args, out):
             out("%s: modules %s" % (name, ", ".join(catalog.module_names(name))))
         return EXIT_OK
     if args.action == "export":
+        for flag, value in (("--algebra", args.algebra), ("--out", args.out)):
+            if value is None:
+                raise CliError(EXIT_PARSE, "catalog export needs %s" % flag)
         L, name = _resolve_algebra(args.algebra)
         if args.module:
             V = _resolve_module(args.module, L, name)
-            fileio.save_module(V, args.out)
+            _save(fileio.save_module, V, args.out)
             out("wrote module %s" % args.out)
         else:
-            fileio.save_algebra(L, args.out)
+            _save(fileio.save_algebra, L, args.out)
             out("wrote algebra %s" % args.out)
         return EXIT_OK
     raise CliError(EXIT_PARSE, "unknown catalog action %r" % args.action)

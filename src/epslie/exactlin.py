@@ -2,9 +2,11 @@
 
 Scalars are ``fractions.Fraction`` (the field is Q; nothing here ever
 rounds).  Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
-{(row, col): Fraction}.  Rank / kernel / solve run on an integer elimination
-kernel; the compiled kernel is used when it imports, with the pure-Python
-twin as fallback.
+{(row, col): Fraction}.  Rank / kernel / solve run on the one integer
+elimination kernel, ``_elim_py.rref``: each matrix is scaled to integer
+rows and reduced with a deterministic Markowitz pivot rule (shortest row,
+then the sparsest column), found through a row-length heap and a
+column -> row index.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
-try:
-    from . import _elim_cy as _elim  # type: ignore[attr-defined]
-except ImportError:
-    from . import _elim_py as _elim
+from . import _elim_py as _elim
 
 BACKEND = _elim.BACKEND
 

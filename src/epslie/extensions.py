@@ -176,8 +176,6 @@ def extension_from_cocycle(L, H: GradedModule, g: Cochain):
         raise ExtensionError("extension cocycle must be homogeneous of degree zero")
     if any(not m.is_zero() for m in H.action):
         raise ExtensionError("H must carry the trivial action")
-    if not is_cocycle(g):
-        raise ExtensionError("not a 2-cocycle")
     nl = L.dim
     labels = list(L.labels) + ["c:%s" % lab for lab in H.labels]
     degrees = list(L.degrees) + list(H.degrees)

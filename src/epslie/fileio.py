@@ -180,35 +180,35 @@ def module_from_dict(data, L: EpsLieAlgebra):
     return V
 
 
-def save_algebra(L, path):
-    with open(path, "w") as fh:
-        json.dump(algebra_to_dict(L), fh, indent=1, sort_keys=True)
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ParseError("cannot read %s: %s" % (path, e))
+    except UnicodeDecodeError as e:
+        raise ParseError("%s is not UTF-8: %s" % (path, e))
+    except json.JSONDecodeError as e:
+        raise ParseError("bad JSON in %s: line %d: %s" % (path, e.lineno, e.msg))
+
+
+def save_algebra(L, path):
+    _write_json(path, algebra_to_dict(L))
 
 
 def load_algebra(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ParseError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise ParseError("bad JSON in %s: line %d: %s" % (path, e.lineno, e.msg))
-    return algebra_from_dict(data)
+    return algebra_from_dict(_read_json(path))
 
 
 def save_module(V, path):
-    with open(path, "w") as fh:
-        json.dump(module_to_dict(V), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, module_to_dict(V))
 
 
 def load_module(path, L):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ParseError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise ParseError("bad JSON in %s: line %d: %s" % (path, e.lineno, e.msg))
-    return module_from_dict(data, L)
+    return module_from_dict(_read_json(path), L)

@@ -187,10 +187,12 @@ def test_broken_jacobi_file_names_triple(tmp_path):
 
 def test_malformed_json_is_parse_error(tmp_path):
     path = str(tmp_path / "junk.json")
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    code, out = run_cli(["check", "--algebra", path])
-    assert code == 2
+    for junk in (b"{not json", b"\xff\xfe"):
+        with open(path, "wb") as fh:
+            fh.write(junk)
+        code, out = run_cli(["check", "--algebra", path])
+        assert code == 2, (junk, out)
+        assert len(out.splitlines()) == 1, (junk, out)
 
     # bad values in otherwise well-formed files end in one line, never a
     # traceback, and are never coerced
@@ -278,6 +280,24 @@ def test_covering_export_round_trips(tmp_path):
     C = fileio.load_algebra(path)
     assert C.dim == 17
     assert C.is_perfect()
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "export", "--algebra", "sl12"],
+    ["catalog", "export", "--out", "{file}"],
+    ["catalog", "export", "--algebra", "sl12", "--out", "{dir}"],
+    ["catalog", "export", "--algebra", "sl12", "--out", "{missing}"],
+    ["catalog", "export", "--algebra", "sl12", "--module", "v8", "--out", "{dir}"],
+    ["covering", "--algebra", "sl2", "--export", "{dir}"],
+    ["covering", "--algebra", "sl2", "--export", "{missing}"],
+])
+def test_unwritable_or_missing_output_path_is_one_line(tmp_path, argv):
+    paths = {"file": str(tmp_path / "out.json"), "dir": str(tmp_path),
+             "missing": str(tmp_path / "no" / "out.json")}
+    code, out = run_cli([a.format(**paths) for a in argv])
+    assert code == 2, out
+    assert len(out.splitlines()) == 1, out
+    assert not os.path.exists(paths["file"])
 
 
 _FUZZ_SOURCES = [("sl12", "v_half"), ("sl12_z2", "trivial"), ("sl2", "adjoint")]

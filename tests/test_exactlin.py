@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from epslie import _elim_py
 from epslie.exactlin import (
     BACKEND,
     RationalSparseMatrix,
@@ -205,25 +206,111 @@ def test_elimination_preserves_the_row_space():
         assert original.basis() == reduced.basis()
 
 
-def test_backends_agree_when_compiled_present():
-    try:
-        from epslie import _elim_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    from epslie import _elim_py
+def _scan_rref(rows, full=True):
+    """Reference copy of the kernel before it was indexed: each step scans
+    every live row for the pivot row and again for the rows to eliminate."""
+    work = []
+    for r in rows:
+        row = {c: v for c, v in r.items() if v}
+        if row:
+            work.append(_elim_py._strip_normalize(row))
+    alive = [True] * len(work)
+    col_count = {}
+    for row in work:
+        for c in row:
+            col_count[c] = col_count.get(c, 0) + 1
+    finished = []
+    n_alive = len(work)
+    while n_alive:
+        best = min((len(row), i) for i, row in enumerate(work) if alive[i])[1]
+        prow = work[best]
+        alive[best] = False
+        n_alive -= 1
+        for c in prow:
+            col_count[c] -= 1
+        pcol = min(prow, key=lambda c: (col_count[c], abs(prow[c]).bit_length(), c))
+        if prow[pcol] < 0:
+            for c in prow:
+                prow[c] = -prow[c]
+        pval = prow[pcol]
+        for i, row in enumerate(work):
+            if not alive[i] or pcol not in row:
+                continue
+            for c in row:
+                col_count[c] -= 1
+            new = _elim_py._combine(row, row[pcol], prow, pval)
+            work[i] = new
+            for c in new:
+                col_count[c] = col_count.get(c, 0) + 1
+            if not new:
+                alive[i] = False
+                n_alive -= 1
+        if full:
+            for k, (fc, frow) in enumerate(finished):
+                if pcol in frow:
+                    finished[k] = (fc, _elim_py._combine(frow, frow[pcol], prow, pval))
+        finished.append((pcol, prow))
+    finished.sort(key=lambda t: t[0])
+    return [t[0] for t in finished], [t[1] for t in finished]
 
-    rng = random.Random(31)
-    for _ in range(30):
-        rows = []
-        for _ in range(rng.randint(1, 8)):
-            row = {
-                c: rng.randint(-9, 9)
-                for c in range(rng.randint(1, 8))
-                if rng.random() < 0.6
-            }
-            rows.append({c: v for c, v in row.items() if v})
-        for full in (True, False):
-            assert _elim_py.rref(rows, full) == _elim_cy.rref(rows, full)
+
+@st.composite
+def _int_rows(draw):
+    """Sparse integer rows; often many more rows than columns."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-5, 5)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    return draw(st.lists(row, max_size=draw(st.sampled_from([6, 40]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_rows(), st.booleans())
+# Row 3 loses column 2 against the pivot row 0 and regains it from row 1.
+@example([{1: 2, 2: -1}, {0: 1, 1: -1}, {1: 2, 3: 2}, {0: 2, 1: 2, 2: -1, 3: 1}], True)
+def test_indexed_rref_matches_the_scan_kernel(rows, full):
+    """Same pivots, same rows and the same entry order as the scan kernel."""
+    snapshot = [dict(r) for r in rows]
+    got = _elim_py.rref(rows, full)
+    assert rows == snapshot  # inputs are not mutated
+    want = _scan_rref(snapshot, full)
+    assert got == want
+    assert [list(r) for r in got[1]] == [list(r) for r in want[1]]
+
+
+@st.composite
+def _rational_matrix(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        st.fractions(-4, 4, max_denominator=3),
+        max_size=nrows * ncols,
+    )
+    rhs = st.dictionaries(
+        st.integers(0, nrows - 1), st.fractions(-4, 4, max_denominator=3)
+    )
+    return RationalSparseMatrix(nrows, ncols, vec_clean(draw(cells))), draw(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_matrix())
+def test_rank_kernel_and_solve_agree_with_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    m, b = case
+    ref = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.get(i, j)))
+    assert m.rank() == ref.rank()
+    # The pivots are chosen for sparsity, so the bases differ; the spans agree.
+    ours = [[v.get(c, 0) for c in range(m.cols)] for v in m.kernel_basis()]
+    theirs = [list(v) for v in ref.nullspace()]
+    assert len(ours) == len(theirs)
+    if ours:
+        stacked = sympy.Matrix(ours + theirs).rank()
+        assert sympy.Matrix(ours).rank() == stacked == len(ours)
+    rhs = sympy.Matrix(m.rows, 1, lambda i, _: sympy.Rational(b.get(i, 0)))
+    x = m.image_membership(b)
+    if ref.row_join(rhs).rank() == ref.rank():
+        assert x is not None and vec_eq(m.apply(x), b)
+    else:
+        assert x is None
 
 
 def test_rref_determinism():
@@ -241,4 +328,4 @@ def test_rref_determinism():
 
 
 def test_backend_name_exposed():
-    assert BACKEND in ("python", "cython")
+    assert BACKEND == "python"

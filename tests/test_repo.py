@@ -16,13 +16,17 @@ def _git(*args):
     )
 
 
-def test_no_tracked_file_is_ignored():
-    """Generated files and logs that .gitignore lists are not committed."""
+def _require_git_checkout():
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     top = _git("rev-parse", "--show-toplevel")
     if top.returncode or os.path.realpath(top.stdout.strip()) != os.path.realpath(ROOT):
         pytest.skip("not a git checkout")
+
+
+def test_no_tracked_file_is_ignored():
+    """Generated files and logs that .gitignore lists are not committed."""
+    _require_git_checkout()
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
@@ -33,7 +37,7 @@ def test_engine_reads_no_environment():
     readers = []
     for dirpath, _, names in os.walk(SRC):
         for name in sorted(names):
-            if name.endswith((".py", ".pyx")):
+            if name.endswith(".py"):
                 with open(os.path.join(dirpath, name)) as fh:
                     if re.search(r"\b(environ|getenv)\b", fh.read()):
                         readers.append(name)
@@ -45,6 +49,20 @@ def test_no_runtime_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_package_builds_from_pyproject_alone():
+    """One elimination kernel, in Python: no setup script, no build-time
+    dependency beyond setuptools, and no source under src/epslie that
+    would need a compiler."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    assert not os.path.exists(os.path.join(ROOT, "setup.py"))
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["build-system"]["requires"] == ["setuptools>=68"]
+    _require_git_checkout()
+    listed = _git("ls-files", "src/epslie")
+    assert listed.returncode == 0, listed.stderr
+    assert [f for f in listed.stdout.split() if not f.endswith(".py")] == []
 
 
 def test_engine_has_no_unused_imports():
