@@ -111,6 +111,7 @@ class EpsLieAlgebra:
         self.degrees = [self.group.reduce(d) for d in degrees]
         if len(self.labels) != len(self.degrees):
             raise AlgebraError("labels and degrees length mismatch")
+        self.signs = factor.sign_table(self.degrees, self.degrees)
         n = len(self.labels)
         table = {}
         for (i, j), vec in brackets.items():
@@ -123,7 +124,7 @@ class EpsLieAlgebra:
             if i <= j:
                 key, val = (i, j), vec
             else:
-                e = factor.eps(self.degrees[i], self.degrees[j])
+                e = self.signs[i][j]
                 key, val = (j, i), {k: -e * c for k, c in vec.items()}
             if key in table:
                 if table[key] != val:
@@ -139,7 +140,7 @@ class EpsLieAlgebra:
         return len(self.labels)
 
     def parity(self, i):
-        return self.factor.parity(self.degrees[i])
+        return self.signs[i][i]
 
     def bracket_basis(self, i, j):
         if i <= j:
@@ -147,7 +148,7 @@ class EpsLieAlgebra:
         vec = self.table.get((j, i))
         if not vec:
             return {}
-        e = self.factor.eps(self.degrees[i], self.degrees[j])
+        e = self.signs[i][j]
         return {k: -e * c for k, c in vec.items()}
 
     def bracket(self, x, y):
@@ -193,9 +194,8 @@ class EpsLieAlgebra:
                     "even element with nonzero self-bracket",
                 )
         for i in range(self.dim):
-            di = self.degrees[i]
             for j in range(self.dim):
-                eij = self.factor.eps(di, self.degrees[j])
+                eij = self.signs[i][j]
                 for k in range(j, self.dim):
                     lhs = self.bracket({i: 1}, self.bracket_basis(j, k))
                     rhs = self.bracket(self.bracket_basis(i, j), {k: 1})

@@ -94,15 +94,16 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
 
         for i in range(L.dim):
             src = by_deg.get(g.sub(D, L.degrees[i]), [])
-            alpha = L.degrees[i]
+            # eps(alpha, eta + m_{T_0}+..+m_{T_{k-1}})
+            #     = eps(alpha, eta) * prod_{t<k} M.signs[i][T_t]
+            e_eta = fac.eps(L.degrees[i], eta)
             for T in src:
-                prefix = eta
+                e = e_eta
                 for k, tk in enumerate(T):
-                    e = fac.eps(alpha, prefix)
                     for (s, c) in colmaj[i][tk]:
                         U = T[:k] + (s,) + T[k + 1 :]
                         put(("inv", i, T), pos[U], e * c)
-                    prefix = g.add(prefix, M.degrees[tk])
+                    e *= M.signs[i][tk]
         if symmetry != "none":
             want = 1 if symmetry == "eps_symmetric" else -1
             for T in tuples:
@@ -196,26 +197,24 @@ def homotopy_matrix(C: CasimirOperator, cx: CochainComplex, n):
         raise CasimirError("homotopy operator needs n >= 1")
     L = cx.algebra
     V = cx.module
-    fac = L.factor
-    gr = L.group
     rows = cx.index(n - 1)
     cols = cx.index(n)
     ent = {}
-    vdegs = V.degrees
     for T in cx.monomials(n - 1):
         for i in range(L.dim):
             part = C.partials[i]
             if not part.entries:
                 continue
-            sg, mono = canonicalize(fac, L.degrees, (i,) + T)
+            sg, mono = canonicalize(L.signs, (i,) + T)
             if not sg:
                 continue
-            md = gr.sum(L.degrees[t] for t in mono)
+            # eps(a_i, gamma) for gamma = deg v_w - deg mono is
+            # V.signs[i][w] * prod_{t in mono} L.signs[i][t]
+            for t in mono:
+                sg *= L.signs[i][t]
             for (w2, w), c in part.entries.items():
-                gamma = gr.sub(vdegs[w], md)
-                e = fac.eps(L.degrees[i], gamma)
                 key = (rows[(T, w2)], cols[(mono, w)])
-                v = ent.get(key, Fraction(0)) + sg * e * c
+                v = ent.get(key, Fraction(0)) + sg * V.signs[i][w] * c
                 if v:
                     ent[key] = v
                 else:

@@ -198,60 +198,42 @@ _SL12_LABELS = ["Q+", "Q-", "Q3", "B", "V+", "V-", "W+", "W-"]
 
 
 def _sl12_matrices():
-    # 3x3 realization; index (row, col), 0-based; row/col 0 is the even slot
-    E = lambda i, j, c=1: {(i - 1, j - 1): Fraction(c)}
-
-    def add(*ms):
-        out = {}
-        for m in ms:
-            for k, v in m.items():
-                out[k] = out.get(k, Fraction(0)) + v
-        return {k: v for k, v in out.items() if v}
+    # 3x3 realization from (row, col, coeff) triples, 1-based; row/col 1 is
+    # the even slot
+    def m(*terms):
+        return RationalSparseMatrix(3, 3, {(i - 1, j - 1): c for i, j, c in terms})
 
     return [
-        E(2, 3),                         # Q+
-        E(3, 2),                         # Q-
-        add(E(2, 2, HALF), E(3, 3, -HALF)),   # Q3
-        add(E(1, 1, -1), E(2, 2, -HALF), E(3, 3, -HALF)),  # B
-        E(2, 1),                         # V+
-        E(3, 1),                         # V-
-        E(1, 3),                         # W+
-        E(1, 2, -1),                     # W-
+        m((2, 3, 1)),                                  # Q+
+        m((3, 2, 1)),                                  # Q-
+        m((2, 2, HALF), (3, 3, -HALF)),                # Q3
+        m((1, 1, -1), (2, 2, -HALF), (3, 3, -HALF)),   # B
+        m((2, 1, 1)),                                  # V+
+        m((3, 1, 1)),                                  # V-
+        m((1, 3, 1)),                                  # W+
+        m((1, 2, -1)),                                 # W-
     ]
 
 
 def _sl12_structure():
     mats = _sl12_matrices()
-    par = [0, 0, 0, 0, 1, 1, 1, 1]
-
-    def mult(a, b):
-        out = {}
-        for (i, j), u in a.items():
-            for (k, l), v in b.items():
-                if j == k:
-                    out[(i, l)] = out.get((i, l), Fraction(0)) + u * v
-        return {k: v for k, v in out.items() if v}
-
-    def sub(a, b, s):
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, Fraction(0)) - s * v
-        return {k: v for k, v in out.items() if v}
+    fac = super_factor()
+    par = [(0,)] * 4 + [(1,)] * 4
 
     # coordinates of a 3x3 matrix over the 8 basis matrices
     cols = []
     for m in mats:
-        cols.append({r * 3 + c: v for (r, c), v in m.items()})
+        cols.append({r * 3 + c: v for (r, c), v in m.entries.items()})
     basis_mat = RationalSparseMatrix.from_columns(cols, 9)
 
     brackets = {}
     for a in range(8):
         for b in range(a, 8):
-            s = -1 if (par[a] and par[b]) else 1
-            w = sub(mult(mats[a], mats[b]), mult(mats[b], mats[a]), s)
-            if not w:
+            e = fac.eps(par[a], par[b])
+            w = mats[a].multiply(mats[b]).sub(mats[b].multiply(mats[a]).scale(e))
+            if w.is_zero():
                 continue
-            target = {r * 3 + c: v for (r, c), v in w.items()}
+            target = {r * 3 + c: v for (r, c), v in w.entries.items()}
             sol = basis_mat.image_membership(target)
             if sol is None:
                 raise ValueError("sl(1|2) bracket escapes the span")
@@ -460,7 +442,7 @@ def module_wn(L, k):
         import itertools
 
         vecs = []
-        for mono in exterior.basis(fac, degs, k):
+        for mono in exterior.basis(fac.sign_table(degs, degs), k):
             mdeg = [degs[i] for i in mono]
             acc = {}
             for perm in itertools.permutations(range(k)):
@@ -565,7 +547,7 @@ def trace_cocycle_psl(n):
     K = trivial(P)
     vals = {}
     # plain matrix trace of the bracket of the gl-representatives
-    for mono in exterior.basis(P.factor, P.degrees, 2):
+    for mono in exterior.basis(P.signs, 2):
         a, b = mono
         ga = _to_gl_coords(preps[a], slreps)
         gb = _to_gl_coords(preps[b], slreps)

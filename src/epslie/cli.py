@@ -1,8 +1,8 @@
 """Batch front door: parse inputs, run one computation, print a stable report.
 
 Every number printed comes from the exact engine; identical inputs produce
-byte-identical output.  Exit codes: 0 ok, 2 parse error, 3 validation
-error, 4 precondition error.
+byte-identical output.  Exit codes: 0 ok, 2 parse error or bad input,
+3 validation error, 4 precondition error.
 """
 
 from __future__ import annotations
@@ -81,6 +81,12 @@ def _save(save, obj, path):
         raise CliError(EXIT_PARSE, "cannot write %s: %s" % (path, e.strerror or e))
 
 
+def _check_count(flag, value, least):
+    """A count below its least value is bad input, refused before any work."""
+    if value < least:
+        raise CliError(EXIT_PARSE, "%s must be >= %d" % (flag, least))
+
+
 def _fmt_deg(deg):
     return "(" + ",".join(str(x) for x in deg) + ")"
 
@@ -123,10 +129,9 @@ def cmd_check(args, out):
 
 
 def cmd_cohomology(args, out):
+    _check_count("--nmax", args.nmax, 0)
     L, name = _resolve_algebra(args.algebra)
     V = _resolve_module(args.module, L, name)
-    if args.nmax < 0:
-        raise CliError(EXIT_PRECONDITION, "nmax must be >= 0")
     cx = CochainComplex(L, V, args.nmax)
     res = cx.cohomology()
     if args.csv:
@@ -174,6 +179,7 @@ def cmd_cohomology(args, out):
 
 
 def cmd_invariant_forms(args, out):
+    _check_count("--arity", args.arity, 1)
     L, name = _resolve_algebra(args.algebra)
     if args.module:
         M = _resolve_module(args.module, L, name)
@@ -205,6 +211,7 @@ def cmd_casimir_check(args, out):
 
 
 def cmd_homotopy_check(args, out):
+    _check_count("--n", args.n, 1)
     L, name = _resolve_algebra(args.algebra)
     V = _resolve_module(args.module, L, name)
     forms = quadratic_invariant_forms(L)

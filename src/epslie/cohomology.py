@@ -14,8 +14,18 @@ The coboundary operator follows the explicit convention
                   + sum_{r<s} (-1)^s eps(a_{r+1}+..+a_{s-1}, a_s)
                            g(A_0,..,A_{r-1}, <A_r,A_s>, A_{r+1},.., A_s omitted,.., A_n)
 
-with empty sums equal to zero; gamma is the cochain degree.  The module
-action on cochains is
+with empty sums equal to zero; gamma is the cochain degree.  eps is a
+bicharacter with eps(x, y) eps(y, x) = 1, so each sign is a product of the
+tables L.signs (algebra x algebra) and V.signs (algebra x module).  On the
+basis cochain (N without its r-th slot, v_w), gamma + a_0+..+a_{r-1} equals
+deg v_w - sum_{t>r} a_t, hence
+
+  eps(gamma + a_0+..+a_{r-1}, a_r) = V.signs[N_r][w] * prod_{t>r} L.signs[N_t][N_r],
+  eps(a_{r+1}+..+a_{s-1}, a_s)     = prod_{r<t<s} L.signs[N_t][N_s].
+
+CochainComplex.delta assembles its matrix from these products; coboundary()
+takes the action signs from CommutationFactor.eps and is its reference.
+The module action on cochains is
 
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
@@ -110,7 +120,7 @@ def evaluate(g, indices):
     """Skew-symmetric evaluation on an arbitrary basis-index tuple."""
     if len(indices) != g.level:
         raise CochainError("expected %d arguments" % g.level)
-    sign, mono = exterior.canonicalize(g.algebra.factor, g.algebra.degrees, indices)
+    sign, mono = exterior.canonicalize(g.algebra.signs, indices)
     if not sign:
         return {}
     vec = g.values.get(mono)
@@ -153,36 +163,26 @@ def cochain_eq(g, h):
 # the coboundary operator
 
 
-def _act_terms(L, N):
-    """First-sum terms on the canonical tuple N: (r, sign, prefix_deg, idx, rest)."""
-    g = L.group
-    out = []
-    prefix = g.zero()
-    for r, idx in enumerate(N):
-        out.append((r, -1 if r % 2 else 1, prefix, idx, N[:r] + N[r + 1 :]))
-        prefix = g.add(prefix, L.degrees[idx])
-    return out
-
-
 def _sub_terms(L, N):
     """Second-sum terms on N, as {monomial: coefficient} after canonicalizing."""
-    g = L.group
-    fac = L.factor
+    signs = L.signs
     out = {}
-    n1 = len(N)
-    for s in range(1, n1):
-        ds = L.degrees[N[s]]
-        ssign = -1 if s % 2 else 1
+    for s in range(1, len(N)):
+        b = N[s]
+        # (-1)^s eps(a_1+..+a_{s-1}, a_s); each step in r drops a_r from the sum
+        base = -1 if s % 2 else 1
+        for t in range(1, s):
+            base *= signs[N[t]][b]
         for r in range(s):
-            mid = g.sum(L.degrees[N[t]] for t in range(r + 1, s))
-            base = ssign * fac.eps(mid, ds)
-            br = L.bracket_basis(N[r], N[s])
+            if r:
+                base *= signs[N[r]][b]
+            br = L.bracket_basis(N[r], b)
             if not br:
                 continue
             rest = N[: r] , N[r + 1 : s] , N[s + 1 :]
             for k, c in br.items():
                 tup = rest[0] + (k,) + rest[1] + rest[2]
-                sg, mono = exterior.canonicalize(fac, L.degrees, tup)
+                sg, mono = exterior.canonicalize(signs, tup)
                 if sg:
                     co = out.get(mono, Fraction(0)) + base * sg * c
                     if co:
@@ -198,16 +198,19 @@ def coboundary(g):
     L, V = g.algebra, g.module
     total = zero_cochain(L, V, g.level + 1)
     fac = L.factor
-    monos = exterior.basis(fac, L.degrees, g.level + 1)
+    gr = L.group
+    monos = exterior.basis(L.signs, g.level + 1)
     for gamma, piece in parts.items():
         vals = {}
         for N in monos:
             acc = {}
-            for r, rsign, prefix, idx, rest in _act_terms(L, N):
-                gv = piece.values.get(rest)
+            prefix = gamma
+            for r, idx in enumerate(N):
+                gv = piece.values.get(N[:r] + N[r + 1 :])
                 if gv:
-                    e = rsign * fac.eps(L.group.add(gamma, prefix), L.degrees[idx])
+                    e = (-1 if r % 2 else 1) * fac.eps(prefix, L.degrees[idx])
                     vec_axpy(acc, e, V.apply_basis(idx, gv))
+                prefix = gr.add(prefix, L.degrees[idx])
             for mono, coeff in _sub_terms(L, N).items():
                 gv = piece.values.get(mono)
                 if gv:
@@ -234,7 +237,7 @@ def act(avec, g):
         return zero_cochain(L, V, g.level)
     out = zero_cochain(L, V, g.level)
     fac = L.factor
-    monos = exterior.basis(fac, L.degrees, g.level)
+    monos = exterior.basis(L.signs, g.level)
     brackets = [L.bracket(avec, {idx: ONE}) for idx in range(L.dim)]
     for gamma, piece in components(g).items():
         vals = {}
@@ -249,7 +252,7 @@ def act(avec, g):
                 br = brackets[idx]
                 for k, c in br.items():
                     tup = N[:r] + (k,) + N[r + 1 :]
-                    sg, mono = exterior.canonicalize(fac, L.degrees, tup)
+                    sg, mono = exterior.canonicalize(L.signs, tup)
                     if sg:
                         gv2 = piece.values.get(mono)
                         if gv2:
@@ -266,14 +269,13 @@ def insertion(g, avec):
     L, V = g.algebra, g.module
     if g.level <= 0:
         return zero_cochain(L, V, g.level - 1)
-    fac = L.factor
     vals = {}
-    for T in exterior.basis(fac, L.degrees, g.level - 1):
+    for T in exterior.basis(L.signs, g.level - 1):
         acc = {}
         for i, c in avec.items():
             if not c:
                 continue
-            sg, mono = exterior.canonicalize(fac, L.degrees, (i,) + T)
+            sg, mono = exterior.canonicalize(L.signs, (i,) + T)
             if sg:
                 gv = g.values.get(mono)
                 if gv:
@@ -329,7 +331,7 @@ def cup_product(g, h, target=None):
     for gp in components(g).values():
         for hp in components(h).values():
             vals = {}
-            for N in exterior.basis(L.factor, L.degrees, g.level + h.level):
+            for N in exterior.basis(L.signs, g.level + h.level):
                 v = _cup_value(gp, hp, N)
                 if v:
                     vals[N] = v
@@ -387,7 +389,7 @@ def pull_back(omega, Lsub, g):
     vals = {}
     import itertools
 
-    for N in exterior.basis(Lsub.factor, Lsub.degrees, g.level):
+    for N in exterior.basis(Lsub.signs, g.level):
         acc = {}
         choices = [sorted(cols[j].items()) for j in N]
         for combo in itertools.product(*choices):
@@ -422,16 +424,12 @@ class CochainComplex:
         self._sectors = {}
         self._delta = {}
         self._delta_blocks = {}
-        for n in range(n_max + 2):
-            self._monos[n] = exterior.basis(L.factor, L.degrees, n)
 
     def monomials(self, n):
         if n < 0:
             return []
         if n not in self._monos:
-            self._monos[n] = exterior.basis(
-                self.algebra.factor, self.algebra.degrees, n
-            )
+            self._monos[n] = exterior.basis(self.algebra.signs, n)
         return self._monos[n]
 
     def basis(self, n):
@@ -473,22 +471,24 @@ class CochainComplex:
         if n in self._delta:
             return self._delta[n]
         L, V = self.algebra, self.module
-        fac = L.factor
-        gr = L.group
+        signs = L.signs
         rows = self.index(n + 1)
         colsdex = self.index(n)
         vdim = V.dim
         ent = {}
-        vdegs = V.degrees
         for N in self.monomials(n + 1):
-            for r, rsign, prefix, idx, rest in _act_terms(L, N):
+            for r, idx in enumerate(N):
                 mat = V.action[idx]
                 if not mat.entries:
                     continue
-                md = gr.sum(L.degrees[i] for i in rest)
+                rest = N[:r] + N[r + 1 :]
+                # (-1)^r prod_{t>r} eps(a_t, a_r); eps(a_r, v_w) per entry
+                rsign = -1 if r % 2 else 1
+                for t in N[r + 1 :]:
+                    rsign *= signs[t][idx]
+                vsigns = V.signs[idx]
                 for (w2, w), coeff in mat.entries.items():
-                    gamma = gr.sub(vdegs[w], md)
-                    e = rsign * fac.eps(gr.add(gamma, prefix), L.degrees[idx])
+                    e = rsign * vsigns[w]
                     key = (rows[(N, w2)], colsdex[(rest, w)])
                     v = ent.get(key, Fraction(0)) + e * coeff
                     if v:

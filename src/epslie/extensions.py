@@ -45,7 +45,7 @@ class NotPerfectError(ExtensionError):
 
 
 def lambda2_basis(L):
-    return exterior.basis(L.factor, L.degrees, 2)
+    return exterior.basis(L.signs, 2)
 
 
 def boundary2(L):
@@ -60,15 +60,14 @@ def boundary2(L):
 
 def boundary3(L):
     """Matrix of d3 : exterior cube -> exterior square."""
-    fac = L.factor
-    degs = L.degrees
+    signs = L.signs
     monos2 = lambda2_basis(L)
     pos2 = {m: k for k, m in enumerate(monos2)}
-    monos3 = exterior.basis(fac, degs, 3)
+    monos3 = exterior.basis(signs, 3)
     ent = {}
 
     def put(col, coeff, l, m):
-        sg, mono = exterior.canonicalize(fac, degs, (l, m))
+        sg, mono = exterior.canonicalize(signs, (l, m))
         if not sg:
             return
         key = (pos2[mono], col)
@@ -81,7 +80,7 @@ def boundary3(L):
     for col, (i, j, k) in enumerate(monos3):
         for l, v in L.bracket_basis(i, j).items():
             put(col, -v, l, k)
-        e = fac.eps(degs[j], degs[k])
+        e = signs[j][k]
         for l, v in L.bracket_basis(i, k).items():
             put(col, e * v, l, j)
         for l, v in L.bracket_basis(j, k).items():
@@ -113,7 +112,7 @@ def homology_h2(L):
     pos1 = sector_positions([g.reduce(d) for d in L.degrees])
     pos2 = sector_positions(degs2)
     pos3 = sector_positions(
-        [g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.factor, L.degrees, 3)]
+        [g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.signs, 3)]
     )
     blocks2 = split_sectors(boundary2(L), pos1, pos2)
     blocks3 = split_sectors(boundary3(L), pos2, pos3)
@@ -223,7 +222,7 @@ def cocycle_from_section(E, L, project, section):
         labels=["k%d" % k for k in range(len(pivots))],
     )
     vals = {}
-    for mono in exterior.basis(L.factor, L.degrees, 2):
+    for mono in lambda2_basis(L):
         i, j = mono
         w = E.bracket(seccols[i], seccols[j])
         vec_axpy(w, -ONE, section.apply(L.bracket_basis(i, j)))

@@ -1,10 +1,13 @@
 """Monomial bases of the exterior powers of a graded space, with signs.
 
-A monomial is a weakly increasing tuple of basis indices; an index whose
-degree has parity +1 (eps(d, d) = +1) may appear at most once, an index of
-parity -1 may repeat.  canonicalize() sorts an arbitrary index tuple into
-this form, accumulating -eps(a, b) per adjacent swap, which is exactly the
-skew-symmetry sign convention used by the cochain complex.
+basis() and canonicalize() read the sign table of the space,
+signs[i][j] = eps(deg e_i, deg e_j) from CommutationFactor.sign_table, whose
+diagonal is the parity of each basis element.  A monomial is a weakly
+increasing tuple of basis indices; an index of parity +1 may appear at most
+once, an index of parity -1 may repeat.  canonicalize() sorts an arbitrary
+index tuple into this form, accumulating -signs[a][b] per adjacent swap,
+which is exactly the skew-symmetry sign convention used by the cochain
+complex.
 """
 
 from __future__ import annotations
@@ -14,21 +17,20 @@ import itertools
 Monomial = tuple  # weakly increasing indices
 
 
-def basis(factor, degrees, n):
-    """All canonical n-monomials over basis elements with the given degrees."""
+def basis(signs, n):
+    """All canonical n-monomials over the basis of the sign table."""
     if n < 0:
         return []
     if n == 0:
         return [()]
-    par = [factor.parity(d) for d in degrees]
     out = []
 
     def extend(prefix, start):
         if len(prefix) == n:
             out.append(tuple(prefix))
             return
-        for i in range(start, len(degrees)):
-            if prefix and prefix[-1] == i and par[i] == 1:
+        for i in range(start, len(signs)):
+            if prefix and prefix[-1] == i and signs[i][i] == 1:
                 continue
             prefix.append(i)
             extend(prefix, i)
@@ -38,7 +40,7 @@ def basis(factor, degrees, n):
     return out
 
 
-def canonicalize(factor, degrees, indices):
+def canonicalize(signs, indices):
     """Sort an index tuple into canonical order with its sign.
 
     Returns (sign, monomial); sign == 0 when the tuple dies (a repeated
@@ -50,11 +52,11 @@ def canonicalize(factor, degrees, indices):
     for i in range(1, len(arr)):
         j = i
         while j > 0 and arr[j - 1] > arr[j]:
-            sign *= -factor.eps(degrees[arr[j - 1]], degrees[arr[j]])
+            sign *= -signs[arr[j - 1]][arr[j]]
             arr[j - 1], arr[j] = arr[j], arr[j - 1]
             j -= 1
     for k in range(1, len(arr)):
-        if arr[k - 1] == arr[k] and factor.parity(degrees[arr[k]]) == 1:
+        if arr[k - 1] == arr[k] and signs[arr[k]][arr[k]] == 1:
             return 0, None
     return sign, tuple(arr)
 

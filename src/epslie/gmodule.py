@@ -52,6 +52,8 @@ class GradedModule:
         self.parent = parent
         self.embedding = embedding    # columns = basis vectors in parent coords
         self.projection = projection  # parent coords -> this module's coords
+        # signs[i][w] = eps(deg e_i, deg v_w) for algebra basis e_i
+        self.signs = self.factor.sign_table(algebra.degrees, self.degrees)
 
     @property
     def dim(self):
@@ -92,7 +94,7 @@ class GradedModule:
         for i in range(L.dim):
             for j in range(i, L.dim):
                 lhs = self.action_matrix(L.bracket_basis(i, j))
-                e = L.factor.eps(L.degrees[i], L.degrees[j])
+                e = L.signs[i][j]
                 rhs = self.action[i].multiply(self.action[j]).sub(
                     self.action[j].multiply(self.action[i]).scale(e)
                 )
@@ -139,8 +141,7 @@ def dual(V):
         ent = {}
         for (r, c), v in V.action[i].entries.items():
             # e_i . f_r  has  (e_i . f_r)(x_c-image ...) : transpose with sign
-            e = V.factor.eps(L.degrees[i], V.degrees[r])
-            ent[(c, r)] = -e * v
+            ent[(c, r)] = -V.signs[i][r] * v
         mats.append(RationalSparseMatrix(V.dim, V.dim, ent))
     labels = [lab + "'" for lab in V.labels]
     return GradedModule(L, labels, degrees, mats)
@@ -170,9 +171,8 @@ def tensor(V, W):
                 ent[(a2 * dw + b, a * dw + b)] = ent.get((a2 * dw + b, a * dw + b), 0) + v
         for (b2, b), v in W.action[i].entries.items():
             for a in range(dv):
-                e = V.factor.eps(L.degrees[i], V.degrees[a])
                 key = (a * dw + b2, a * dw + b)
-                ent[key] = ent.get(key, 0) + e * v
+                ent[key] = ent.get(key, 0) + V.signs[i][a] * v
         mats.append(RationalSparseMatrix(dv * dw, dv * dw, {k: v for k, v in ent.items() if v}))
     return GradedModule(L, labels, degrees, mats)
 
@@ -467,9 +467,8 @@ def intertwiner_space(V, W, phi_degree):
 def regrade_algebra(L, new_factor, degree_map):
     """Transport an algebra along a grading-group map; the commutation
     factors must agree on every pair of occurring degrees."""
-    new_degrees = [new_factor.group.reduce(degree_map(d)) for d in L.degrees]
-    for a, da in enumerate(L.degrees):
-        for db, nb in zip(L.degrees, new_degrees):
-            if L.factor.eps(da, db) != new_factor.eps(new_degrees[a], nb):
-                raise AlgebraError("regrading changes commutation signs")
-    return EpsLieAlgebra(new_factor, list(L.labels), new_degrees, dict(L.table))
+    new_degrees = [degree_map(d) for d in L.degrees]
+    out = EpsLieAlgebra(new_factor, list(L.labels), new_degrees, dict(L.table))
+    if out.signs != L.signs:
+        raise AlgebraError("regrading changes commutation signs")
+    return out

@@ -1,4 +1,4 @@
-"""Grading groups, degrees and sign-valued commutation factors.
+"""Grading groups, degrees, commutation factors and sign tables.
 
 Degrees are plain integer tuples; a GradingGroup knows how to add and
 normalize them (torsion coordinates are reduced eagerly, so degrees are
@@ -6,6 +6,11 @@ hashable dict keys and compare deterministically).  A CommutationFactor
 carries an integer bilinear form B, read mod 2, with
 eps(a, b) = (-1)^(a^T B b); this covers the super, consistently Z-graded
 and Z_2^n color cases, all of which take values in {+1, -1}.
+
+eps is a bicharacter, so the sign between sums of basis degrees is the
+product of the signs between the summands.  Algebras and modules therefore
+keep a sign table between their basis elements (sign_table), and assembly
+loops multiply table entries instead of adding degrees.
 """
 
 from __future__ import annotations
@@ -126,6 +131,10 @@ class CommutationFactor:
                     if bj:
                         total += ai * row[j] * bj
         return -1 if total % 2 else 1
+
+    def sign_table(self, left, right):
+        """[[eps(a, b) for b in right] for a in left]."""
+        return [[self.eps(a, b) for b in right] for a in left]
 
     def parity(self, a: Degree) -> int:
         """Sign eps(a, a); -1 marks an odd degree."""

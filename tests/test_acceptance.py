@@ -128,7 +128,7 @@ def test_criterion_04_sl12_first_cohomology():
 def test_criterion_05_sl12_second_cohomology():
     with Budget(300, "5 sl(1|2) H^2 of V(q)"):
         L = catalog.sl12()
-        assert len(exterior.basis(L.factor, L.degrees, 2)) == 32
+        assert len(exterior.basis(L.signs, 2)) == 32
         expected = {0: 0, 1: 0, 2: 1, 3: 0}
         for q2, want in expected.items():
             V = catalog.module_vq(L, q2)
@@ -290,7 +290,7 @@ def test_criterion_11_property_suites():
 
         def random_homogeneous(level, density=0.3):
             vals = {}
-            for mono in exterior.basis(L.factor, L.degrees, level):
+            for mono in exterior.basis(L.signs, level):
                 vec = {
                     w: Fraction(rng.randint(-2, 2))
                     for w in range(V.dim)
@@ -333,7 +333,7 @@ def test_criterion_11_property_suites():
             W = mods[rng.randrange(2)]
             level = rng.randint(0, 2)
             vals = {}
-            for mono in exterior.basis(L.factor, L.degrees, level):
+            for mono in exterior.basis(L.signs, level):
                 vec = {
                     w: Fraction(rng.randint(-2, 2))
                     for w in range(W.dim)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from epslie import catalog
+from epslie.algebra import AlgebraError
 from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
 from epslie.gmodule import (
     adjoint,
@@ -17,7 +18,7 @@ from epslie.gmodule import (
     twist,
     weight_spaces,
 )
-from epslie.grading import super_factor
+from epslie.grading import super_factor, trivial_factor
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
 H = Fraction(1, 2)
@@ -240,6 +241,8 @@ def test_regrade_z_to_z2_matches_catalog():
     ref = catalog.sl12("Z2")
     assert L2.table == ref.table
     assert L2.degrees == ref.degrees
+    with pytest.raises(AlgebraError):
+        regrade_algebra(Lz, trivial_factor(1), lambda d: d)
 
 
 def test_vq_realizations():
@@ -275,3 +278,15 @@ def test_trace_cocycle_invariance_properties():
         assert act({i: ONE}, g).is_zero()
     odds = [i for i in range(P.dim) if P.factor.parity(P.degrees[i]) == -1]
     assert any(not act({i: ONE}, g).is_zero() for i in odds)
+
+
+def test_sign_tables_agree_with_the_factor():
+    """Every catalog algebra and registered module: the tables the assembly
+    reads equal CommutationFactor.eps entry by entry."""
+    for name in catalog.algebra_names():
+        L = catalog.get_algebra(name)
+        eps, degs = L.factor.eps, L.degrees
+        assert L.signs == [[eps(a, b) for b in degs] for a in degs]
+        for mname in catalog.module_names(name):
+            V = catalog.get_module(L, name, mname)
+            assert V.signs == [[eps(a, v) for v in V.degrees] for a in degs], mname

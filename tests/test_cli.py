@@ -74,6 +74,19 @@ def test_covering_output():
     assert "universal covering: dim 17" in out
 
 
+@pytest.mark.parametrize("argv, least", [
+    (["cohomology", "--algebra", "sl2", "--module", "trivial", "--nmax", "-1"], 0),
+    (["invariant-forms", "--algebra", "sl2", "--arity", "0"], 1),
+    (["invariant-forms", "--algebra", "sl2", "--arity", "-1"], 1),
+    (["homotopy-check", "--algebra", "sl2", "--module", "adjoint", "--n", "0"], 1),
+    (["homotopy-check", "--algebra", "sl2", "--module", "adjoint", "--n", "-1"], 1),
+])
+def test_bad_count_is_parse_error(argv, least):
+    code, out = run_cli(argv)
+    assert code == 2, out
+    assert out.splitlines() == ["error: %s must be >= %d" % (argv[-2], least)]
+
+
 def test_covering_requires_perfect():
     code, out = run_cli(["covering", "--algebra", "gl11"])
     assert code == 4

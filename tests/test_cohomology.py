@@ -27,14 +27,14 @@ from epslie.cohomology import (
     _cup_value,
 )
 from epslie.exactlin import ONE, RationalSparseMatrix, vec_axpy, vec_eq, vec_scale
-from epslie.gmodule import adjoint, tensor, trivial
+from epslie.gmodule import adjoint, dual, shift, tensor, trivial
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
 
 
 def random_cochain(rng, L, V, level, density=0.35):
     vals = {}
-    for mono in exterior.basis(L.factor, L.degrees, level):
+    for mono in exterior.basis(L.signs, level):
         vec = {
             w: Fraction(rng.randint(-3, 3))
             for w in range(V.dim)
@@ -168,10 +168,18 @@ def test_evaluate_skew_symmetry():
     assert vec_eq(evaluate(g, (VP, WM)), evaluate(g, (WM, VP)))
 
 
-def test_matrix_and_direct_coboundary_agree():
+# module degrees enter the action sign eps(a_r, v_w) in every pair
+@pytest.mark.parametrize("algebra, module", [
+    ("sl12", catalog.module_typical_v0_half),
+    ("sl12", lambda L: shift(catalog.module_typical_v0_half(L), (1,))),
+    ("sl12_z2", lambda L: dual(catalog.module_v_half(L))),
+    ("psl22", adjoint),
+], ids=["sl12-v_typical", "sl12-v_typical-shifted", "sl12_z2-dual-v_half",
+        "psl22-adjoint"])
+def test_matrix_and_direct_coboundary_agree(algebra, module):
     rng = random.Random(47)
-    L = catalog.sl12()
-    V = catalog.module_typical_v0_half(L)
+    L = catalog.get_algebra(algebra)
+    V = module(L)
     cx = CochainComplex(L, V, 2)
     for level in (0, 1, 2):
         g = random_cochain(rng, L, V, level)

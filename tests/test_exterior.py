@@ -1,10 +1,14 @@
 from fractions import Fraction
 from math import comb
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epslie import catalog, exterior
 from epslie.gmodule import adjoint, skew_square
+from epslie.grading import CommutationFactor, GradingGroup
 
 
 def series_coefficients(p, q, nmax):
@@ -26,14 +30,14 @@ def series_coefficients(p, q, nmax):
 
 def test_basis_level_zero():
     L = catalog.sl12()
-    assert exterior.basis(L.factor, L.degrees, 0) == [()]
-    assert exterior.basis(L.factor, L.degrees, -1) == []
+    assert exterior.basis(L.signs, 0) == [()]
+    assert exterior.basis(L.signs, -1) == []
 
 
 def test_sl12_levels_2_and_3():
     L = catalog.sl12()
-    assert len(exterior.basis(L.factor, L.degrees, 2)) == 32
-    assert len(exterior.basis(L.factor, L.degrees, 3)) == 88
+    assert len(exterior.basis(L.signs, 2)) == 32
+    assert len(exterior.basis(L.signs, 3)) == 88
 
 
 @pytest.mark.parametrize("p,q", [(4, 4), (1, 2), (3, 2), (7, 8)])
@@ -44,40 +48,36 @@ def test_counts_match_dimension_formula_and_series(p, q):
     f = super_factor()
     series = series_coefficients(p, q, 6)
     for n in range(7):
-        count = len(exterior.basis(f, degs, n))
+        count = len(exterior.basis(f.sign_table(degs, degs), n))
         assert count == exterior.super_dimension(p, q, n)
         assert count == series[n]
 
 
 def test_canonicalize_rules():
-    L = catalog.sl12()
-    f, d = L.factor, L.degrees
+    signs = catalog.sl12().signs
     # repeated even index dies
-    assert exterior.canonicalize(f, d, (0, 0)) == (0, None)
+    assert exterior.canonicalize(signs, (0, 0)) == (0, None)
     # repeated odd index survives with sign +1
-    assert exterior.canonicalize(f, d, (4, 4)) == (1, (4, 4))
+    assert exterior.canonicalize(signs, (4, 4)) == (1, (4, 4))
     # two even indices out of order: classical antisymmetry
-    assert exterior.canonicalize(f, d, (1, 0)) == (-1, (0, 1))
+    assert exterior.canonicalize(signs, (1, 0)) == (-1, (0, 1))
     # odd-odd swap: -eps = +1
-    assert exterior.canonicalize(f, d, (5, 4)) == (1, (4, 5))
+    assert exterior.canonicalize(signs, (5, 4)) == (1, (4, 5))
     # even past odd: -eps(0-deg, odd) = -1
-    assert exterior.canonicalize(f, d, (4, 0)) == (-1, (0, 4))
+    assert exterior.canonicalize(signs, (4, 0)) == (-1, (0, 4))
 
 
 def test_canonicalize_idempotent():
-    L = catalog.sl12()
-    f, d = L.factor, L.degrees
-    import itertools
-
+    signs = catalog.sl12().signs
     for tup in itertools.product(range(8), repeat=3):
-        s, mono = exterior.canonicalize(f, d, tup)
+        s, mono = exterior.canonicalize(signs, tup)
         if s:
-            assert exterior.canonicalize(f, d, mono) == (1, mono)
+            assert exterior.canonicalize(signs, mono) == (1, mono)
 
 
 def test_skew_square_matches_exterior_square():
     for L in (catalog.sl2(), catalog.sl12(), catalog.osp12()):
-        n2 = len(exterior.basis(L.factor, L.degrees, 2))
+        n2 = len(exterior.basis(L.signs, 2))
         assert n2 == skew_square(adjoint(L)).dim
 
 
@@ -86,3 +86,53 @@ def test_shuffles_count_and_signs():
     assert len(sh) == 3
     total = exterior.shuffles(0, 3)
     assert len(total) == 1 and total[0][1] == 1
+
+
+def _bubble_sort(factor, degrees, indices):
+    """Reference for canonicalize: bubble sort with -eps per adjacent swap,
+    signs taken from the factor itself rather than a table."""
+    arr = list(indices)
+    sign = 1
+    for end in range(len(arr) - 1, 0, -1):
+        for j in range(end):
+            if arr[j] > arr[j + 1]:
+                sign *= -factor.eps(degrees[arr[j]], degrees[arr[j + 1]])
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+    for a, b in zip(arr, arr[1:]):
+        if a == b and factor.parity(degrees[a]) == 1:
+            return 0, None
+    return sign, tuple(arr)
+
+
+@st.composite
+def factors_and_degrees(draw):
+    """A valid factor on Z^a x Z_2^b x Z_3^c and a list of degrees."""
+    a, b, c = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    n = a + b + c
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    # symmetric mod 2 on the free and Z_2 coordinates; even on Z_3 rows
+    form = [[0] * n for _ in range(n)]
+    for i in range(a + b):
+        for j in range(i, a + b):
+            form[i][j] = form[j][i] = bits[i * n + j]
+    factor = CommutationFactor(GradingGroup(a, (2,) * b + (3,) * c), form)
+    degree = st.tuples(*[st.integers(-3, 3)] * n)
+    degrees = draw(st.lists(degree, min_size=1, max_size=5))
+    return factor, degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors_and_degrees(), st.data())
+def test_table_signs_match_the_factor(fd, data):
+    factor, degrees = fd
+    signs = factor.sign_table(degrees, degrees)
+    tup = data.draw(st.lists(st.integers(0, len(degrees) - 1), max_size=6))
+    assert exterior.canonicalize(signs, tup) == _bubble_sort(factor, degrees, tup)
+    for n in range(4):
+        monos = {
+            m for sg, m in (
+                _bubble_sort(factor, degrees, t)
+                for t in itertools.product(range(len(degrees)), repeat=n)
+            ) if sg
+        }
+        assert sorted(monos) == exterior.basis(signs, n)

@@ -85,3 +85,33 @@ def test_engine_has_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += ["%s: %s" % (name, imported[b]) for b in sorted(set(imported) - used)]
     assert unused == []
+
+
+def test_no_unreferenced_private_function():
+    """Every module-level _name function in the engine is used somewhere in
+    the engine outside its own definition."""
+    defined = set()
+    used = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                elif isinstance(node, ast.alias):
+                    ref = node.name
+                else:
+                    continue
+                if ref != own:
+                    used.add(ref)
+    assert sorted(defined - used) == []
