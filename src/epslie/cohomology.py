@@ -23,8 +23,11 @@ deg v_w - sum_{t>r} a_t, hence
   eps(gamma + a_0+..+a_{r-1}, a_r) = V.signs[N_r][w] * prod_{t>r} L.signs[N_t][N_r],
   eps(a_{r+1}+..+a_{s-1}, a_s)     = prod_{r<t<s} L.signs[N_t][N_s].
 
-CochainComplex.delta assembles its matrix from these products; coboundary()
-takes the action signs from CommutationFactor.eps and is its reference.
+CochainComplex assembles the sector blocks delta_sector(n, deg) directly
+from these products, in one pass over the level-(n+1) monomials, with
+integral coefficients kept as ints until each block is made; the full
+matrix delta(n) is placed from the blocks.  coboundary() takes the action
+signs from CommutationFactor.eps and is the reference for the matrix.
 The module action on cochains is
 
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
@@ -41,9 +44,9 @@ from .algebra import degree_of_vector, graded_echelon
 from .exactlin import (
     ONE,
     RationalSparseMatrix,
+    ShapeError,
     SpanTracker,
     sector_positions,
-    split_sectors,
     vec_axpy,
     vec_clean,
     vec_scale,
@@ -163,9 +166,22 @@ def cochain_eq(g, h):
 # the coboundary operator
 
 
-def _sub_terms(L, N):
+def _integral(c):
+    """c as an int when it is integral, else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _bracket_table(L):
+    """brackets[i][j]: the terms (k, c) of <e_i, e_j>, with integral c as ints."""
+    return [
+        [tuple((k, _integral(c)) for k, c in L.bracket_basis(i, j).items())
+         for j in range(L.dim)]
+        for i in range(L.dim)
+    ]
+
+
+def _sub_terms(signs, brackets, N):
     """Second-sum terms on N, as {monomial: coefficient} after canonicalizing."""
-    signs = L.signs
     out = {}
     for s in range(1, len(N)):
         b = N[s]
@@ -176,15 +192,15 @@ def _sub_terms(L, N):
         for r in range(s):
             if r:
                 base *= signs[N[r]][b]
-            br = L.bracket_basis(N[r], b)
+            br = brackets[N[r]][b]
             if not br:
                 continue
             rest = N[: r] , N[r + 1 : s] , N[s + 1 :]
-            for k, c in br.items():
+            for k, c in br:
                 tup = rest[0] + (k,) + rest[1] + rest[2]
                 sg, mono = exterior.canonicalize(signs, tup)
                 if sg:
-                    co = out.get(mono, Fraction(0)) + base * sg * c
+                    co = out.get(mono, 0) + base * sg * c
                     if co:
                         out[mono] = co
                     else:
@@ -193,16 +209,26 @@ def _sub_terms(L, N):
 
 
 def coboundary(g):
-    """The cochain d(g), computed directly from the explicit formula."""
+    """The cochain d(g), computed directly from the explicit formula.
+
+    A component of degree gamma is nonzero only on the monomials N with
+    deg v_w - deg N = gamma for some module vector v_w, so only those are
+    visited."""
     parts = components(g)
     L, V = g.algebra, g.module
     total = zero_cochain(L, V, g.level + 1)
     fac = L.factor
     gr = L.group
+    brackets = _bracket_table(L)
     monos = exterior.basis(L.signs, g.level + 1)
+    mdegs = [gr.sum(L.degrees[i] for i in N) for N in monos]
+    vdegs = set(V.degrees)
     for gamma, piece in parts.items():
+        wanted = {gr.sub(d, gamma) for d in vdegs}
         vals = {}
-        for N in monos:
+        for N, md in zip(monos, mdegs):
+            if md not in wanted:
+                continue
             acc = {}
             prefix = gamma
             for r, idx in enumerate(N):
@@ -211,7 +237,7 @@ def coboundary(g):
                     e = (-1 if r % 2 else 1) * fac.eps(prefix, L.degrees[idx])
                     vec_axpy(acc, e, V.apply_basis(idx, gv))
                 prefix = gr.add(prefix, L.degrees[idx])
-            for mono, coeff in _sub_terms(L, N).items():
+            for mono, coeff in _sub_terms(L.signs, brackets, N).items():
                 gv = piece.values.get(mono)
                 if gv:
                     vec_axpy(acc, coeff, gv)
@@ -419,11 +445,21 @@ class CochainComplex:
         self.module = V
         self.n_max = n_max
         self._monos = {}
+        self._mono_index = {}
         self._basis = {}
         self._index = {}
         self._sectors = {}
+        # (monomial degree, module degree) -> sector key, shared by all levels
+        self._sector_keys = {}
         self._delta = {}
         self._delta_blocks = {}
+        # integral coefficients as ints; each block makes Fractions once
+        self._brackets = _bracket_table(L)
+        # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry
+        self._action = [
+            [(w2, w, _integral(c) * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
+            for i, mat in enumerate(V.action)
+        ]
 
     def monomials(self, n):
         if n < 0:
@@ -433,6 +469,8 @@ class CochainComplex:
         return self._monos[n]
 
     def basis(self, n):
+        """Pairs (M, w); the k-th monomial with vector w is at position
+        k * module dim + w."""
         if n < 0:
             return []
         if n not in self._basis:
@@ -456,67 +494,115 @@ class CochainComplex:
 
     def sectors(self, n):
         """Degree -> sorted list of basis positions."""
-        if n < 0:
-            return {}
+        return self._sector_layout(n)[0]
+
+    def _sector_layout(self, n):
+        """(sectors(n), sector key of each position, its index in the sector).
+
+        Each monomial degree is summed once, and each key is computed once
+        per (monomial degree, module degree)."""
         if n not in self._sectors:
-            self._sectors[n] = sector_positions(
-                [self.pair_degree(p) for p in self.basis(n)]
-            )
+            L, g = self.algebra, self.algebra.group
+            memo = self._sector_keys
+            keys = []
+            for M in self.monomials(n):
+                md = g.sum(L.degrees[i] for i in M)
+                for d in self.module.degrees:
+                    key = memo.get((md, d))
+                    if key is None:
+                        key = memo[(md, d)] = g.sub(d, md)
+                    keys.append(key)
+            positions = sector_positions(keys)
+            local = [0] * len(keys)
+            for ps in positions.values():
+                for k, p in enumerate(ps):
+                    local[p] = k
+            self._sectors[n] = (positions, keys, local)
         return self._sectors[n]
 
-    def delta(self, n):
-        """Full matrix of the coboundary C^n -> C^{n+1}."""
-        if n < 0:
-            return RationalSparseMatrix(len(self.basis(0)) if n == -1 else 0, 0)
-        if n in self._delta:
-            return self._delta[n]
-        L, V = self.algebra, self.module
-        signs = L.signs
-        rows = self.index(n + 1)
-        colsdex = self.index(n)
-        vdim = V.dim
-        ent = {}
-        for N in self.monomials(n + 1):
+    def _monomial_index(self, n):
+        if n not in self._mono_index:
+            self._mono_index[n] = {M: k for k, M in enumerate(self.monomials(n))}
+        return self._mono_index[n]
+
+    def _blocks(self, n):
+        """{deg: delta_sector(n, deg)} for every degree of C^n or C^{n+1}."""
+        if n not in self._delta_blocks:
+            self._delta_blocks[n] = self._assemble(n)
+        return self._delta_blocks[n]
+
+    def _assemble(self, n):
+        """The sector blocks of delta(n), in one pass over the level-(n+1)
+        monomials: each term goes to its sector's block at local positions.
+
+        A term whose row and column lie in different sectors raises
+        ShapeError."""
+        row_pos, row_key, row_at = self._sector_layout(n + 1)
+        col_pos, col_key, col_at = self._sector_layout(n)
+        cols = self._monomial_index(n)
+        signs = self.algebra.signs
+        action = self._action
+        brackets = self._brackets
+        vdim = self.module.dim
+        ents = {key: {} for key in sorted(set(row_pos) | set(col_pos))}
+
+        def add(r, c, v):
+            key = row_key[r]
+            if col_key[c] != key:
+                raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
+            blk = ents[key]
+            at = (row_at[r], col_at[c])
+            v += blk.get(at, 0)
+            if v:
+                blk[at] = v
+            else:
+                blk.pop(at, None)
+
+        for k, N in enumerate(self.monomials(n + 1)):
+            r0 = k * vdim
             for r, idx in enumerate(N):
-                mat = V.action[idx]
-                if not mat.entries:
+                terms = action[idx]
+                if not terms:
                     continue
-                rest = N[:r] + N[r + 1 :]
-                # (-1)^r prod_{t>r} eps(a_t, a_r); eps(a_r, v_w) per entry
+                c0 = cols[N[:r] + N[r + 1 :]] * vdim
+                # (-1)^r prod_{t>r} eps(a_t, a_r); eps(a_r, v_w) is in the term
                 rsign = -1 if r % 2 else 1
                 for t in N[r + 1 :]:
                     rsign *= signs[t][idx]
-                vsigns = V.signs[idx]
-                for (w2, w), coeff in mat.entries.items():
-                    e = rsign * vsigns[w]
-                    key = (rows[(N, w2)], colsdex[(rest, w)])
-                    v = ent.get(key, Fraction(0)) + e * coeff
-                    if v:
-                        ent[key] = v
-                    else:
-                        ent.pop(key, None)
-            for mono, coeff in _sub_terms(L, N).items():
+                for w2, w, c in terms:
+                    add(r0 + w2, c0 + w, rsign * c)
+            for mono, c in _sub_terms(signs, brackets, N).items():
+                c0 = cols[mono] * vdim
                 for w in range(vdim):
-                    key = (rows[(N, w)], colsdex[(mono, w)])
-                    v = ent.get(key, Fraction(0)) + coeff
-                    if v:
-                        ent[key] = v
-                    else:
-                        ent.pop(key, None)
-        mat = RationalSparseMatrix(len(self.basis(n + 1)), len(self.basis(n)), ent)
-        self._delta[n] = mat
-        return mat
+                    add(r0 + w, c0 + w, c)
+        return {
+            key: RationalSparseMatrix(
+                len(row_pos.get(key, ())), len(col_pos.get(key, ())), ents.pop(key)
+            )
+            for key in list(ents)
+        }
+
+    def delta(self, n):
+        """Full matrix of the coboundary C^n -> C^{n+1}, placed from its
+        sector blocks."""
+        if n not in self._delta:
+            rows, cols = self.sectors(n + 1), self.sectors(n)
+            ent = {}
+            for key, block in self._blocks(n).items():
+                rp, cp = rows.get(key), cols.get(key)
+                for (r, c), v in block.entries.items():
+                    ent[(rp[r], cp[c])] = v
+            self._delta[n] = RationalSparseMatrix(
+                len(self.basis(n + 1)), len(self.basis(n)), ent
+            )
+        return self._delta[n]
 
     def delta_sector(self, n, deg):
         """Block of delta(n) on the degree sector (rows C^{n+1}, cols C^n).
 
-        The whole level is split into its sectors the first time any of its
-        blocks is asked for."""
-        if n not in self._delta_blocks:
-            self._delta_blocks[n] = split_sectors(
-                self.delta(n), self.sectors(n + 1), self.sectors(n)
-            )
-        block = self._delta_blocks[n].get(deg)
+        The whole level is assembled into its sector blocks the first time
+        any of its blocks is asked for."""
+        block = self._blocks(n).get(deg)
         return block if block is not None else RationalSparseMatrix(0, 0)
 
     # ---------------------------------------------------------- cochain <-> vec
@@ -525,24 +611,27 @@ class CochainComplex:
         """Coordinates of a homogeneous cochain over its sector basis."""
         if g.degree is None:
             raise CochainError("sector vector of an inhomogeneous cochain")
-        dex = self.index(g.level)
-        positions = self.sectors(g.level).get(g.degree, [])
-        pos = {p: k for k, p in enumerate(positions)}
+        _, keys, local = self._sector_layout(g.level)
+        monos = self._monomial_index(g.level)
+        vdim = self.module.dim
         vec = {}
         for mono, v in g.values.items():
             for w, c in v.items():
-                vec[pos[dex[(mono, w)]]] = c
+                p = monos[mono] * vdim + w
+                if keys[p] != g.degree:
+                    raise CochainError("cochain value outside its degree sector")
+                vec[local[p]] = c
         return vec
 
     def cochain_from_vector(self, n, vec, deg):
         """Inverse of cochain_vector: a vector over the sector deg of C^n."""
-        basis = self.basis(n)
+        monos = self.monomials(n)
         positions = self.sectors(n).get(deg, [])
         vals = {}
         for k, c in vec.items():
             if c:
-                M, w = basis[positions[k]]
-                vals.setdefault(M, {})[w] = c
+                m, w = divmod(positions[k], self.module.dim)
+                vals.setdefault(monos[m], {})[w] = c
         return make_cochain(self.algebra, self.module, n, vals)
 
     # ----------------------------------------------------------------- results

@@ -23,6 +23,8 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Fractions are immutable, so matrices share one object per small integer
+_SMALL = {i: Fraction(i) for i in range(-16, 17)}
 
 
 class ShapeError(ValueError):
@@ -141,7 +143,8 @@ class RationalSparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ShapeError("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
-                v = Fraction(v)
+                if not isinstance(v, Fraction):
+                    v = _SMALL.get(v) or Fraction(v)
                 if v:
                     self.entries[(r, c)] = v
         self._rref = None
@@ -308,7 +311,8 @@ class RationalSparseMatrix:
                 out.append({})
                 continue
             mult = lcm(*[v.denominator for v in row.values()])
-            out.append({c: int(v * mult) for c, v in row.items()})
+            # v * mult is an integer; with mult == 1 it is v.numerator
+            out.append({c: v.numerator * (mult // v.denominator) for c, v in row.items()})
         return out
 
     def rref(self):

@@ -6,7 +6,9 @@ import pytest
 
 from epslie import catalog, exterior
 from epslie.cohomology import (
+    Cochain,
     CochainComplex,
+    CochainError,
     act,
     coboundary,
     coboundary_witness,
@@ -26,8 +28,16 @@ from epslie.cohomology import (
     zero_cochain,
     _cup_value,
 )
-from epslie.exactlin import ONE, RationalSparseMatrix, vec_axpy, vec_eq, vec_scale
-from epslie.gmodule import adjoint, dual, shift, tensor, trivial
+from epslie.exactlin import (
+    ONE,
+    RationalSparseMatrix,
+    ShapeError,
+    split_sectors,
+    vec_axpy,
+    vec_eq,
+    vec_scale,
+)
+from epslie.gmodule import GradedModule, adjoint, dual, shift, tensor, trivial
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
 
@@ -194,6 +204,80 @@ def test_matrix_and_direct_coboundary_agree(algebra, module):
         for piece in components(g).values():
             total = cochain_add(total, coboundary(piece))
         assert cochain_eq(total, dg)
+
+
+def _delta_by_columns(cx, n):
+    """delta(n) from the direct formula: column k is d of basis cochain k."""
+    L, V = cx.algebra, cx.module
+    rows = cx.index(n + 1)
+    ent = {}
+    for col, (M, w) in enumerate(cx.basis(n)):
+        dg = coboundary(make_cochain(L, V, n, {M: {w: ONE}}))
+        for N, vec in dg.values.items():
+            for w2, c in vec.items():
+                ent[(rows[(N, w2)], col)] = c
+    return RationalSparseMatrix(len(cx.basis(n + 1)), len(cx.basis(n)), ent)
+
+
+@pytest.mark.parametrize("algebra, module, nmax", [
+    ("sl12", catalog.module_v_half, 2),
+    ("sl12_z2", lambda L: dual(catalog.module_v_half(L)), 2),
+    ("psl22", adjoint, 1),
+], ids=["sl12-v_half", "sl12_z2-dual-v_half", "psl22-adjoint"])
+def test_delta_equals_the_direct_formula_column_by_column(algebra, module, nmax):
+    L = catalog.get_algebra(algebra)
+    cx = CochainComplex(L, module(L), nmax)
+    for n in range(nmax + 1):
+        assert cx.delta(n) == _delta_by_columns(cx, n)
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names())
+def test_split_of_delta_equals_the_assembled_blocks(name):
+    L = catalog.get_algebra(name)
+    for V in (trivial(L), adjoint(L)):
+        cx = CochainComplex(L, V, 2)
+        for n in range(-1, 3):
+            blocks = split_sectors(cx.delta(n), cx.sectors(n + 1), cx.sectors(n))
+            assert blocks == {deg: cx.delta_sector(n, deg) for deg in blocks}
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names())
+def test_sectors_follow_pair_degree(name):
+    L = catalog.get_algebra(name)
+    cx = CochainComplex(L, adjoint(L), 2)
+    for n in range(3):
+        basis = cx.basis(n)
+        placed = [(p, deg) for deg, ps in cx.sectors(n).items() for p in ps]
+        assert sorted(placed) == [(p, cx.pair_degree(pair)) for p, pair in enumerate(basis)]
+
+
+def test_cohomology_assembles_each_level_once_and_no_full_matrix(monkeypatch):
+    calls = {"delta": 0, "levels": []}
+    delta, assemble = CochainComplex.delta, CochainComplex._assemble
+
+    def counted_delta(self, n):
+        calls["delta"] += 1
+        return delta(self, n)
+
+    def counted_assemble(self, n):
+        calls["levels"].append(n)
+        return assemble(self, n)
+
+    monkeypatch.setattr(CochainComplex, "delta", counted_delta)
+    monkeypatch.setattr(CochainComplex, "_assemble", counted_assemble)
+    L = catalog.psl_nn(2)
+    CochainComplex(L, adjoint(L), 2).cohomology()
+    assert calls == {"delta": 0, "levels": [0, 1, 2]}
+
+
+def test_assembly_rejects_a_term_that_leaves_its_sector():
+    L = catalog.sl12()
+    V = catalog.module_v_half(L)
+    # the same action on vectors all of degree 0: odd elements now cross sectors
+    flat = GradedModule(L, V.labels, [L.group.zero()] * V.dim, V.action)
+    cx = CochainComplex(L, flat, 1)
+    with pytest.raises(ShapeError, match="leaves its degree sector"):
+        cx.delta_sector(0, L.group.zero())
 
 
 # ---------------------------------------------------------- module structure
@@ -531,6 +615,20 @@ def test_representatives_are_verified():
     assert len(reps) == 1
     diff = cochain_sub(reps[0], cochain_scale(catalog.cocycle_g0(L), reps[0].values[(VP,)][0]))
     assert cx.coboundary_witness(diff) is not None
+
+
+def test_cochain_vector_round_trip_and_degree_check():
+    rng = random.Random(89)
+    L = catalog.sl12()
+    V = catalog.module_v_half(L)
+    cx = CochainComplex(L, V, 2)
+    for level in (0, 1, 2):
+        for deg, piece in components(random_cochain(rng, L, V, level)).items():
+            vec = cx.cochain_vector(piece)
+            assert cochain_eq(cx.cochain_from_vector(level, vec, deg), piece)
+            wrong = Cochain(L, V, level, piece.values, L.group.add(deg, (1,)))
+            with pytest.raises(CochainError):
+                cx.cochain_vector(wrong)
 
 
 def test_witness_of_coboundaries():

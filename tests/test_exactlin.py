@@ -109,6 +109,29 @@ def test_shape_errors():
         m.multiply(RationalSparseMatrix.zero(2, 2))
 
 
+def test_entries_are_stored_as_fractions():
+    """Assembly passes int entries; reports print the stored Fractions."""
+    m = RationalSparseMatrix(2, 3, {
+        (0, 0): 3, (0, 1): 0, (0, 2): -40, (1, 0): Fraction(1, 2), (1, 2): Fraction(0),
+    })
+    assert m.entries == {(0, 0): 3, (0, 2): -40, (1, 0): Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert repr(m.get(0, 0)) == "Fraction(3, 1)"
+    with pytest.raises(ShapeError):
+        RationalSparseMatrix(2, 3, {(2, 0): 1})
+
+
+def test_int_rows_clear_each_rows_denominators():
+    m = RationalSparseMatrix(3, 3, {
+        (0, 0): 2, (0, 2): -3,
+        (1, 0): Fraction(1, 2), (1, 1): Fraction(-2, 3), (1, 2): 5,
+    })
+    assert m._int_rows() == [{0: 2, 2: -3}, {0: 3, 1: -4, 2: 30}, {}]
+    assert m._int_rows(extra_col={1: Fraction(1, 4)}) == [
+        {0: 2, 2: -3}, {0: 6, 1: -8, 2: 60, 3: 3}, {},
+    ]
+
+
 def test_stack_rows():
     a = RationalSparseMatrix.identity(2)
     b = RationalSparseMatrix.zero(1, 2)
