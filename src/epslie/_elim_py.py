@@ -51,13 +51,14 @@ def _combine(target, tval, pivot_row, pval):
     return _strip_normalize(out)
 
 
-def rref(rows, full=True):
+def rref(rows):
     """Reduced row echelon form over Q with integer rows.
 
     rows: list of {col: int}.  Input dicts are not mutated.
     Returns (piv_cols, piv_rows), sorted by pivot column.  Each returned row
     has gcd 1, a positive entry at its pivot column, and zeros at every other
-    pivot column (the latter only when full=True).
+    pivot column: each new pivot row is also eliminated from the rows
+    finished before it.
     """
     work = []
     for r in rows:
@@ -116,10 +117,9 @@ def rref(rows, full=True):
                     heappush(heap, (len(new), i))
             else:
                 alive[i] = False
-        if full:
-            for k, (fc, frow) in enumerate(finished):
-                if pcol in frow:
-                    finished[k] = (fc, _combine(frow, frow[pcol], prow, pval))
+        for k, (fc, frow) in enumerate(finished):
+            if pcol in frow:
+                finished[k] = (fc, _combine(frow, frow[pcol], prow, pval))
         finished.append((pcol, prow))
 
     finished.sort(key=lambda t: t[0])

@@ -7,6 +7,8 @@ matrix block-diagonal.  The rank-one superalgebra catalog (basis
 Q+, Q-, Q3, B, V+, V-, W+, W-) comes in a consistently Z-graded flavour
 (degrees 0,0,0,0,1,1,-1,-1) and a plain Z_2 flavour; its structure
 constants are computed from the 3x3 matrix realization at build time.
+Modules w1..w4 (eps-skew powers of v_half) and ts2 (the eps-symmetric
+square of the adjoint) are built by gmodule.eps_power, the rest by tables.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from .gmodule import (
     GradedModule,
     adjoint,
     coadjoint,
+    eps_power,
     submodule_span,
-    tensor,
     trivial,
-    sym_square,
 )
 from .grading import (
     CommutationFactor,
@@ -426,42 +427,9 @@ def module_v8_family(L):
 
 
 def module_wn(L, k):
-    """Skew tensors inside the k-th tensor power of the (e+, e-, e0) module;
-    as a graded module this is the simple atypical module with q = k/2."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-
-    def build():
-        V = module_v_half(L)
-        T = V
-        for _ in range(k - 1):
-            T = tensor(T, V)
-        d = V.dim
-        fac = V.factor
-        degs = V.degrees
-        import itertools
-
-        vecs = []
-        for mono in exterior.basis(fac.sign_table(degs, degs), k):
-            mdeg = [degs[i] for i in mono]
-            acc = {}
-            for perm in itertools.permutations(range(k)):
-                sgn = exterior.permutation_sign(perm)
-                epsn = fac.eps_n(perm, mdeg)
-                idx = 0
-                for t in range(k):
-                    idx = idx * d + mono[perm[t]]
-                c = acc.get(idx, 0) + sgn * epsn
-                if c:
-                    acc[idx] = c
-                else:
-                    acc.pop(idx, None)
-            if acc:
-                vecs.append({i: Fraction(c) for i, c in acc.items()})
-        W = submodule_span(T, vecs)
-        return W
-
-    return _cached(("wn", id(L), k), build)
+    """The k-th eps-skew power of the (e+, e-, e0) module; as a graded
+    module this is the simple atypical module with q = k/2."""
+    return _cached(("wn", id(L), k), lambda: eps_power(module_v_half(L), k, sym=False))
 
 
 def module_vq(L, q2):
@@ -475,7 +443,7 @@ def module_vq(L, q2):
 
 
 def module_ts2(L):
-    return _cached(("ts2", id(L)), lambda: sym_square(adjoint(L)))
+    return _cached(("ts2", id(L)), lambda: eps_power(adjoint(L), 2, sym=True))
 
 
 # ---------------------------------------------------------------------------

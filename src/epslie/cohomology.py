@@ -725,7 +725,6 @@ def invariant_cochains(L, V, n, sub_vectors):
     """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span}."""
     cx = CochainComplex(L, V, max(n - 1, 0))
     basis = cx.basis(n)
-    dex = cx.index(n)
     rows = {}
     ent = {}
     vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])

@@ -70,6 +70,13 @@ def parse_ints(raw, what):
     return tuple(parse_int(c, what) for c in parse_list(raw, what))
 
 
+def put_new(table, key, value, what):
+    """table[key] = value; a key given twice is rejected, never overwritten."""
+    if key in table:
+        raise ParseError("%s %r is given twice" % (what, key))
+    table[key] = value
+
+
 def parse_degree(group, raw):
     """A degree as given in a file: exactly ncoords JSON integers."""
     deg = parse_ints(raw, "degree")
@@ -118,12 +125,12 @@ def algebra_from_dict(data):
         degrees = [parse_degree(group, b["degree"]) for b in basis]
         brackets = {}
         for rec in parse_list(data.get("brackets", []), "brackets"):
-            i = parse_int(rec["i"], "bracket i")
-            j = parse_int(rec["j"], "bracket j")
-            brackets[(i, j)] = {
-                parse_int(t["k"], "bracket term k"): parse_coeff(t["coeff"])
-                for t in parse_list(rec["terms"], "bracket terms")
-            }
+            key = (parse_int(rec["i"], "bracket i"), parse_int(rec["j"], "bracket j"))
+            terms = {}
+            for t in parse_list(rec["terms"], "bracket terms"):
+                k = parse_int(t["k"], "bracket term k")
+                put_new(terms, k, parse_coeff(t["coeff"]), "bracket term k")
+            put_new(brackets, key, terms, "bracket")
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise
@@ -158,7 +165,7 @@ def module_from_dict(data, L: EpsLieAlgebra):
         labels = [parse_str(b["label"], "label") for b in basis]
         degrees = [parse_degree(L.group, b["degree"]) for b in basis]
         dim = len(labels)
-        mats = [RationalSparseMatrix(dim, dim) for _ in range(L.dim)]
+        ents = {}
         for rec in parse_list(data.get("action", []), "action"):
             i = parse_int(rec["op"], "action op")
             if not 0 <= i < L.dim:
@@ -167,8 +174,9 @@ def module_from_dict(data, L: EpsLieAlgebra):
             for t in parse_list(rec["entries"], "action entries"):
                 r = parse_int(t["row"], "action row")
                 c = parse_int(t["col"], "action col")
-                ent[(r, c)] = parse_coeff(t["coeff"])
-            mats[i] = RationalSparseMatrix(dim, dim, ent)
+                put_new(ent, (r, c), parse_coeff(t["coeff"]), "action entry")
+            put_new(ents, i, ent, "action op")
+        mats = [RationalSparseMatrix(dim, dim, ents.get(i)) for i in range(L.dim)]
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise

@@ -2,12 +2,14 @@
 
 A module is a homogeneous basis plus one representation matrix per algebra
 basis element.  All constructions (duals, tensors, shifts, sub/quotients,
-symmetric and skew squares) carry the grading and the commutation-factor
-signs; validate() checks homogeneity and bracket compatibility exactly.
+eps-symmetric and eps-skew powers) carry the grading and the
+commutation-factor signs; validate() checks homogeneity and bracket
+compatibility exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .algebra import (
@@ -26,6 +28,7 @@ from .exactlin import (
     vec_axpy,
     vec_clean,
 )
+from . import exterior
 
 
 class ModuleError(ValueError):
@@ -33,7 +36,7 @@ class ModuleError(ValueError):
 
 
 class GradedModule:
-    def __init__(self, algebra: EpsLieAlgebra, labels, degrees, action, parent=None,
+    def __init__(self, algebra: EpsLieAlgebra, labels, degrees, action,
                  embedding=None, projection=None):
         self.algebra = algebra
         self.group = algebra.group
@@ -49,9 +52,8 @@ class GradedModule:
         for m in self.action:
             if (m.rows, m.cols) != (d, d):
                 raise ModuleError("action matrix shape mismatch")
-        self.parent = parent
-        self.embedding = embedding    # columns = basis vectors in parent coords
-        self.projection = projection  # parent coords -> this module's coords
+        self.embedding = embedding    # columns = basis vectors in ambient coords
+        self.projection = projection  # ambient coords -> this module's coords
         # signs[i][w] = eps(deg e_i, deg v_w) for algebra basis e_i
         self.signs = self.factor.sign_table(algebra.degrees, self.degrees)
 
@@ -242,7 +244,7 @@ def submodule_span(V, vectors, labels=None):
             lead = V.labels[min(b)]
             labels.append(lead if len(b) == 1 else "(%s+…)" % lead)
     emb = RationalSparseMatrix.from_columns(basis, V.dim)
-    return GradedModule(V.algebra, labels, deg, mats, parent=V, embedding=emb)
+    return GradedModule(V.algebra, labels, deg, mats, embedding=emb)
 
 
 def submodule_generated(V, vectors):
@@ -293,31 +295,54 @@ def quotient(V, sub_vectors):
         for k, c in project({a: ONE}).items():
             proj_ent[(k, a)] = c
     proj = RationalSparseMatrix(len(reps), V.dim, proj_ent)
-    return GradedModule(V.algebra, labels, deg, mats, parent=V, projection=proj)
+    return GradedModule(V.algebra, labels, deg, mats, projection=proj)
 
 
-def sym_square(V):
-    return _square(V, sym=True)
+def eps_power(V, k, sym):
+    """The k-th eps-skew (sym=False) or eps-symmetric (sym=True) power of V.
 
-
-def skew_square(V):
-    return _square(V, sym=False)
-
-
-def _square(V, sym):
-    T = tensor(V, V)
-    d = V.dim
-    vecs = []
-    for a in range(d):
-        for b in range(a, d):
-            e = V.factor.eps(V.degrees[a], V.degrees[b])
-            s = e if sym else -e
-            if a == b:
-                if s == 1:
-                    vecs.append({a * d + a: ONE})
-            else:
-                vecs.append({a * d + b: ONE, b * d + a: Fraction(s)})
-    return submodule_span(T, vecs)
+    Basis: the canonical k-monomials of exterior.basis over V's sign table
+    (negated for the symmetric power), ordered by (degree, monomial).
+    Monomial m is the tensor with the canonicalize sign at each distinct
+    arrangement of m (a column of `embedding`): the (skew)symmetrization of
+    m over P(m) = Π(multiplicity!) = k! / (number of arrangements).  The
+    action is the Leibniz rule with prefix signs Π_{s<t} V.signs[i][m_s],
+    canonicalized and rescaled by P(m2) / P(m).
+    """
+    if k < 1:
+        raise ModuleError("need k >= 1")
+    table = V.factor.sign_table(V.degrees, V.degrees)
+    if sym:
+        table = [[-s for s in row] for row in table]
+    degree = {m: V.group.sum(V.degrees[x] for x in m)
+              for m in exterior.basis(table, k)}
+    monos = sorted(degree, key=lambda m: (degree[m], m))
+    pos = {m: a for a, m in enumerate(monos)}
+    columns = []
+    labels = []
+    for m in monos:
+        col = {sum(x * V.dim ** (k - 1 - t) for t, x in enumerate(arr)):
+               exterior.canonicalize(table, arr)[0] for arr in set(itertools.permutations(m))}
+        columns.append(col)
+        lab = "⊗".join(V.labels[x] for x in m)
+        labels.append(lab if len(col) == 1 else "(%s+…)" % lab)
+    mats = []
+    for i in range(V.algebra.dim):
+        acts = V.action[i].columns()
+        ent = {}
+        for a, m in enumerate(monos):
+            prefix = 1
+            for t, c in enumerate(m):
+                for r, v in acts[c].items():
+                    s, m2 = exterior.canonicalize(table, m[:t] + (r,) + m[t + 1:])
+                    if s:
+                        b = pos[m2]
+                        x = prefix * s * v * len(columns[a]) / len(columns[b])
+                        ent[(b, a)] = ent.get((b, a), 0) + x
+                prefix *= V.signs[i][c]
+        mats.append(RationalSparseMatrix(len(monos), len(monos), ent))
+    return GradedModule(V.algebra, labels, [degree[m] for m in monos], mats,
+                        embedding=RationalSparseMatrix.from_columns(columns, V.dim ** k))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +458,6 @@ def intertwiner_space(V, W, phi_degree):
             if g.reduce(W.degrees[r]) == g.add(phi, V.degrees[c]):
                 undex[(r, c)] = len(unknowns)
                 unknowns.append((r, c))
-    rows = []
     rowdex = {}
     ent = {}
     for i in range(L.dim):

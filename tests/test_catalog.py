@@ -8,13 +8,12 @@ from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
 from epslie.gmodule import (
     adjoint,
     coadjoint,
+    eps_power,
     intertwiner_space,
     invariants_subspace,
     quotient,
     regrade_algebra,
     submodule_generated,
-    sym_square,
-    skew_square,
     twist,
     weight_spaces,
 )
@@ -178,8 +177,8 @@ def test_adjoint_is_the_typical_q1_module():
 def test_sym_square_decomposition_witnesses():
     L = catalog.sl12()
     ad = adjoint(L)
-    S = sym_square(ad)
-    A = skew_square(ad)
+    S = eps_power(ad, 2, True)
+    A = eps_power(ad, 2, False)
     assert (S.dim, A.dim) == (32, 32)
     assert invariants_subspace(A) == []
     assert len(invariants_subspace(S)) == 1
@@ -227,7 +226,7 @@ def test_atypical_subquotients_of_v8_are_the_allowed_ones():
         q = quotient(mod, sub)
         assert len(intertwiner_space(q, Vh, (0,))) == 1
     # B-eigenvalues on the sym square: {0, ±1/2, ±1} (adjoint degrees halved)
-    S = sym_square(adjoint(L))
+    S = eps_power(adjoint(L), 2, True)
     bvals = set()
     for V in (S, fam["v8"]):
         ws = weight_spaces(V, [{B: ONE}])

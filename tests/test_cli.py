@@ -1,6 +1,7 @@
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +253,41 @@ def test_malformed_json_is_parse_error(tmp_path):
                              "--module", mod_path, "--nmax", "0"])
         assert code == want, (which, keys, value, out)
         assert len(out.splitlines()) == 1, (which, keys, value, out)
+
+    # a record given twice is rejected, never silently overwritten; the
+    # copies are identical, so taking either would still validate
+    dups = [
+        ("algebra", ("brackets",)),
+        ("algebra", ("brackets", 0, "terms")),
+        ("module", ("action",)),
+        ("module", ("action", 0, "entries")),
+    ]
+    for which, keys in dups:
+        alg = fileio.algebra_to_dict(L)
+        mod = fileio.module_to_dict(catalog.get_module(L, "sl12", "v_half"))
+        records = alg if which == "algebra" else mod
+        for key in keys:
+            records = records[key]
+        records.append(dict(records[0]))
+        for path, data in ((alg_path, alg), (mod_path, mod)):
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+        code, out = run_cli(["cohomology", "--algebra", alg_path,
+                             "--module", mod_path, "--nmax", "0"])
+        assert code == 2, (which, keys, out)
+        assert len(out.splitlines()) == 1, (which, keys, out)
+        assert "given twice" in out, (which, keys, out)
+    # both (i, j) and (j, i) may be given, as long as they agree
+    alg = fileio.algebra_to_dict(L)
+    rec = alg["brackets"][0]
+    assert rec["i"] != rec["j"]
+    e = L.signs[rec["i"]][rec["j"]]
+    swapped = [{"k": t["k"], "coeff": str(-e * Fraction(t["coeff"]))} for t in rec["terms"]]
+    alg["brackets"].append({"i": rec["j"], "j": rec["i"], "terms": swapped})
+    with open(alg_path, "w") as fh:
+        json.dump(alg, fh)
+    code, out = run_cli(["check", "--algebra", alg_path])
+    assert code == 0, out
 
     # a form that is not a bicharacter on Z_3, on an algebra valid otherwise
     z3 = {"grading": {"free_rank": 0, "torsion": [3], "form": [[1]]},

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epslie import catalog, exterior
-from epslie.gmodule import adjoint, skew_square
+from epslie.gmodule import adjoint, eps_power
 from epslie.grading import CommutationFactor, GradingGroup
 
 
@@ -78,7 +78,7 @@ def test_canonicalize_idempotent():
 def test_skew_square_matches_exterior_square():
     for L in (catalog.sl2(), catalog.sl12(), catalog.osp12()):
         n2 = len(exterior.basis(L.signs, 2))
-        assert n2 == skew_square(adjoint(L)).dim
+        assert n2 == eps_power(adjoint(L), 2, False).dim
 
 
 def test_shuffles_count_and_signs():

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from epslie import catalog
+from epslie import catalog, exterior, fileio
+from epslie.cohomology import CochainComplex
 from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker, vec_eq
 from epslie.gmodule import (
     GradedModule,
@@ -12,14 +14,13 @@ from epslie.gmodule import (
     coadjoint,
     direct_sum,
     dual,
+    eps_power,
     intertwiner_space,
     invariants_subspace,
     quotient,
     shift,
-    skew_square,
     submodule_generated,
     submodule_span,
-    sym_square,
     tensor,
     trivial,
     twist,
@@ -105,20 +106,124 @@ def test_tensor_dual_shift_closures():
 def test_square_dimensions():
     L = catalog.sl12()
     ad = adjoint(L)
-    S = sym_square(ad)
-    A = skew_square(ad)
+    S = eps_power(ad, 2, True)
+    A = eps_power(ad, 2, False)
     assert (S.dim, A.dim) == (32, 32)
     assert S.validate().ok and A.validate().ok
     # purely even module: classical dimensions
     L2 = catalog.sl2()
     ad2 = adjoint(L2)
-    assert sym_square(ad2).dim == 6
-    assert skew_square(ad2).dim == 3
+    assert eps_power(ad2, 2, True).dim == 6
+    assert eps_power(ad2, 2, False).dim == 3
+
+
+# The tensor-power constructions that eps_power replaced, kept as references:
+# each builds the eps-(skew)symmetric tensors inside the tensor power and
+# takes the submodule they span.
+
+
+def _reference_square(V, sym):
+    T = tensor(V, V)
+    d = V.dim
+    vecs = []
+    for a in range(d):
+        for b in range(a, d):
+            e = V.factor.eps(V.degrees[a], V.degrees[b])
+            s = e if sym else -e
+            if a == b:
+                if s == 1:
+                    vecs.append({a * d + a: ONE})
+            else:
+                vecs.append({a * d + b: ONE, b * d + a: Fraction(s)})
+    return submodule_span(T, vecs)
+
+
+def _reference_power(V, k, sym):
+    """Sum over all k! permutations of each monomial, with eps_n and, for
+    the skew power, the permutation sign."""
+    T = V
+    for _ in range(k - 1):
+        T = tensor(T, V)
+    d = V.dim
+    fac = V.factor
+    degs = V.degrees
+    table = fac.sign_table(degs, degs)
+    if sym:
+        table = [[-s for s in row] for row in table]
+    vecs = []
+    for mono in exterior.basis(table, k):
+        mdeg = [degs[i] for i in mono]
+        acc = {}
+        for perm in itertools.permutations(range(k)):
+            sgn = 1 if sym else exterior.permutation_sign(perm)
+            epsn = fac.eps_n(perm, mdeg)
+            idx = 0
+            for t in range(k):
+                idx = idx * d + mono[perm[t]]
+            c = acc.get(idx, 0) + sgn * epsn
+            if c:
+                acc[idx] = c
+            else:
+                acc.pop(idx, None)
+        if acc:
+            vecs.append({i: Fraction(c) for i, c in acc.items()})
+    return submodule_span(T, vecs)
+
+
+def _assert_same_module(got, want):
+    assert fileio.module_to_dict(got) == fileio.module_to_dict(want)
+    assert got.embedding == want.embedding
+
+
+@pytest.mark.parametrize("name", ["sl12", "sl12_z2"])
+def test_catalog_powers_match_the_tensor_power_reference(name):
+    L = catalog.get_algebra(name)
+    for k in range(1, 5):
+        W = catalog.get_module(L, name, "w%d" % k)
+        _assert_same_module(W, _reference_power(catalog.module_v_half(L), k, False))
+    ts2 = catalog.get_module(L, name, "ts2")
+    _assert_same_module(ts2, _reference_square(adjoint(L), True))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl12", "sl12_z2", "osp12", "gl21", "psl22"])
+@pytest.mark.parametrize("sym", [True, False])
+def test_adjoint_squares_match_the_tensor_power_reference(name, sym):
+    ad = adjoint(catalog.get_algebra(name))
+    S = eps_power(ad, 2, sym)
+    _assert_same_module(S, _reference_square(ad, sym))
+    _assert_same_module(S, _reference_power(ad, 2, sym))
+
+
+@pytest.mark.parametrize("sym", [True, False])
+def test_adjoint_cubes_match_the_tensor_power_reference(sym):
+    ad = adjoint(catalog.sl12())
+    S = eps_power(ad, 3, sym)
+    assert S.validate().ok
+    _assert_same_module(S, _reference_power(ad, 3, sym))
+
+
+def test_eps_power_needs_a_positive_exponent():
+    with pytest.raises(ModuleError):
+        eps_power(adjoint(catalog.sl2()), 0, True)
+
+
+@pytest.mark.parametrize("name", ["sl12", "sl21"])
+def test_symmetric_powers_of_the_adjoint(name):
+    """H^0..2(L, S^k L) for k <= 3, S^0 L the trivial module.  By PBW for
+    color Lie algebras, H^2(L, U(L)) is the sum over k of H^2(L, S^k L);
+    H^0 counts the Casimir elements in S^k L."""
+    L = catalog.get_algebra(name)
+    want = [(1, 1, 0, 0), (8, 0, 0, 0), (32, 1, 1, 0), (88, 1, 1, 0)]
+    for k, (dim, *hs) in enumerate(want):
+        S = trivial(L) if k == 0 else eps_power(adjoint(L), k, True)
+        assert S.dim == dim
+        res = CochainComplex(L, S, 2).cohomology()
+        assert [res.total(n) for n in range(3)] == hs, k
 
 
 def test_sym_square_contains_the_invariant_generator():
     L = catalog.sl12()
-    S = sym_square(adjoint(L))
+    S = eps_power(adjoint(L), 2, True)
     # t = Q+ x Q- + Q- x Q+ + 2 Q3 x Q3 + 2 B x B in tensor coordinates
     d = L.dim
     t = {

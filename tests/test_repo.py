@@ -115,3 +115,28 @@ def test_no_unreferenced_private_function():
                 if ref != own:
                     used.add(ref)
     assert sorted(defined - used) == []
+
+
+def test_no_dead_local_assignment():
+    """No engine function binds a name through a single-target `name = ...`
+    and then never reads it."""
+    dead = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, read = set(), set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    if isinstance(node.targets[0], ast.Name):
+                        stored.add(node.targets[0].id)
+                elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+            dead += ["%s: %s: %s" % (name, fn.name, n) for n in sorted(stored - read)]
+    assert dead == []
