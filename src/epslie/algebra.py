@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import SpanTracker, vec_axpy, vec_clean, vec_is_zero
+from .exactlin import SpanTracker, as_integral, vec_axpy, vec_clean, vec_is_zero
 from .grading import CommutationFactor
 
 
@@ -193,19 +193,51 @@ class EpsLieAlgebra:
                     (self.labels[i], self.labels[i]),
                     "even element with nonzero self-bracket",
                 )
-        for i in range(self.dim):
-            for j in range(self.dim):
-                eij = self.signs[i][j]
-                for k in range(j, self.dim):
-                    lhs = self.bracket({i: 1}, self.bracket_basis(j, k))
-                    rhs = self.bracket(self.bracket_basis(i, j), {k: 1})
-                    vec_axpy(rhs, eij, self.bracket({j: 1}, self.bracket_basis(i, k)))
-                    if vec_clean(lhs) != vec_clean(rhs):
-                        rep.note(
-                            "jacobi",
-                            (self.labels[i], self.labels[j], self.labels[k]),
-                            "adjoint derivation identity fails",
-                        )
+        # Jacobi on every (i, j, k >= j):
+        #   <e_i,<e_j,e_k>> = <<e_i,e_j>,e_k> + eps(i,j) <e_j,<e_i,e_k>>.
+        # Only nonzero structure constants are joined: row[a][b] and col[b][a]
+        # are the terms of <e_a,e_b>; made[m] holds (j, k, c), j <= k, with c
+        # the coefficient of e_m in <e_j,e_k>.
+        n = self.dim
+        row = [{} for _ in range(n)]
+        col = [{} for _ in range(n)]
+        made = [[] for _ in range(n)]
+        for (a, b), vec in self.table.items():
+            terms = [(m, as_integral(c)) for m, c in vec.items()]
+            if not terms:
+                continue
+            row[a][b] = col[b][a] = terms
+            for m, c in terms:
+                made[m].append((a, b, c))
+            if a != b:
+                e = -self.signs[b][a]
+                row[b][a] = col[a][b] = [(m, e * c) for m, c in terms]
+        for i in range(n):
+            sign = self.signs[i]
+            defect = {}  # (j, k, p) -> coefficient of e_p in lhs - rhs
+            for m, t in row[i].items():
+                for j, k, c in made[m]:
+                    for p, x in t:
+                        defect[(j, k, p)] = defect.get((j, k, p), 0) + c * x
+            for j, t in row[i].items():
+                for m, a in t:
+                    for k, u in row[m].items():
+                        if k >= j:
+                            for p, x in u:
+                                defect[(j, k, p)] = defect.get((j, k, p), 0) - a * x
+            for k, t in row[i].items():
+                for m, a in t:
+                    for j, u in col[m].items():
+                        if j <= k:
+                            s = sign[j] * a
+                            for p, x in u:
+                                defect[(j, k, p)] = defect.get((j, k, p), 0) - s * x
+            for j, k in sorted({(j, k) for (j, k, _), v in defect.items() if v}):
+                rep.note(
+                    "jacobi",
+                    (self.labels[i], self.labels[j], self.labels[k]),
+                    "adjoint derivation identity fails",
+                )
         return rep
 
     # -------------------------------------------------------------- structure

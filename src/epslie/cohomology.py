@@ -46,6 +46,7 @@ from .exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
+    as_integral,
     sector_positions,
     vec_axpy,
     vec_clean,
@@ -166,15 +167,10 @@ def cochain_eq(g, h):
 # the coboundary operator
 
 
-def _integral(c):
-    """c as an int when it is integral, else the Fraction itself."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _bracket_table(L):
     """brackets[i][j]: the terms (k, c) of <e_i, e_j>, with integral c as ints."""
     return [
-        [tuple((k, _integral(c)) for k, c in L.bracket_basis(i, j).items())
+        [tuple((k, as_integral(c)) for k, c in L.bracket_basis(i, j).items())
          for j in range(L.dim)]
         for i in range(L.dim)
     ]
@@ -451,13 +447,16 @@ class CochainComplex:
         self._sectors = {}
         # (monomial degree, module degree) -> sector key, shared by all levels
         self._sector_keys = {}
+        # prefix monomial -> degree; (prefix degree, last degree) -> sum
+        self._prefix_degrees = {}
+        self._degree_sums = {}
         self._delta = {}
         self._delta_blocks = {}
         # integral coefficients as ints; each block makes Fractions once
         self._brackets = _bracket_table(L)
         # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry
         self._action = [
-            [(w2, w, _integral(c) * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
+            [(w2, w, as_integral(c) * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
             for i, mat in enumerate(V.action)
         ]
 
@@ -499,14 +498,13 @@ class CochainComplex:
     def _sector_layout(self, n):
         """(sectors(n), sector key of each position, its index in the sector).
 
-        Each monomial degree is summed once, and each key is computed once
-        per (monomial degree, module degree)."""
+        Each key is computed once per (monomial degree, module degree)."""
         if n not in self._sectors:
-            L, g = self.algebra, self.algebra.group
+            g = self.algebra.group
             memo = self._sector_keys
             keys = []
             for M in self.monomials(n):
-                md = g.sum(L.degrees[i] for i in M)
+                md = self._monomial_degree(M)
                 for d in self.module.degrees:
                     key = memo.get((md, d))
                     if key is None:
@@ -519,6 +517,22 @@ class CochainComplex:
                     local[p] = k
             self._sectors[n] = (positions, keys, local)
         return self._sectors[n]
+
+    def _monomial_degree(self, M):
+        """deg M: the memoised degree of the prefix M[:-1] plus the degree of
+        the last index, each distinct (prefix degree, last degree) pair added
+        once.  Only prefixes are stored, not every monomial."""
+        if not M:
+            return self.algebra.group.zero()
+        pre = M[:-1]
+        d = self._prefix_degrees.get(pre)
+        if d is None:
+            d = self._prefix_degrees[pre] = self._monomial_degree(pre)
+        pair = (d, self.algebra.degrees[M[-1]])
+        d = self._degree_sums.get(pair)
+        if d is None:
+            d = self._degree_sums[pair] = self.algebra.group.add(*pair)
+        return d
 
     def _monomial_index(self, n):
         if n not in self._mono_index:

@@ -62,6 +62,10 @@ def vec_eq(a, b):
 def vec_is_zero(a):
     return not any(a.values())
 
+def as_integral(c):
+    """c as an int when it is integral, else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
+
 
 # ---------------------------------------------------------------------------
 # span tracking (incremental echelon basis)

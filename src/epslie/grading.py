@@ -133,8 +133,12 @@ class CommutationFactor:
         return -1 if total % 2 else 1
 
     def sign_table(self, left, right):
-        """[[eps(a, b) for b in right] for a in left]."""
-        return [[self.eps(a, b) for b in right] for a in left]
+        """[[eps(a, b) for b in right] for a in left], with eps evaluated once
+        per pair of distinct reduced degrees."""
+        left = [self.group.reduce(a) for a in left]
+        right = [self.group.reduce(b) for b in right]
+        eps = {(a, b): self.eps(a, b) for a in set(left) for b in set(right)}
+        return [[eps[a, b] for b in right] for a in left]
 
     def parity(self, a: Degree) -> int:
         """Sign eps(a, a); -1 marks an odd degree."""

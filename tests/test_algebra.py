@@ -1,16 +1,24 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from epslie import catalog
+from epslie import catalog, extensions
 from epslie.algebra import (
     AlgebraError,
     EpsLieAlgebra,
+    ValidationReport,
     degree_of_vector,
     graded_subquotient,
 )
-from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker, vec_axpy
+from epslie.exactlin import (
+    ONE,
+    RationalSparseMatrix,
+    SpanTracker,
+    vec_axpy,
+    vec_clean,
+    vec_is_zero,
+)
 from epslie.grading import GradingGroup, super_factor, trivial_factor
 
 # catalog index map for sl(1|2): Q+ Q- Q3 B V+ V- W+ W-
@@ -62,6 +70,110 @@ def test_validate_flags_perturbed_structure_constant():
     assert "jacobi" in kinds
     names = {p[1] for p in rep.problems if p[0] == "jacobi"}
     assert all(len(t) == 3 for t in names)
+
+
+def reference_validate(self):
+    """The triple loop EpsLieAlgebra.validate ran before the sparse join:
+    three bracket calls on every (i, j, k >= j)."""
+    rep = ValidationReport()
+    g = self.group
+    for (i, j), vec in sorted(self.table.items()):
+        want = g.add(self.degrees[i], self.degrees[j])
+        for k, c in vec.items():
+            if g.reduce(self.degrees[k]) != want:
+                rep.note(
+                    "homogeneity",
+                    (self.labels[i], self.labels[j]),
+                    "component %s has degree %s, expected %s"
+                    % (self.labels[k], self.degrees[k], want),
+                )
+    for i in range(self.dim):
+        if self.parity(i) == 1 and not vec_is_zero(self.bracket_basis(i, i)):
+            rep.note(
+                "skew-symmetry",
+                (self.labels[i], self.labels[i]),
+                "even element with nonzero self-bracket",
+            )
+    for i in range(self.dim):
+        for j in range(self.dim):
+            eij = self.signs[i][j]
+            for k in range(j, self.dim):
+                lhs = self.bracket({i: 1}, self.bracket_basis(j, k))
+                rhs = self.bracket(self.bracket_basis(i, j), {k: 1})
+                vec_axpy(rhs, eij, self.bracket({j: 1}, self.bracket_basis(i, k)))
+                if vec_clean(lhs) != vec_clean(rhs):
+                    rep.note(
+                        "jacobi",
+                        (self.labels[i], self.labels[j], self.labels[k]),
+                        "adjoint derivation identity fails",
+                    )
+    return rep
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names() + ["gl33"])
+def test_validate_matches_the_reference_loop_on_the_catalog(name):
+    L = catalog.gl(3, 3) if name == "gl33" else catalog.get_algebra(name)
+    assert L.validate().problems == reference_validate(L).problems
+
+
+def test_validate_matches_the_reference_loop_on_the_covering_of_psl22(monkeypatch):
+    L = catalog.psl_nn(2)
+    seen = []
+    validate = EpsLieAlgebra.validate
+
+    def recorded(self):
+        seen.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(EpsLieAlgebra, "validate", recorded)
+    extensions.universal_covering(L)
+    # the extension E of psl(2|2) by W = Lambda^2 / im d3, then the covering
+    assert [A.dim for A in seen] == [31, 17]
+    for A in seen:
+        assert validate(A).problems == reference_validate(A).problems
+
+
+_PERTURBED = ["sl12", "sl12_z2", "osp12", "psl22", "gl21", "sl3"]
+_coeff = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def _perturbed_table(draw):
+    """A catalog table with one to three coefficients changed (to any
+    rational, zero included) or terms added."""
+    L = catalog.get_algebra(draw(st.sampled_from(_PERTURBED)))
+    table = {key: dict(vec) for key, vec in L.table.items()}
+    filled = sorted(key for key, vec in table.items() if vec)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(filled))
+            k = draw(st.sampled_from(sorted(table[key])))
+        else:
+            i = draw(st.integers(0, L.dim - 1))
+            key = (i, draw(st.integers(i, L.dim - 1)))
+            k = draw(st.integers(0, L.dim - 1))
+        table.setdefault(key, {})[k] = draw(_coeff)
+    return EpsLieAlgebra(L.factor, L.labels, L.degrees, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_table())
+def test_validate_matches_the_reference_loop_on_perturbed_tables(A):
+    assert A.validate().problems == reference_validate(A).problems
+
+
+def test_validate_makes_no_bracket_calls(monkeypatch):
+    L = catalog.psl_nn(3)
+    calls = {"bracket": 0}
+    bracket = EpsLieAlgebra.bracket
+
+    def counted(self, x, y):
+        calls["bracket"] += 1
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(EpsLieAlgebra, "bracket", counted)
+    assert L.validate().ok
+    assert calls == {"bracket": 0}
 
 
 def test_abelian_validates_and_has_everything_central():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epslie import catalog, fileio
+from epslie.algebra import EpsLieAlgebra
 from epslie.cli import main
+from test_algebra import B, VP, WM, reference_validate
 
 
 def run_cli(args):
@@ -197,6 +199,39 @@ def test_broken_jacobi_file_names_triple(tmp_path):
     assert code == 3
     assert "jacobi" in out
     assert "e" in out and "h" in out and "f" in out
+
+
+def _broken_sl2():
+    L = catalog.sl2()
+    table = {key: dict(vec) for key, vec in L.table.items()}
+    table[(0, 1)] = {0: Fraction(-3)}  # <h,e> = 3e, as in the file above
+    return EpsLieAlgebra(L.factor, L.labels, L.degrees, table)
+
+
+def _broken_odd_first_sl12():
+    """sl(1|2) with its odd basis first, so the earliest triples have
+    eps(i, j) = -1, and <V+,W-> doubled on B: the first failing triple is
+    V+/V+/W-, but V+/V-/W+ when the sign eps(i, j) is dropped."""
+    L = catalog.sl12()
+    order = [4, 5, 6, 7, 0, 1, 2, 3]
+    at = {old: new for new, old in enumerate(order)}
+    table = {(at[i], at[j]): {at[k]: c for k, c in vec.items()}
+             for (i, j), vec in L.table.items()}
+    table[(at[VP], at[WM])][at[B]] *= 2
+    return EpsLieAlgebra(L.factor, [L.labels[a] for a in order],
+                         [L.degrees[a] for a in order], table)
+
+
+@pytest.mark.parametrize("build", [_broken_sl2, _broken_odd_first_sl12])
+def test_check_reports_the_first_problem_of_the_reference_loop(tmp_path, build):
+    A = build()
+    path = str(tmp_path / "broken.json")
+    with open(path, "w") as fh:
+        json.dump(fileio.algebra_to_dict(A), fh)
+    kind, where, detail = reference_validate(A).problems[0]
+    code, out = run_cli(["check", "--algebra", path])
+    assert code == 3
+    assert out == "validation error: %s at %s: %s\n" % (kind, "/".join(where), detail)
 
 
 def test_malformed_json_is_parse_error(tmp_path):

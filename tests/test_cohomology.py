@@ -38,6 +38,7 @@ from epslie.exactlin import (
     vec_scale,
 )
 from epslie.gmodule import GradedModule, adjoint, dual, shift, tensor, trivial
+from epslie.grading import GradingGroup
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
 
@@ -249,6 +250,38 @@ def test_sectors_follow_pair_degree(name):
         basis = cx.basis(n)
         placed = [(p, deg) for deg, ps in cx.sectors(n).items() for p in ps]
         assert sorted(placed) == [(p, cx.pair_degree(pair)) for p, pair in enumerate(basis)]
+
+
+def test_sector_layout_adds_each_prefix_degree_once(monkeypatch):
+    L = catalog.psl_nn(2)
+    V = adjoint(L)
+    cx = CochainComplex(L, V, 2)
+    monos = [M for n in range(4) for M in cx.monomials(n)]
+    calls = dict.fromkeys(["sum", "add", "sub", "reduce"], 0)
+
+    def counted(name):
+        method = getattr(GradingGroup, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(GradingGroup, name, counted(name))
+    for n in range(4):
+        cx.sectors(n)
+    monkeypatch.undo()
+    g = L.group
+    deg = {M: g.sum(L.degrees[i] for i in M) for M in monos}
+    prefix_pairs = {(deg[M[:-1]], L.degrees[M[-1]]) for M in monos if M}
+    keys = {(deg[M], d) for M in monos for d in V.degrees}
+    # deg M = deg M[:-1] + deg of the last index, one add per distinct pair
+    assert calls["sum"] == 0
+    assert calls["add"] <= len(prefix_pairs) < len(monos)
+    assert calls["sub"] <= len(keys)
+    assert calls["reduce"] == calls["add"] + calls["sub"]
 
 
 def test_cohomology_assembles_each_level_once_and_no_full_matrix(monkeypatch):

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from epslie import catalog
 from epslie.grading import (
     CommutationFactor,
     GradingGroup,
@@ -140,3 +142,22 @@ def test_degree_shape_errors():
     f = super_factor()
     with pytest.raises(GradingError):
         f.eps((1, 0), (1,))
+
+
+@st.composite
+def _factor_and_degrees(draw):
+    """The factor of a catalog algebra and two lists of unreduced degrees,
+    with repeats, so that equal reduced degrees come from different tuples."""
+    factor = catalog.get_algebra(draw(st.sampled_from(catalog.algebra_names()))).factor
+    pool = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * factor.group.ncoords),
+                         min_size=1, max_size=4))
+    side = st.lists(st.sampled_from(pool), max_size=6)
+    return factor, draw(side), draw(side)
+
+
+@given(_factor_and_degrees())
+def test_sign_table_is_eps_entry_by_entry(case):
+    factor, left, right = case
+    assert factor.sign_table(left, right) == [
+        [factor.eps(a, b) for b in right] for a in left
+    ]
