@@ -289,8 +289,10 @@ class EpsLieAlgebra:
         for v in ideal:
             if not sub_span.contains(v):
                 raise AlgebraError("ideal is not contained in the subalgebra")
-        for a in sub:
-            for b in sub:
+        # The echelon vectors are homogeneous, so <b,a> = -eps(a,b)<a,b>:
+        # one bracket per unordered pair decides closure.
+        for k, a in enumerate(sub):
+            for b in sub[k:]:
                 if not sub_span.contains(self.bracket(a, b)):
                     raise AlgebraError("sub_vectors do not span a subalgebra")
             for b in ideal:

@@ -14,9 +14,9 @@ import itertools
 from fractions import Fraction
 
 from .cohomology import CochainComplex
-from .exactlin import ONE, RationalSparseMatrix
+from .exactlin import RationalSparseMatrix
 from .exterior import canonicalize
-from .gmodule import GradedModule, coadjoint
+from .gmodule import GradedModule, coadjoint, eps_power
 
 
 class CasimirError(ValueError):
@@ -53,17 +53,25 @@ class InvariantForm:
 
 
 def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
-    """Exact basis of the invariant r-linear forms on M.
+    """Exact basis of the invariant r-linear forms on M, ordered by degree.
 
-    symmetry: "none", "eps_symmetric" or "eps_skew"; the symmetric/skew
-    constraints are imposed as extra linear equations on the same unknowns.
-    The invariance system is block-diagonal over the form degree, so each
-    degree block is solved separately.
+    symmetry "none": the unknowns are the values on all ordered r-tuples of
+    basis indices.  The invariance system is block-diagonal over the form
+    degree, so each degree block is solved separately.
+
+    symmetry "eps_skew" or "eps_symmetric": such a form phi is fixed by the
+    functional psi(m) = phi(embedding of m) on P = eps_power(M, r, sym), and
+    phi is invariant exactly when psi . rho_P(e_i) = 0 for every i, so the
+    unknowns are the canonical monomials m of P.  Each kernel vector psi
+    gives phi(arr) = sign(arr) psi(m) / #arrangements(m) on the arrangements
+    of m, read with their signs from P's embedding.
     """
     if r < 1:
         raise CasimirError("arity must be >= 1")
     if symmetry not in ("none", "eps_symmetric", "eps_skew"):
         raise CasimirError("unknown symmetry option %r" % symmetry)
+    if symmetry != "none":
+        return _symmetric_forms(M, r, symmetry == "eps_symmetric")
     L = M.algebra
     g = M.group
     fac = M.factor
@@ -104,17 +112,37 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
                         U = T[:k] + (s,) + T[k + 1 :]
                         put(("inv", i, T), pos[U], e * c)
                     e *= M.signs[i][tk]
-        if symmetry != "none":
-            want = 1 if symmetry == "eps_symmetric" else -1
-            for T in tuples:
-                for k in range(r - 1):
-                    e = fac.eps(M.degrees[T[k]], M.degrees[T[k + 1]])
-                    U = T[:k] + (T[k + 1], T[k]) + T[k + 2 :]
-                    put(("sym", T, k), pos[U], ONE)
-                    put(("sym", T, k), pos[T], -want * e)
         mat = RationalSparseMatrix(len(rows), len(tuples), ent)
         for kv in mat.kernel_basis():
             out.append(InvariantForm(M, r, {tuples[k]: c for k, c in kv.items()}))
+    return out
+
+
+def _symmetric_forms(M, r, sym):
+    """Invariant eps-symmetric (sym) or eps-skew r-linear forms on M, solved
+    on the canonical monomials of eps_power(M, r, sym)."""
+    P = eps_power(M, r, sym)
+    # Row (i, a) of the stacked transposes: (psi . rho_P(e_i))(monomial a).
+    # Each row meets columns of one degree only, so elimination stays inside
+    # degree blocks: the kernel vectors are homogeneous and, with P's basis
+    # ordered by degree, come out in the degree order of the "none" path.
+    ent = {(i * P.dim + a, b): v
+           for i, act in enumerate(P.action)
+           for (b, a), v in act.entries.items()}
+    system = RationalSparseMatrix(M.algebra.dim * P.dim, P.dim, ent)
+    arrangements = P.embedding.columns()
+    out = []
+    for kv in system.kernel_basis():
+        values = {}
+        for b, c in kv.items():
+            col = arrangements[b]
+            for flat, s in col.items():
+                arr = []
+                for _ in range(r):
+                    flat, x = divmod(flat, M.dim)
+                    arr.append(x)
+                values[tuple(reversed(arr))] = s * c / len(col)
+        out.append(InvariantForm(M, r, values))
     return out
 
 

@@ -319,7 +319,10 @@ def build_parser():
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--representatives", action="store_true")
     sp.add_argument("--oracle-check", action="store_true",
-                    help="cross-check trivial coefficients against invariant forms")
+                    help="cross-check trivial coefficients against the invariant "
+                         "eps-skew forms on the adjoint; this holds only below the "
+                         "first n where the two differ (n = 5 on sl12, n = 3 on "
+                         "gl11, n = 2 on psl22)")
     sp.add_argument("--csv", action="store_true")
 
     sp = sub.add_parser("invariant-forms", help="invariant multilinear forms")

@@ -176,6 +176,25 @@ def test_validate_makes_no_bracket_calls(monkeypatch):
     assert calls == {"bracket": 0}
 
 
+def test_subquotient_brackets_each_unordered_pair_once(monkeypatch):
+    L = catalog.sl(2, 2)
+    calls = {"bracket": 0}
+    bracket = EpsLieAlgebra.bracket
+
+    def counted(self, x, y):
+        calls["bracket"] += 1
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(EpsLieAlgebra, "bracket", counted)
+    P, reps = L.subquotient(
+        [{a: ONE} for a in range(L.dim)], [catalog.identity_vector_sl(2, 2)]
+    )
+    s, q = L.dim, P.dim
+    # closure: unordered pairs of sub; ideal: sub x ideal; table: q(q+1)/2
+    assert (s, q) == (15, 14)
+    assert calls == {"bracket": s * (s + 1) // 2 + s + q * (q + 1) // 2}
+
+
 def test_abelian_validates_and_has_everything_central():
     f = trivial_factor(0, (2,))
     A = EpsLieAlgebra(f, ["a", "b"], [(0,), (1,)], {})
