@@ -10,6 +10,7 @@ construction once the input is consistent.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import SpanTracker, as_integral, vec_axpy, vec_clean, vec_is_zero
 from .grading import CommutationFactor
@@ -161,6 +162,16 @@ class EpsLieAlgebra:
                 if c:
                     vec_axpy(out, c, self.bracket_basis(i, j))
         return out
+
+    @cached_property
+    def bracket_terms(self):
+        """bracket_terms[i][j]: the terms (k, c) of <e_i, e_j>, with integral c
+        as ints; built once per algebra."""
+        return [
+            [tuple((k, as_integral(c)) for k, c in self.bracket_basis(i, j).items())
+             for j in range(self.dim)]
+            for i in range(self.dim)
+        ]
 
     def ad_matrix(self, i):
         """Matrix of <e_i, .> in the basis, as {(row, col): coeff}."""

@@ -33,11 +33,26 @@ The module action on cochains is
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
                             g(A_1,..,<A,A_r>,..,A_n).
+
+Most sectors are zero by the Cartan formula theta_x = d i_x + i_x d, where
+theta_x is the action of x and i_x the insertion.  It holds unchanged for
+an even x of degree 0, because eps(0, .) = 1.  Take such an x for which ad x
+and rho(x) are diagonal on the bases of L and V, with eigenvalue chi(deg)
+for an additive chi: grading group -> Q that is zero on torsion
+(gmodule.inner_torus finds and checks these pairs).  Then x acts on the
+sector of degree D as chi(D) * id, and a cocycle g there is
+d(i_x g) / chi(D) when chi(D) != 0.  CochainComplex.cohomology therefore
+ranks only the sectors in the common kernel K of the chi ("inner weight
+zero"), and assembles the blocks of delta only there.  Each other sector
+is recorded with h = 0 and its pair (x, chi) as the certificate.
+CohomologyResult.dims, which the --csv report prints, ranks those sectors
+the first time it is called, and fails if one has dim Z != dim B.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import exterior
 from .algebra import degree_of_vector, graded_echelon
@@ -52,7 +67,7 @@ from .exactlin import (
     vec_clean,
     vec_scale,
 )
-from .gmodule import GradedModule, tensor
+from .gmodule import GradedModule, inner_torus, tensor, torus_weight
 
 
 class CochainError(ValueError):
@@ -167,15 +182,6 @@ def cochain_eq(g, h):
 # the coboundary operator
 
 
-def _bracket_table(L):
-    """brackets[i][j]: the terms (k, c) of <e_i, e_j>, with integral c as ints."""
-    return [
-        [tuple((k, as_integral(c)) for k, c in L.bracket_basis(i, j).items())
-         for j in range(L.dim)]
-        for i in range(L.dim)
-    ]
-
-
 def _sub_terms(signs, brackets, N):
     """Second-sum terms on N, as {monomial: coefficient} after canonicalizing."""
     out = {}
@@ -209,30 +215,31 @@ def coboundary(g):
 
     A component of degree gamma is nonzero only on the monomials N with
     deg v_w - deg N = gamma for some module vector v_w, so only those are
-    visited."""
+    enumerated."""
     parts = components(g)
     L, V = g.algebra, g.module
     total = zero_cochain(L, V, g.level + 1)
     fac = L.factor
     gr = L.group
-    brackets = _bracket_table(L)
-    monos = exterior.basis(L.signs, g.level + 1)
-    mdegs = [gr.sum(L.degrees[i] for i in N) for N in monos]
+    brackets = L.bracket_terms
     vdegs = set(V.degrees)
+    sums = {}  # (prefix degree, degree) -> their sum, for every monomial
     for gamma, piece in parts.items():
         wanted = {gr.sub(d, gamma) for d in vdegs}
         vals = {}
-        for N, md in zip(monos, mdegs):
-            if md not in wanted:
-                continue
+        for N in exterior.basis_of_degrees(L.signs, g.level + 1, gr, L.degrees, wanted):
             acc = {}
             prefix = gamma
             for r, idx in enumerate(N):
+                a = L.degrees[idx]
                 gv = piece.values.get(N[:r] + N[r + 1 :])
                 if gv:
-                    e = (-1 if r % 2 else 1) * fac.eps(prefix, L.degrees[idx])
+                    e = (-1 if r % 2 else 1) * fac.eps(prefix, a)
                     vec_axpy(acc, e, V.apply_basis(idx, gv))
-                prefix = gr.add(prefix, L.degrees[idx])
+                pair = (prefix, a)
+                prefix = sums.get(pair)
+                if prefix is None:
+                    prefix = sums[pair] = gr.add(*pair)
             for mono, coeff in _sub_terms(L.signs, brackets, N).items():
                 gv = piece.values.get(mono)
                 if gv:
@@ -451,9 +458,11 @@ class CochainComplex:
         self._prefix_degrees = {}
         self._degree_sums = {}
         self._delta = {}
+        # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
+        self._certificates = {}  # degree -> vanishing_certificate(degree)
         # integral coefficients as ints; each block makes Fractions once
-        self._brackets = _bracket_table(L)
+        self._brackets = L.bracket_terms
         # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry
         self._action = [
             [(w2, w, as_integral(c) * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
@@ -539,26 +548,60 @@ class CochainComplex:
             self._mono_index[n] = {M: k for k, M in enumerate(self.monomials(n))}
         return self._mono_index[n]
 
-    def _blocks(self, n):
-        """{deg: delta_sector(n, deg)} for every degree of C^n or C^{n+1}."""
-        if n not in self._delta_blocks:
-            self._delta_blocks[n] = self._assemble(n)
-        return self._delta_blocks[n]
+    @cached_property
+    def torus(self):
+        """The verified inner torus pairs (x, chi) of (L, V): a sector whose
+        degree D has chi(D) != 0 for one of them has zero cohomology."""
+        return inner_torus(self.module)
 
-    def _assemble(self, n):
-        """The sector blocks of delta(n), in one pass over the level-(n+1)
-        monomials: each term goes to its sector's block at local positions.
+    def vanishing_certificate(self, deg):
+        """The first torus pair (x, chi) with chi(deg) != 0, or None when deg
+        lies in the inner-weight-zero kernel K.
+
+        By the Cartan formula theta_x = d i_x + i_x d (x is even of degree 0,
+        and eps(0, .) = 1), x acts on the sector of degree deg as
+        chi(deg) * id and commutes with d, so a nonzero chi(deg) makes every
+        cocycle there a coboundary."""
+        if deg not in self._certificates:
+            self._certificates[deg] = next(
+                ((x, chi) for x, chi in self.torus if torus_weight(chi, deg)), None
+            )
+        return self._certificates[deg]
+
+    def _blocks(self, n, weight_zero):
+        """{deg: delta_sector(n, deg)} for the degrees of C^n or C^{n+1} in K
+        (weight_zero) or outside it; each side is assembled once."""
+        if not weight_zero and not self.torus:
+            return {}  # K is the whole group
+        key = (n, weight_zero)
+        if key not in self._delta_blocks:
+            self._delta_blocks[key] = self._assemble(n, weight_zero)
+        return self._delta_blocks[key]
+
+    def _assemble(self, n, weight_zero):
+        """The sector blocks of delta(n) on one side of K, in one pass over
+        the level-(n+1) monomials with a row there: each term goes to its
+        sector's block at local positions.
 
         A term whose row and column lie in different sectors raises
         ShapeError."""
         row_pos, row_key, row_at = self._sector_layout(n + 1)
         col_pos, col_key, col_at = self._sector_layout(n)
         cols = self._monomial_index(n)
+        rows = self._monomial_index(n + 1)
         signs = self.algebra.signs
         action = self._action
         brackets = self._brackets
         vdim = self.module.dim
-        ents = {key: {} for key in sorted(set(row_pos) | set(col_pos))}
+        ents = {
+            key: {}
+            for key in sorted(set(row_pos) | set(col_pos))
+            if (self.vanishing_certificate(key) is None) == weight_zero
+        }
+        # the monomial degrees with a sector of this side: every
+        # (monomial degree, module degree) pair of levels n + 1 and below is
+        # in _sector_keys
+        wanted = {md for (md, _), key in self._sector_keys.items() if key in ents}
 
         def add(r, c, v):
             key = row_key[r]
@@ -572,8 +615,15 @@ class CochainComplex:
             else:
                 blk.pop(at, None)
 
-        for k, N in enumerate(self.monomials(n + 1)):
-            r0 = k * vdim
+        monos = exterior.basis_of_degrees(
+            signs, n + 1, self.algebra.group, self.algebra.degrees, wanted,
+            self._degree_sums,
+        )
+        for N in monos:
+            r0 = rows[N] * vdim
+            # the module vectors whose row with N lies on this side of K
+            live = [w for w in range(vdim) if row_key[r0 + w] in ents]
+            is_live = set(live)
             for r, idx in enumerate(N):
                 terms = action[idx]
                 if not terms:
@@ -584,10 +634,11 @@ class CochainComplex:
                 for t in N[r + 1 :]:
                     rsign *= signs[t][idx]
                 for w2, w, c in terms:
-                    add(r0 + w2, c0 + w, rsign * c)
+                    if w2 in is_live:
+                        add(r0 + w2, c0 + w, rsign * c)
             for mono, c in _sub_terms(signs, brackets, N).items():
                 c0 = cols[mono] * vdim
-                for w in range(vdim):
+                for w in live:
                     add(r0 + w, c0 + w, c)
         return {
             key: RationalSparseMatrix(
@@ -602,10 +653,11 @@ class CochainComplex:
         if n not in self._delta:
             rows, cols = self.sectors(n + 1), self.sectors(n)
             ent = {}
-            for key, block in self._blocks(n).items():
-                rp, cp = rows.get(key), cols.get(key)
-                for (r, c), v in block.entries.items():
-                    ent[(rp[r], cp[c])] = v
+            for weight_zero in (True, False):
+                for key, block in self._blocks(n, weight_zero).items():
+                    rp, cp = rows.get(key), cols.get(key)
+                    for (r, c), v in block.entries.items():
+                        ent[(rp[r], cp[c])] = v
             self._delta[n] = RationalSparseMatrix(
                 len(self.basis(n + 1)), len(self.basis(n)), ent
             )
@@ -614,9 +666,9 @@ class CochainComplex:
     def delta_sector(self, n, deg):
         """Block of delta(n) on the degree sector (rows C^{n+1}, cols C^n).
 
-        The whole level is assembled into its sector blocks the first time
-        any of its blocks is asked for."""
-        block = self._blocks(n).get(deg)
+        The blocks of the level on the same side of K as deg are assembled
+        together, the first time any of them is asked for."""
+        block = self._blocks(n, self.vanishing_certificate(deg) is None).get(deg)
         return block if block is not None else RationalSparseMatrix(0, 0)
 
     # ---------------------------------------------------------- cochain <-> vec
@@ -651,35 +703,61 @@ class CochainComplex:
     # ----------------------------------------------------------------- results
 
     def cohomology(self):
+        """Ranks of the sectors in the inner-weight-zero kernel K.  Every other
+        sector is recorded as vanishing with its certificate, and is ranked
+        only when CohomologyResult.dims asks for it."""
         res = CohomologyResult(self)
         for n in range(self.n_max + 1):
             level = {}
+            vanishing = {}
             # a degree missing from C^n has z = b = 0
-            for deg, positions in self.sectors(n).items():
-                z = len(positions) - self.delta_sector(n, deg).rank()
-                b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
+            for deg in self.sectors(n):
+                cert = self.vanishing_certificate(deg)
+                if cert is not None:
+                    vanishing[deg] = cert
+                    continue
+                z, b = self.sector_ranks(n, deg)
                 level[deg] = (z, b, z - b)
             res.levels[n] = level
+            res.vanishing[n] = vanishing
         return res
+
+    def sector_ranks(self, n, deg):
+        """(dim Z, dim B) of the sector deg of C^n."""
+        z = len(self.sectors(n)[deg]) - self.delta_sector(n, deg).rank()
+        b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
+        return z, b
 
     def representatives(self, n, deg):
         """Verified cocycle representatives spanning H^n in one sector."""
         dn = self.delta_sector(n, deg)
         kernel = dn.kernel_basis()
+        # Kernel vector k is 1 at the k-th free column of dn and 0 at the
+        # others, and the image of delta(n - 1) lies in the kernel, so spans
+        # inside the kernel are compared on the free columns alone.
+        pivots = set(dn.rref()[0])
+        free = {f: k for k, f in enumerate(c for c in range(dn.cols) if c not in pivots)}
         span = SpanTracker()
+        rank = 0
         if n > 0:
             prev = self.delta_sector(n - 1, deg)
-            for col in prev.columns():
-                span.add(col)
+            image = RationalSparseMatrix(prev.cols, len(free), {
+                (c, free[r]): v for (r, c), v in prev.entries.items() if r in free
+            })
+            # the image, from one elimination of its columns
+            span = SpanTracker.of_rref(*image.rref())
+            rank = span.dim
         reps = []
-        for v in kernel:
-            if span.add(v):
+        for k, v in enumerate(kernel):
+            if span.add({k: ONE}):
                 g = self.cochain_from_vector(n, v, deg)
                 if not is_cocycle(g):
                     raise CochainError("representative fails the cocycle check")
                 if n > 0 and self.coboundary_witness(g) is not None:
                     raise CochainError("representative is a coboundary")
                 reps.append(g)
+        if len(reps) != len(kernel) - rank:
+            raise CochainError("representative count differs from dim Z - dim B")
         return reps
 
     def coboundary_witness(self, g):
@@ -698,16 +776,39 @@ class CochainComplex:
 
 
 class CohomologyResult:
+    """levels[n]: {deg: (z, b, h)} for the ranked sectors of C^n.
+    vanishing[n]: {deg: (x, chi)} for the sectors an inner torus element
+    kills (h = 0); they enter levels[n] once dims(n) has ranked them."""
+
     def __init__(self, cx):
         self.complex = cx
         self.levels = {}
+        self.vanishing = {}
 
     def dims(self, n):
-        return self.levels.get(n, {})
+        """{deg: (z, b, h)} for every sector of C^n, in degree order.  The
+        vanishing sectors are ranked the first time; one with z != b
+        contradicts its certificate and raises CochainError."""
+        level = self.levels.get(n, {})
+        pending = [deg for deg in self.vanishing.get(n, ()) if deg not in level]
+        if pending:
+            ranked = dict(level)
+            for deg in pending:
+                z, b = self.complex.sector_ranks(n, deg)
+                if z != b:
+                    raise CochainError(
+                        "sector %s of C^%d has dim Z %d != dim B %d although its "
+                        "torus certificate kills it" % (deg, n, z, b)
+                    )
+                ranked[deg] = (z, b, 0)
+            self.levels[n] = level = dict(sorted(ranked.items()))
+        return level
 
     def total(self, n, which=2):
-        """Summed dimension at level n; which selects (z, b, h) = (0, 1, 2)."""
-        return sum(t[which] for t in self.levels.get(n, {}).values())
+        """Summed dimension at level n; which selects (z, b, h) = (0, 1, 2).
+        h is 0 on every vanishing sector, so which = 2 ranks none of them."""
+        level = self.levels.get(n, {}) if which == 2 else self.dims(n)
+        return sum(t[which] for t in level.values())
 
     def sector_table(self, n):
         return sorted(

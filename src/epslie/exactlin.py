@@ -84,6 +84,19 @@ class SpanTracker:
         for v in vectors:
             self.add(v)
 
+    @classmethod
+    def of_rref(cls, piv_cols, piv_rows):
+        """Tracker of the span of an rref result's rows, each scaled to 1 at
+        its pivot.
+
+        Such a row is zero at every other pivot, which is all express() and
+        add() rely on.  Its pivot need not be its first index, so basis() may
+        differ from that of a tracker built by add()."""
+        span = cls()
+        for p, row in zip(piv_cols, piv_rows):
+            span.rows[p] = {c: Fraction(v, row[p]) for c, v in row.items()}
+        return span
+
     @property
     def dim(self):
         return len(self.rows)

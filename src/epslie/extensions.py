@@ -395,6 +395,6 @@ def h2_pairing_check(L):
     h2 = homology_h2(L).graded_dims()
     triv = trivial(L)
     coh = CochainComplex(L, triv, 2).cohomology()
-    cohdims = {d: t[2] for d, t in coh.dims(2).items() if t[2]}
+    cohdims = {d: t[2] for d, t in coh.sector_table(2)}
     flipped = {g.neg(d): n for d, n in cohdims.items()}
     return h2 == flipped

@@ -40,6 +40,38 @@ def basis(signs, n):
     return out
 
 
+def basis_of_degrees(signs, n, group, degrees, wanted, sums=None):
+    """The canonical n-monomials M with deg M in wanted, in the order of
+    basis(signs, n).
+
+    degrees[i] is the degree of index i in the grading group.  Each prefix
+    carries its degree, and each distinct (prefix degree, index degree) pair
+    is added once; sums, when given, is that memo, kept by the caller."""
+    if n <= 0:
+        return [()] if n == 0 and group.zero() in wanted else []
+    sums = {} if sums is None else sums
+    out = []
+
+    def extend(prefix, start, deg):
+        last = len(prefix) == n - 1
+        for i in range(start, len(signs)):
+            if prefix and prefix[-1] == i and signs[i][i] == 1:
+                continue
+            pair = (deg, degrees[i])
+            d = sums.get(pair)
+            if d is None:
+                d = sums[pair] = group.add(*pair)
+            prefix.append(i)
+            if not last:
+                extend(prefix, i, d)
+            elif d in wanted:
+                out.append(tuple(prefix))
+            prefix.pop()
+
+    extend([], 0, group.zero())
+    return out
+
+
 def canonicalize(signs, indices):
     """Sort an index tuple into canonical order with its sign.
 

@@ -445,6 +445,86 @@ def weight_spaces(V, cartan_vectors):
     return {k: SpanTracker(vs).basis() for k, vs in sorted(spaces.items())}
 
 
+def torus_weight(chi, deg):
+    """chi(deg) for chi given on the free coordinates, which come first in a
+    degree; chi is zero on torsion."""
+    return sum(c * d for c, d in zip(chi, deg) if c and d)
+
+
+def torus_defect(V, x, chi):
+    """Where x fails to be an inner torus element of weight chi on V, or None.
+
+    x must be a vector over the degree-0 basis elements of L and chi hold one
+    rational per free coordinate of the grading group.  ad x must be
+    diagonal on L's basis with eigenvalue chi(deg e_i), and rho(x) diagonal
+    on V's basis with eigenvalue chi(deg v_w); every entry is checked."""
+    L = V.algebra
+    if len(chi) != L.group.free_rank:
+        return "chi has %d values, expected %d" % (len(chi), L.group.free_rank)
+    zero = L.group.zero()
+    if any(c and L.degrees[j] != zero for j, c in x.items()):
+        return "x has a component of nonzero degree"
+    ad = {}
+    for j, c in x.items():
+        vec_axpy(ad, c, L.ad_matrix(j))
+    for what, degrees, op in (
+        ("ad x on L", L.degrees, ad),
+        ("rho(x) on V", V.degrees, V.action_matrix(x).entries),
+    ):
+        want = {(b, b): torus_weight(chi, d) for b, d in enumerate(degrees)}
+        if vec_clean(op) != vec_clean(want):
+            return "%s is not chi(deg) times the identity" % what
+    return None
+
+
+def inner_torus(V):
+    """Verified pairs (x, chi): x in the degree-0 span of L, chi additive on
+    the grading group and zero on torsion, with ad x and rho(x) diagonal on
+    the bases of L and V and eigenvalue chi(deg) on each basis vector.
+
+    The pairs solve one linear system in the coefficients of x and the
+    values of chi.  They are the reduced echelon basis of its solutions,
+    keeping those where x acts as nonzero.  Pairs are checked by
+    torus_defect before they are returned; an empty list means no inner
+    torus, e.g. for a module on which no degree-0 element acts diagonally."""
+    L = V.algebra
+    zero = L.group.zero()
+    span = [j for j in range(L.dim) if L.degrees[j] == zero]
+    rank = L.group.free_rank
+    if not span or not rank:
+        return []
+    # unknowns: the coefficient of e_span[u] at u, chi_t at len(span) + t;
+    # rows: (space, row, col) of sum_u c_u M_u - diag(chi(deg)) = 0
+    rows = {}
+    ent = {}
+    for space, degrees, mats in (
+        (0, L.degrees, [L.ad_matrix(j) for j in span]),
+        (1, V.degrees, [V.action[j].entries for j in span]),
+    ):
+        for u, mat in enumerate(mats):
+            for (r, b), c in mat.items():
+                ent[(rows.setdefault((space, r, b), len(rows)), u)] = c
+        for b, d in enumerate(degrees):
+            for t in range(rank):
+                if d[t]:
+                    r = rows.setdefault((space, b, b), len(rows))
+                    ent[(r, len(span) + t)] = -d[t]
+    system = RationalSparseMatrix(len(rows), len(span) + rank, ent)
+    pairs = []
+    for sol in SpanTracker(system.kernel_basis()).basis():
+        if min(sol) >= len(span):
+            break  # sorted by pivot: the rest have x = 0
+        x = {span[u]: c for u, c in sol.items() if u < len(span)}
+        chi = tuple(sol.get(len(span) + t, Fraction(0)) for t in range(rank))
+        if not any(torus_weight(chi, d) for d in L.degrees + V.degrees):
+            continue  # x acts as zero on L and V
+        defect = torus_defect(V, x, chi)
+        if defect is not None:
+            raise ModuleError("inner torus solution fails its check: %s" % defect)
+        pairs.append((x, chi))
+    return pairs
+
+
 def intertwiner_space(V, W, phi_degree):
     """Basis of graded-invariant linear maps V -> W homogeneous of the given
     degree: F rho_V(A) = eps(phi, alpha) rho_W(A) F."""

@@ -436,3 +436,25 @@ def test_loader_fuzz_wrong_json_type_is_parse_error(tmp_path_factory, data):
     code, out = run_cli(args)
     assert code == 2, (which, path, new, out)
     assert len(out.splitlines()) == 1, (which, path, new, out)
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+# Pinned reports of a computation that ranked every sector.  sl2, sl12 and
+# psl22 have an inner torus, so they rank only the inner-weight-zero
+# sectors; osp12 has none, so it still ranks every sector.
+@pytest.mark.parametrize("algebra, module", [
+    ("sl2", "trivial"), ("sl12", "v_half"), ("psl22", "adjoint"), ("osp12", "adjoint"),
+])
+@pytest.mark.parametrize("flag", [None, "--representatives", "--csv"])
+def test_cohomology_reports_match_the_pinned_ones(algebra, module, flag):
+    args = ["cohomology", "--algebra", algebra, "--module", module, "--nmax", "3"]
+    suffix = ""
+    if flag:
+        args.append(flag)
+        suffix = "-" + flag.lstrip("-")
+    name = "cohomology-%s-%s-n3%s.out" % (algebra, module, suffix)
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        want = fh.read()
+    assert run_cli(args) == (0, want)

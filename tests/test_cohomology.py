@@ -37,7 +37,17 @@ from epslie.exactlin import (
     vec_eq,
     vec_scale,
 )
-from epslie.gmodule import GradedModule, adjoint, dual, shift, tensor, trivial
+from epslie.gmodule import (
+    GradedModule,
+    adjoint,
+    dual,
+    inner_torus,
+    shift,
+    tensor,
+    torus_defect,
+    torus_weight,
+    trivial,
+)
 from epslie.grading import GradingGroup
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
@@ -292,15 +302,16 @@ def test_cohomology_assembles_each_level_once_and_no_full_matrix(monkeypatch):
         calls["delta"] += 1
         return delta(self, n)
 
-    def counted_assemble(self, n):
-        calls["levels"].append(n)
-        return assemble(self, n)
+    def counted_assemble(self, n, weight_zero):
+        calls["levels"].append((n, weight_zero))
+        return assemble(self, n, weight_zero)
 
     monkeypatch.setattr(CochainComplex, "delta", counted_delta)
     monkeypatch.setattr(CochainComplex, "_assemble", counted_assemble)
     L = catalog.psl_nn(2)
     CochainComplex(L, adjoint(L), 2).cohomology()
-    assert calls == {"delta": 0, "levels": [0, 1, 2]}
+    # only the sectors in the inner-weight-zero kernel are assembled
+    assert calls == {"delta": 0, "levels": [(0, True), (1, True), (2, True)]}
 
 
 def test_assembly_rejects_a_term_that_leaves_its_sector():
@@ -588,6 +599,124 @@ def test_sector_sum_matches_unsplit():
         z = len(cx.basis(n)) - cx.delta(n).rank()
         b = cx.delta(n - 1).rank() if n > 0 else 0
         assert (res.total(n, 0), res.total(n, 1), res.total(n)) == (z, b, z - b)
+
+
+# ------------------------------------------------------------ inner torus
+
+
+def _full_result(L, V, nmax):
+    """Every sector ranked: the complex with no inner torus."""
+    cx = CochainComplex(L, V, nmax)
+    cx.torus = []
+    return cx.cohomology()
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in ("sl33", "psl33") else name
+    for name in catalog.algebra_names()
+])
+def test_weight_zero_ranking_matches_the_full_computation(name):
+    L = catalog.get_algebra(name)
+    for V in (trivial(L), adjoint(L)):
+        # ranking C^4 of the dim-34 and dim-35 adjoints in full takes minutes
+        nmax = 2 if L.dim > 30 and V.dim > 1 else 3
+        full = _full_result(L, V, nmax)
+        res = CochainComplex(L, V, nmax).cohomology()
+        for n in range(nmax + 1):
+            # total and sector_table come from the weight-zero sectors alone
+            assert res.total(n) == full.total(n)
+            assert res.sector_table(n) == full.sector_table(n)
+            assert all(not full.dims(n)[deg][2] for deg in res.vanishing[n])
+            # dims ranks the vanishing sectors lazily
+            assert res.dims(n) == full.dims(n)
+            assert list(res.dims(n)) == list(full.dims(n))
+            assert res.total(n, 0) == full.total(n, 0)
+            assert res.total(n, 1) == full.total(n, 1)
+
+
+def test_catalog_inner_tori():
+    def found(name, module=adjoint):
+        L = catalog.get_algebra(name)
+        return [
+            ({L.labels[j]: c for j, c in x.items()}, chi)
+            for x, chi in inner_torus(module(L))
+        ]
+
+    half = Fraction(1, 2)
+    assert found("psl22") == [({"[[E22]]": 1}, (0, 1, 0, 1)), ({"[[E33]]": 1}, (0, 0, 1, -1))]
+    assert [x for x, _ in found("psl33")] == [
+        {"[[E22]]": 1}, {"[[E33]]": 1}, {"[[E44]]": 1}, {"[[E55]]": 1}
+    ]
+    for module in (trivial, adjoint, catalog.module_v_half, catalog.module_v8):
+        assert found("sl12", module) == [({"B": 1}, (half,))]
+    for name in ("osp12", "sl12_z2"):
+        assert found(name) == found(name, trivial) == []
+
+
+def test_inner_torus_verifier_rejects_mutations():
+    L = catalog.sl12()
+    V = catalog.module_v_half(L)
+    [(x, chi)] = inner_torus(V)
+    assert (x, chi) == ({B: 1}, (Fraction(1, 2),))
+    assert torus_defect(V, x, chi) is None
+    # a perturbed chi
+    assert torus_defect(V, x, (chi[0] + 1,)) is not None
+    assert torus_defect(V, x, (2 * chi[0],)) is not None
+    assert torus_defect(V, x, chi + (0,)) is not None
+    # an x whose ad x is not diagonal
+    assert "ad x" in torus_defect(V, {B: ONE, QP: ONE}, chi)
+    # a module on which rho(B) is not diagonal: no inner torus, every sector ranked
+    mats = list(V.action)
+    mats[B] = mats[B].add(RationalSparseMatrix(V.dim, V.dim, {(0, 1): ONE}))
+    bent = GradedModule(L, V.labels, V.degrees, mats)
+    assert "rho(x)" in torus_defect(bent, x, chi)
+    assert inner_torus(bent) == []
+    assert CochainComplex(L, bent, 0).torus == []
+
+
+def test_a_wrong_certificate_fails_the_lazy_rank_check():
+    L = catalog.sl12()
+    # shifted, v_half is no weight module for B: chi(deg v_w) is off by one
+    V = shift(catalog.module_v_half(L), (2,))
+    wrong = ({B: ONE}, (Fraction(1, 2),))
+    assert inner_torus(V) == [] and torus_defect(V, *wrong) is not None
+    assert _full_result(L, V, 1).sector_table(1) == [((-2,), (1, 0, 1))]
+    cx = CochainComplex(L, V, 1)
+    cx.torus = [wrong]
+    res = cx.cohomology()
+    assert res.vanishing[1][(-2,)] == wrong
+    assert res.total(1) == 0
+    with pytest.raises(CochainError, match="torus certificate"):
+        res.dims(1)
+
+
+@pytest.mark.parametrize("name, module", [
+    ("psl22", adjoint), ("psl22", trivial), ("sl12", catalog.module_v_half),
+    ("sl12", adjoint), ("sl21", adjoint), ("sl21", trivial),
+])
+def test_cartan_formula_on_vanishing_sectors(name, module):
+    rng = random.Random(101)
+    L = catalog.get_algebra(name)
+    V = module(L)
+    pairs = inner_torus(V)
+    assert pairs
+    checked = 0
+    for x, chi in pairs:
+        for level in (0, 1, 2):
+            for deg, piece in components(random_cochain(rng, L, V, level, 0.2)).items():
+                weight = torus_weight(chi, deg)
+                theta = act(x, piece)
+                # x acts on the sector of degree deg as chi(deg) * id ...
+                assert cochain_eq(theta, cochain_scale(piece, weight))
+                if not weight:
+                    continue
+                # ... and theta_x = d i_x + i_x d, so a cocycle there is d(i_x g / chi(deg))
+                homotopy = cochain_add(
+                    coboundary(insertion(piece, x)), insertion(coboundary(piece), x)
+                )
+                assert cochain_eq(theta, homotopy)
+                checked += 1
+    assert checked
 
 
 # ------------------------------------------------------- invariant cochains

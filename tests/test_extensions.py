@@ -351,3 +351,16 @@ def test_universal_covering_psl33_is_sl33():
 @pytest.mark.parametrize("name", ["sl2", "sl12", "psl22"])
 def test_h2_pairing(name):
     assert h2_pairing_check(catalog.get_algebra(name))
+
+
+def test_h2_pairing_ranks_no_vanishing_sector(monkeypatch):
+    certificates = []
+    sector_ranks = CochainComplex.sector_ranks
+
+    def recorded(self, n, deg):
+        certificates.append(self.vanishing_certificate(deg))
+        return sector_ranks(self, n, deg)
+
+    monkeypatch.setattr(CochainComplex, "sector_ranks", recorded)
+    assert h2_pairing_check(catalog.psl_nn(2))
+    assert certificates and not any(certificates)
