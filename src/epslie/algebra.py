@@ -300,12 +300,7 @@ class EpsLieAlgebra:
         for v in ideal:
             if not sub_span.contains(v):
                 raise AlgebraError("ideal is not contained in the subalgebra")
-        # The echelon vectors are homogeneous, so <b,a> = -eps(a,b)<a,b>:
-        # one bracket per unordered pair decides closure.
-        for k, a in enumerate(sub):
-            for b in sub[k:]:
-                if not sub_span.contains(self.bracket(a, b)):
-                    raise AlgebraError("sub_vectors do not span a subalgebra")
+        for a in sub:
             for b in ideal:
                 if not ideal_span.contains(self.bracket(a, b)):
                     raise AlgebraError("ideal_vectors do not span an ideal")
@@ -313,12 +308,15 @@ class EpsLieAlgebra:
         reps, rep_deg, coords = graded_subquotient(g, self.degrees, sub, ideal_span)
         prefix = label_prefix if label_prefix is not None else ""
         labels = ["%s[%s]" % (prefix, self.labels[min(v)]) for v in reps]
+        # The span is span(reps) + ideal, the ideal is checked above, and the
+        # representatives are homogeneous, so <b,a> = -eps(a,b)<a,b>: the one
+        # bracket per unordered pair of the table decides closure.
         brackets = {}
         for a in range(len(reps)):
             for b in range(a, len(reps)):
                 w = coords(self.bracket(reps[a], reps[b]))
                 if w is None:
-                    raise AlgebraError("vector escapes the subalgebra span")
+                    raise AlgebraError("sub_vectors do not span a subalgebra")
                 if w:
                     brackets[(a, b)] = w
         out = EpsLieAlgebra(self.factor, labels, rep_deg, brackets)

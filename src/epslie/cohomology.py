@@ -62,6 +62,7 @@ from .exactlin import (
     ShapeError,
     SpanTracker,
     as_integral,
+    sector_indices,
     sector_positions,
     vec_axpy,
     vec_clean,
@@ -520,11 +521,7 @@ class CochainComplex:
                         key = memo[(md, d)] = g.sub(d, md)
                     keys.append(key)
             positions = sector_positions(keys)
-            local = [0] * len(keys)
-            for ps in positions.values():
-                for k, p in enumerate(ps):
-                    local[p] = k
-            self._sectors[n] = (positions, keys, local)
+            self._sectors[n] = (positions, keys, sector_indices(positions, len(keys)))
         return self._sectors[n]
 
     def _monomial_degree(self, M):

@@ -62,6 +62,18 @@ def vec_eq(a, b):
 def vec_is_zero(a):
     return not any(a.values())
 
+def integral_row(row):
+    """A positive multiple of a row of ints and Fractions, with int entries;
+    a row of ints is returned as it is."""
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
+        return row
+    mult = lcm(*[v.denominator for v in row.values()])
+    # v * mult is an integer; with mult == 1 it is v.numerator
+    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+
 def as_integral(c):
     """c as an int when it is integral, else the Fraction itself."""
     return c.numerator if c.denominator == 1 else c
@@ -322,15 +334,7 @@ class RationalSparseMatrix:
             for r, v in extra_col.items():
                 if v:
                     rows[r][self.cols] = v
-        out = []
-        for row in rows:
-            if not row:
-                out.append({})
-                continue
-            mult = lcm(*[v.denominator for v in row.values()])
-            # v * mult is an integer; with mult == 1 it is v.numerator
-            out.append({c: v.numerator * (mult // v.denominator) for c, v in row.items()})
-        return out
+        return [integral_row(row) for row in rows]
 
     def rref(self):
         if self._rref is None:
@@ -418,6 +422,16 @@ def sector_positions(keys):
     for k, key in enumerate(keys):
         out.setdefault(key, []).append(k)
     return dict(sorted(out.items()))
+
+
+def sector_indices(positions, size):
+    """The index of each of size positions inside its sector, for positions
+    from sector_positions."""
+    local = [0] * size
+    for ps in positions.values():
+        for k, p in enumerate(ps):
+            local[p] = k
+    return local
 
 
 def split_sectors(mat, row_positions, col_positions):

@@ -10,8 +10,7 @@ whose composition vanishing is the Jacobi identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from . import _elim_py as _elim
 from . import exterior
 from .algebra import EpsLieAlgebra, degree_of_vector
 from .cohomology import (
@@ -24,9 +23,11 @@ from .cohomology import (
 from .exactlin import (
     ONE,
     RationalSparseMatrix,
+    ShapeError,
     SpanTracker,
+    integral_row,
+    sector_indices,
     sector_positions,
-    split_sectors,
     vec_axpy,
 )
 from .gmodule import GradedModule, trivial
@@ -48,47 +49,71 @@ def lambda2_basis(L):
     return exterior.basis(L.signs, 2)
 
 
+def _d2_columns(L, monos2):
+    """The column of d2 at each pair monomial, as {index: coefficient}."""
+    terms = L.bracket_terms
+    return [{k: -v for k, v in terms[i][j]} for i, j in monos2]
+
+
+def _d3_columns(L, index2):
+    """(M, column of d3 at M) for each canonical 3-monomial M, in basis
+    order; a column is {pair position: coefficient}, index2 maps each pair
+    monomial to its position, and integral coefficients are ints."""
+    signs = L.signs
+    terms = L.bracket_terms
+
+    def put(col, coeff, l, m):
+        # l ^ m = -eps(l, m) m ^ l, and an even index squares to zero
+        if l > m:
+            coeff *= -signs[l][m]
+            l, m = m, l
+        elif l == m and signs[l][l] == 1:
+            return
+        key = index2[(l, m)]
+        v = col.get(key, 0) + coeff
+        if v:
+            col[key] = v
+        else:
+            del col[key]
+
+    for M in exterior.basis(signs, 3):
+        i, j, k = M
+        col = {}
+        for l, v in terms[i][j]:
+            put(col, -v, l, k)
+        e = signs[j][k]
+        for l, v in terms[i][k]:
+            put(col, e * v, l, j)
+        for l, v in terms[j][k]:
+            put(col, v, i, l)
+        yield M, col
+
+
+def _place(rows, columns):
+    return RationalSparseMatrix(rows, len(columns), {
+        (r, c): v for c, col in enumerate(columns) for r, v in col.items()
+    })
+
+
 def boundary2(L):
     """Matrix of d2 : exterior square -> L on canonical pair monomials."""
-    monos = lambda2_basis(L)
-    ent = {}
-    for c, (i, j) in enumerate(monos):
-        for k, v in L.bracket_basis(i, j).items():
-            ent[(k, c)] = -v
-    return RationalSparseMatrix(L.dim, len(monos), ent)
+    return _place(L.dim, _d2_columns(L, lambda2_basis(L)))
 
 
 def boundary3(L):
     """Matrix of d3 : exterior cube -> exterior square."""
-    signs = L.signs
-    monos2 = lambda2_basis(L)
-    pos2 = {m: k for k, m in enumerate(monos2)}
-    monos3 = exterior.basis(signs, 3)
-    ent = {}
-
-    def put(col, coeff, l, m):
-        sg, mono = exterior.canonicalize(signs, (l, m))
-        if not sg:
-            return
-        key = (pos2[mono], col)
-        v = ent.get(key, Fraction(0)) + coeff * sg
-        if v:
-            ent[key] = v
-        else:
-            ent.pop(key, None)
-
-    for col, (i, j, k) in enumerate(monos3):
-        for l, v in L.bracket_basis(i, j).items():
-            put(col, -v, l, k)
-        e = signs[j][k]
-        for l, v in L.bracket_basis(i, k).items():
-            put(col, e * v, l, j)
-        for l, v in L.bracket_basis(j, k).items():
-            put(col, v, i, l)
-    return RationalSparseMatrix(len(monos2), len(monos3), ent)
+    index2 = {m: k for k, m in enumerate(lambda2_basis(L))}
+    return _place(len(index2), [col for _, col in _d3_columns(L, index2)])
 
 
 class H2Result:
+    """H_2 per degree sector over the canonical pair monomials.
+
+    boundaries is the reduced echelon basis of im d3 whose pivots are
+    leading indices.  That basis is unique, so it does not depend on how
+    im d3 was eliminated, and its pivots fix the complement W of
+    universal_covering and with it the exported covering."""
+
     def __init__(self, dims, cycles, monomials, degrees, boundaries):
         self.dims = dims              # degree -> (z, b, h)
         self.cycles = cycles          # degree -> list of vectors over monomials
@@ -105,33 +130,66 @@ class H2Result:
 
 def homology_h2(L):
     """H_2 = ker d2 / im d3 per degree sector, with cycle representatives
-    and the echelon basis of im d3 over all monomials."""
-    g = L.group
+    and the echelon basis of im d3 over all monomials.
+
+    d2 and d3 are built straight into sector pieces; a term whose row and
+    column lie in different sectors raises ShapeError.  One elimination of
+    a sector's d3 columns gives its rank and independent image rows, and
+    the boundaries are the unique leading-pivot reduced echelon basis of
+    their span (see H2Result), whatever pivots the elimination chose."""
+    degs = L.degrees
+    sums = {}  # (degree, degree) -> their sum
+
+    def add(a, b):
+        d = sums.get((a, b))
+        if d is None:
+            d = sums[(a, b)] = L.group.add(a, b)
+        return d
+
     monos2 = lambda2_basis(L)
-    degs2 = [g.sum(L.degrees[i] for i in m) for m in monos2]
-    pos1 = sector_positions([g.reduce(d) for d in L.degrees])
+    index2 = {m: k for k, m in enumerate(monos2)}
+    degs2 = [add(degs[i], degs[j]) for i, j in monos2]
+    pos1 = sector_positions(degs)
     pos2 = sector_positions(degs2)
-    pos3 = sector_positions(
-        [g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.signs, 3)]
-    )
-    blocks2 = split_sectors(boundary2(L), pos1, pos2)
-    blocks3 = split_sectors(boundary3(L), pos2, pos3)
+    local1 = sector_indices(pos1, len(degs))
+    local2 = sector_indices(pos2, len(degs2))
+
+    def check(row_degs, c, col, D):
+        for r in col:
+            if row_degs[r] != D:
+                raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
+
+    # each sector's d3 columns, as integer rows over its local positions
+    image = {}
+    for c, ((i, j, k), col) in enumerate(_d3_columns(L, index2)):
+        if col:
+            D = add(degs2[index2[(i, j)]], degs[k])
+            check(degs2, c, col, D)
+            image.setdefault(D, []).append(
+                integral_row({local2[r]: v for r, v in col.items()})
+            )
+    # each sector's d2 block
+    blocks2 = {D: {} for D in pos2}
+    for c, col in enumerate(_d2_columns(L, monos2)):
+        D = degs2[c]
+        check(degs, c, col, D)
+        blk = blocks2[D]
+        for r, v in col.items():
+            blk[(local1[r], local2[c])] = v
     dims = {}
     cycles = {}
     boundaries = {}
-    # a degree missing from the exterior square has z = b = 0; blocks are
+    # a degree missing from the exterior square has z = b = 0; pieces are
     # popped so that each is freed, with its elimination, once used
     for D, cols2 in pos2.items():
-        sub2 = blocks2.pop(D)
-        sub3 = blocks3.pop(D)
+        sub2 = RationalSparseMatrix(len(pos1.get(D, ())), len(cols2), blocks2.pop(D))
         z = len(cols2) - sub2.rank()
-        b = sub3.rank()
+        _, rows = _elim.rref(image.pop(D, []))
+        b = len(rows)
         if not (z or b):
             continue
         dims[D] = (z, b, z - b)
-        span = SpanTracker()
-        for col in sub3.columns():
-            span.add(col)
+        span = SpanTracker(rows)
         # sectors have disjoint supports, so their echelon rows together are
         # the echelon basis of the whole image; taken before cycles join
         for p, row in span.rows.items():
@@ -341,9 +399,8 @@ def covering_from_h2_basis(L, cocycles):
         return extension_from_cocycle(L, H, zero)
     g = L.group
     cx = CochainComplex(L, cocycles[0].module, 2)
-    span = SpanTracker()
-    for col in cx.delta(1).columns():
-        span.add(col)
+    # the coboundaries, from one elimination of the columns of delta^1
+    span = SpanTracker.of_rref(*cx.delta(1).transpose().rref())
     degs = []
     for gr_ in cocycles:
         if gr_.level != 2 or gr_.module.dim != 1:

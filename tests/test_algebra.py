@@ -190,9 +190,9 @@ def test_subquotient_brackets_each_unordered_pair_once(monkeypatch):
         [{a: ONE} for a in range(L.dim)], [catalog.identity_vector_sl(2, 2)]
     )
     s, q = L.dim, P.dim
-    # closure: unordered pairs of sub; ideal: sub x ideal; table: q(q+1)/2
+    # ideal: sub x ideal; table, which also decides closure: q(q+1)/2
     assert (s, q) == (15, 14)
-    assert calls == {"bracket": s * (s + 1) // 2 + s + q * (q + 1) // 2}
+    assert calls == {"bracket": s + q * (q + 1) // 2}
 
 
 def test_abelian_validates_and_has_everything_central():
@@ -263,6 +263,17 @@ def test_subquotient_rejects_non_subalgebra():
     L = catalog.sl12()
     with pytest.raises(AlgebraError):
         L.subquotient([{VP: ONE}, {WM: ONE}], ())
+
+
+def test_subquotient_rejects_non_subalgebra_modulo_an_ideal():
+    """span{E_12, E_21, I} in sl(2|2) holds the central I but not
+    <E_12, E_21> = E_11 - E_22; the quotient by I must still see that."""
+    L, reps, _ = catalog._sl_data(2, 2)
+    e12 = reps.index({0 * 4 + 1: ONE})
+    e21 = reps.index({1 * 4 + 0: ONE})
+    ivec = catalog.identity_vector_sl(2, 2)
+    with pytest.raises(AlgebraError, match="sub_vectors do not span a subalgebra"):
+        L.subquotient([{e12: ONE}, {e21: ONE}, ivec], [ivec])
 
 
 def test_degree_of_vector():

@@ -458,3 +458,23 @@ def test_cohomology_reports_match_the_pinned_ones(algebra, module, flag):
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         want = fh.read()
     assert run_cli(args) == (0, want)
+
+
+# Covering exports of the perfect catalog algebras, pinned before H_2 took
+# its boundaries from one elimination per sector.
+@pytest.mark.parametrize("algebra", [
+    "sl2", "sl3", "osp12", "sl12", "sl12_z2", "sl21", "sl22", "sl33", "psl22", "psl33",
+])
+def test_covering_exports_match_the_pinned_ones(tmp_path, algebra):
+    path = tmp_path / "cov.json"
+    code, _ = run_cli(["covering", "--algebra", algebra, "--export", str(path)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, "covering-%s.json" % algebra), "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_covering_exports_are_pinned_for_every_perfect_algebra():
+    perfect = {n for n in catalog.algebra_names() if catalog.get_algebra(n).is_perfect()}
+    pinned = {f[len("covering-"):-len(".json")] for f in os.listdir(GOLDEN)
+              if f.startswith("covering-")}
+    assert pinned == perfect

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epslie import catalog, extensions
+from epslie import catalog, exterior, extensions
 from epslie.algebra import EpsLieAlgebra
 from epslie.cohomology import (
     CochainComplex,
@@ -10,7 +10,15 @@ from epslie.cohomology import (
     is_cocycle,
     make_cochain,
 )
-from epslie.exactlin import ONE, RationalSparseMatrix, vec_axpy
+from epslie.exactlin import (
+    ONE,
+    RationalSparseMatrix,
+    ShapeError,
+    SpanTracker,
+    sector_positions,
+    split_sectors,
+    vec_axpy,
+)
 from epslie.extensions import (
     CentralExtension,
     ExtensionError,
@@ -73,6 +81,67 @@ def test_homology_h2_values():
     for deg, reps in h2.cycles.items():
         for v in reps:
             assert not d2.apply(v)
+
+
+def reference_homology_h2(L):
+    """H_2 by a SpanTracker over the columns of each d3 block that
+    split_sectors cuts from boundary3."""
+    g = L.group
+    monos2 = exterior.basis(L.signs, 2)
+    degs2 = [g.sum(L.degrees[i] for i in m) for m in monos2]
+    pos1 = sector_positions(L.degrees)
+    pos2 = sector_positions(degs2)
+    pos3 = sector_positions(
+        [g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.signs, 3)]
+    )
+    blocks2 = split_sectors(boundary2(L), pos1, pos2)
+    blocks3 = split_sectors(boundary3(L), pos2, pos3)
+    dims, cycles, boundaries = {}, {}, {}
+    for D, cols2 in pos2.items():
+        z = len(cols2) - blocks2[D].rank()
+        b = blocks3[D].rank()
+        if not (z or b):
+            continue
+        dims[D] = (z, b, z - b)
+        span = SpanTracker(blocks3[D].columns())
+        for p, row in span.rows.items():
+            boundaries[cols2[p]] = {cols2[k]: c for k, c in row.items()}
+        cycles[D] = [{cols2[k]: c for k, c in kv.items()}
+                     for kv in blocks2[D].kernel_basis() if span.add(kv)]
+    return dims, cycles, boundaries, degs2
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in ("sl33", "psl33") else name
+    for name in catalog.algebra_names()
+])
+def test_homology_h2_matches_the_column_by_column_reference(name):
+    L = catalog.get_algebra(name)
+    h2 = homology_h2(L)
+    assert (h2.dims, h2.cycles, h2.boundaries, h2.degrees) == reference_homology_h2(L)
+
+
+def _inhomogeneous(degrees, brackets):
+    f = trivial_factor(1)
+    labels = "abcd"[: len(degrees)]
+    return EpsLieAlgebra(f, labels, [(d,) for d in degrees], brackets)
+
+
+def test_homology_h2_rejects_an_inhomogeneous_d2():
+    # a, b of degree 1 and c of degree 0 with <a, b> = c: d3(a^b^c) = -c^c
+    # vanishes, so the pair column (a, b) of d2 is the first to leave its sector
+    L = _inhomogeneous([1, 1, 0], {(0, 1): {2: ONE}})
+    with pytest.raises(ShapeError, match=r"entry \(2,0\) leaves its degree sector"):
+        homology_h2(L)
+
+
+def test_homology_h2_rejects_an_inhomogeneous_d3():
+    # with a fourth index d of degree 0, d3(a^b^d) = -c^d has its row c^d
+    # (pair 5) in sector 0 and its column (triple 1) in sector 2; d3 is
+    # split before d2
+    L = _inhomogeneous([1, 1, 0, 0], {(0, 1): {2: ONE}})
+    with pytest.raises(ShapeError, match=r"entry \(5,1\) leaves its degree sector"):
+        homology_h2(L)
 
 
 @pytest.mark.slow
@@ -256,21 +325,23 @@ def test_universal_covering_psl22():
 
 
 def test_universal_covering_assembles_each_boundary_once(monkeypatch):
-    calls = {"boundary2": 0, "boundary3": 0}
+    """d2 and d3 are assembled by _d2_columns and _d3_columns, which
+    boundary2 and boundary3 only place into a matrix."""
+    calls = {"_d2_columns": 0, "_d3_columns": 0}
 
     def counted(name):
         original = getattr(extensions, name)
 
-        def wrapper(L):
+        def wrapper(*args):
             calls[name] += 1
-            return original(L)
+            return original(*args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(extensions, name, counted(name))
     universal_covering(catalog.psl_nn(2))
-    assert calls == {"boundary2": 1, "boundary3": 1}
+    assert calls == {"_d2_columns": 1, "_d3_columns": 1}
 
 
 def test_covering_w_reps_are_classes_of_the_w_basis():
