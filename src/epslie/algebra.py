@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+from . import exterior
 from .exactlin import SpanTracker, as_integral, vec_axpy, vec_clean, vec_is_zero
 from .grading import CommutationFactor
 
@@ -135,6 +136,9 @@ class EpsLieAlgebra:
             else:
                 table[key] = val
         self.table = table
+        # (degree, degree) -> their sum; level -> monomials_by_degree(level)
+        self.degree_sums = {}
+        self._monomial_tables = {}
 
     @property
     def dim(self):
@@ -172,6 +176,15 @@ class EpsLieAlgebra:
              for j in range(self.dim)]
             for i in range(self.dim)
         ]
+
+    def monomials_by_degree(self, n):
+        """{deg M: [canonical n-monomials M, in basis order]}, from
+        exterior.basis_by_degree; built once per algebra and level."""
+        if n not in self._monomial_tables:
+            self._monomial_tables[n] = exterior.basis_by_degree(
+                self.signs, n, self.group, self.degrees, self.degree_sums
+            )
+        return self._monomial_tables[n]
 
     def ad_matrix(self, i):
         """Matrix of <e_i, .> in the basis, as {(row, col): coeff}."""

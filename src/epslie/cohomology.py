@@ -24,11 +24,10 @@ deg v_w - sum_{t>r} a_t, hence
   eps(a_{r+1}+..+a_{s-1}, a_s)     = prod_{r<t<s} L.signs[N_t][N_s].
 
 CochainComplex assembles the sector blocks delta_sector(n, deg) directly
-from these products, in one pass over the level-(n+1) monomials, with
-integral coefficients kept as ints until each block is made; the full
-matrix delta(n) is placed from the blocks.  coboundary() takes the action
-signs from CommutationFactor.eps and is the reference for the matrix.
-The module action on cochains is
+from these products, with integral coefficients kept as ints until each
+block is made.  coboundary() takes the action signs from
+CommutationFactor.eps and is the reference for the matrix.  The module
+action on cochains is
 
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
@@ -47,12 +46,22 @@ zero"), and assembles the blocks of delta only there.  Each other sector
 is recorded with h = 0 and its pair (x, chi) as the certificate.
 CohomologyResult.dims, which the --csv report prints, ranks those sectors
 the first time it is called, and fails if one has dim Z != dim B.
+
+The layout reads one table per algebra and level,
+EpsLieAlgebra.monomials_by_degree (the canonical monomials by degree).
+Each side of K is laid out apart, a sector as its pairs (M, w) in basis
+order; assembly, ranks, representatives and cochain vectors use these
+local positions.  Global positions (basis, sectors, the full delta(n)) are
+placed from both sides only when asked for.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from . import exterior
 from .algebra import degree_of_vector, graded_echelon
@@ -62,13 +71,11 @@ from .exactlin import (
     ShapeError,
     SpanTracker,
     as_integral,
-    sector_indices,
-    sector_positions,
     vec_axpy,
     vec_clean,
     vec_scale,
 )
-from .gmodule import GradedModule, inner_torus, tensor, torus_weight
+from .gmodule import GradedModule, inner_torus, tensor
 
 
 class CochainError(ValueError):
@@ -216,19 +223,18 @@ def coboundary(g):
 
     A component of degree gamma is nonzero only on the monomials N with
     deg v_w - deg N = gamma for some module vector v_w, so only those are
-    enumerated."""
+    visited, from the algebra's table of monomials by degree."""
     parts = components(g)
     L, V = g.algebra, g.module
     total = zero_cochain(L, V, g.level + 1)
     fac = L.factor
     gr = L.group
-    brackets = L.bracket_terms
-    vdegs = set(V.degrees)
-    sums = {}  # (prefix degree, degree) -> their sum, for every monomial
+    table = L.monomials_by_degree(g.level + 1)
+    sums = L.degree_sums
     for gamma, piece in parts.items():
-        wanted = {gr.sub(d, gamma) for d in vdegs}
+        wanted = {gr.sub(d, gamma) for d in set(V.degrees)}
         vals = {}
-        for N in exterior.basis_of_degrees(L.signs, g.level + 1, gr, L.degrees, wanted):
+        for N in sorted(N for md in wanted for N in table.get(md, ())):
             acc = {}
             prefix = gamma
             for r, idx in enumerate(N):
@@ -241,7 +247,7 @@ def coboundary(g):
                 prefix = sums.get(pair)
                 if prefix is None:
                     prefix = sums[pair] = gr.add(*pair)
-            for mono, coeff in _sub_terms(L.signs, brackets, N).items():
+            for mono, coeff in _sub_terms(L.signs, L.bracket_terms, N).items():
                 gv = piece.values.get(mono)
                 if gv:
                     vec_axpy(acc, coeff, gv)
@@ -353,11 +359,10 @@ def cup_product(g, h, target=None):
     if g.algebra is not h.algebra:
         raise CochainError("cup product across different algebras")
     L = g.algebra
-    if g.level < 0 or h.level < 0:
-        T = target or tensor(g.module, h.module)
-        return zero_cochain(L, T, g.level + h.level)
     T = target or tensor(g.module, h.module)
     out = zero_cochain(L, T, g.level + h.level)
+    if g.level < 0 or h.level < 0:
+        return out
     for gp in components(g).values():
         for hp in components(h).values():
             vals = {}
@@ -417,8 +422,6 @@ def pull_back(omega, Lsub, g):
         [V.action_matrix(cols[j]) for j in range(Lsub.dim)],
     )
     vals = {}
-    import itertools
-
     for N in exterior.basis(Lsub.signs, g.level):
         acc = {}
         choices = [sorted(cols[j].items()) for j in N]
@@ -448,16 +451,13 @@ class CochainComplex:
         self.algebra = L
         self.module = V
         self.n_max = n_max
-        self._monos = {}
-        self._mono_index = {}
         self._basis = {}
         self._index = {}
         self._sectors = {}
         # (monomial degree, module degree) -> sector key, shared by all levels
         self._sector_keys = {}
-        # prefix monomial -> degree; (prefix degree, last degree) -> sum
-        self._prefix_degrees = {}
-        self._degree_sums = {}
+        # (n, weight zero?) -> _layout(n, weight zero?)
+        self._layouts = {}
         self._delta = {}
         # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
@@ -471,11 +471,8 @@ class CochainComplex:
         ]
 
     def monomials(self, n):
-        if n < 0:
-            return []
-        if n not in self._monos:
-            self._monos[n] = exterior.basis(self.algebra.signs, n)
-        return self._monos[n]
+        """The canonical n-monomials in basis order, merged from the table."""
+        return sorted(M for ms in self.algebra.monomials_by_degree(n).values() for M in ms)
 
     def basis(self, n):
         """Pairs (M, w); the k-th monomial with vector w is at position
@@ -483,17 +480,14 @@ class CochainComplex:
         if n < 0:
             return []
         if n not in self._basis:
-            pairs = []
-            for M in self.monomials(n):
-                for w in range(self.module.dim):
-                    pairs.append((M, w))
+            pairs = [(M, w) for M in self.monomials(n) for w in range(self.module.dim)]
             self._basis[n] = pairs
             self._index[n] = {p: k for k, p in enumerate(pairs)}
         return self._basis[n]
 
     def index(self, n):
         self.basis(n)
-        return self._index[n]
+        return self._index.get(n, {})
 
     def pair_degree(self, pair):
         M, w = pair
@@ -502,48 +496,48 @@ class CochainComplex:
         return g.sub(self.module.degrees[w], md)
 
     def sectors(self, n):
-        """Degree -> sorted list of basis positions."""
-        return self._sector_layout(n)[0]
-
-    def _sector_layout(self, n):
-        """(sectors(n), sector key of each position, its index in the sector).
-
-        Each key is computed once per (monomial degree, module degree)."""
+        """Degree -> sorted list of basis positions, placed from the layouts
+        of both sides of K."""
         if n not in self._sectors:
+            index = self.index(n)
+            out = {}
+            for weight_zero in (True, False):
+                for deg, pairs in self._layout(n, weight_zero)[0].items():
+                    out[deg] = [index[p] for p in pairs]
+            self._sectors[n] = dict(sorted(out.items()))
+        return self._sectors[n]
+
+    def _layout(self, n, weight_zero):
+        """({deg: [(M, w), ...]}, {deg: {(M, w): index in the sector}}) for the
+        sectors of C^n in K (weight_zero) or outside it, in degree order.
+
+        The pairs come from the algebra's table of n-monomials by degree, one
+        sector key per (monomial degree, module degree); each sector lists
+        its pairs in basis order."""
+        if (n, weight_zero) not in self._layouts:
             g = self.algebra.group
             memo = self._sector_keys
-            keys = []
-            for M in self.monomials(n):
-                md = self._monomial_degree(M)
-                for d in self.module.degrees:
+            vecs = {}  # module degree -> its vectors
+            for w, d in enumerate(self.module.degrees):
+                vecs.setdefault(d, []).append(w)
+            found = {}
+            for md, monos in self.algebra.monomials_by_degree(n).items():
+                for d, ws in vecs.items():
                     key = memo.get((md, d))
                     if key is None:
                         key = memo[(md, d)] = g.sub(d, md)
-                    keys.append(key)
-            positions = sector_positions(keys)
-            self._sectors[n] = (positions, keys, sector_indices(positions, len(keys)))
-        return self._sectors[n]
+                    if (self.vanishing_certificate(key) is None) == weight_zero:
+                        found.setdefault(key, []).extend((M, w) for M in monos for w in ws)
+            sectors = {deg: sorted(found[deg]) for deg in sorted(found)}
+            index = {d: {p: k for k, p in enumerate(ps)} for d, ps in sectors.items()}
+            self._layouts[(n, weight_zero)] = sectors, index
+        return self._layouts[(n, weight_zero)]
 
-    def _monomial_degree(self, M):
-        """deg M: the memoised degree of the prefix M[:-1] plus the degree of
-        the last index, each distinct (prefix degree, last degree) pair added
-        once.  Only prefixes are stored, not every monomial."""
-        if not M:
-            return self.algebra.group.zero()
-        pre = M[:-1]
-        d = self._prefix_degrees.get(pre)
-        if d is None:
-            d = self._prefix_degrees[pre] = self._monomial_degree(pre)
-        pair = (d, self.algebra.degrees[M[-1]])
-        d = self._degree_sums.get(pair)
-        if d is None:
-            d = self._degree_sums[pair] = self.algebra.group.add(*pair)
-        return d
-
-    def _monomial_index(self, n):
-        if n not in self._mono_index:
-            self._mono_index[n] = {M: k for k, M in enumerate(self.monomials(n))}
-        return self._mono_index[n]
+    def _sector(self, n, deg):
+        """(pairs, {pair: index}) of the sector deg of C^n, from the layout of
+        its side of K."""
+        sectors, index = self._layout(n, self.vanishing_certificate(deg) is None)
+        return sectors.get(deg, []), index.get(deg, {})
 
     @cached_property
     def torus(self):
@@ -561,15 +555,20 @@ class CochainComplex:
         cocycle there a coboundary."""
         if deg not in self._certificates:
             self._certificates[deg] = next(
-                ((x, chi) for x, chi in self.torus if torus_weight(chi, deg)), None
+                (pair for pair, ints in self._weights if sum(map(mul, ints, deg))), None
             )
         return self._certificates[deg]
+
+    @cached_property
+    def _weights(self):
+        """Each torus pair with chi scaled to integers on the free coordinates,
+        so that chi(deg) != 0 is tested in integers."""
+        scale = [lcm(*(Fraction(c).denominator for c in chi)) for _, chi in self.torus]
+        return [(pair, [int(c * m) for c in pair[1]]) for pair, m in zip(self.torus, scale)]
 
     def _blocks(self, n, weight_zero):
         """{deg: delta_sector(n, deg)} for the degrees of C^n or C^{n+1} in K
         (weight_zero) or outside it; each side is assembled once."""
-        if not weight_zero and not self.torus:
-            return {}  # K is the whole group
         key = (n, weight_zero)
         if key not in self._delta_blocks:
             self._delta_blocks[key] = self._assemble(n, weight_zero)
@@ -578,68 +577,62 @@ class CochainComplex:
     def _assemble(self, n, weight_zero):
         """The sector blocks of delta(n) on one side of K, in one pass over
         the level-(n+1) monomials with a row there: each term goes to its
-        sector's block at local positions.
+        sector's block at the local positions of the layouts.
 
-        A term whose row and column lie in different sectors raises
+        A term whose column is missing from its row's sector raises
         ShapeError."""
-        row_pos, row_key, row_at = self._sector_layout(n + 1)
-        col_pos, col_key, col_at = self._sector_layout(n)
-        cols = self._monomial_index(n)
-        rows = self._monomial_index(n + 1)
+        rows, row_at = self._layout(n + 1, weight_zero)
+        cols, col_at = self._layout(n, weight_zero)
         signs = self.algebra.signs
         action = self._action
         brackets = self._brackets
-        vdim = self.module.dim
-        ents = {
-            key: {}
-            for key in sorted(set(row_pos) | set(col_pos))
-            if (self.vanishing_certificate(key) is None) == weight_zero
-        }
-        # the monomial degrees with a sector of this side: every
-        # (monomial degree, module degree) pair of levels n + 1 and below is
-        # in _sector_keys
-        wanted = {md for (md, _), key in self._sector_keys.items() if key in ents}
+        ents = {key: {} for key in sorted(set(rows) | set(cols))}
+        vdegs = self.module.degrees
+        keys = self._sector_keys  # the layouts put every key of both levels here
 
-        def add(r, c, v):
-            key = row_key[r]
-            if col_key[c] != key:
-                raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
-            blk = ents[key]
-            at = (row_at[r], col_at[c])
-            v += blk.get(at, 0)
+        def add(row, col, v):
+            blk, r, at, key = row
+            c = at.get(col)
+            if c is None:
+                raise ShapeError(
+                    "entry (%d, %s) of sector %s leaves its degree sector" % (r, col, key)
+                )
+            v += blk.get((r, c), 0)
             if v:
-                blk[at] = v
+                blk[(r, c)] = v
             else:
-                blk.pop(at, None)
+                blk.pop((r, c), None)
 
-        monos = exterior.basis_of_degrees(
-            signs, n + 1, self.algebra.group, self.algebra.degrees, wanted,
-            self._degree_sums,
-        )
-        for N in monos:
-            r0 = rows[N] * vdim
-            # the module vectors whose row with N lies on this side of K
-            live = [w for w in range(vdim) if row_key[r0 + w] in ents]
-            is_live = set(live)
-            for r, idx in enumerate(N):
-                terms = action[idx]
-                if not terms:
-                    continue
-                c0 = cols[N[:r] + N[r + 1 :]] * vdim
-                # (-1)^r prod_{t>r} eps(a_t, a_r); eps(a_r, v_w) is in the term
-                rsign = -1 if r % 2 else 1
-                for t in N[r + 1 :]:
-                    rsign *= signs[t][idx]
-                for w2, w, c in terms:
-                    if w2 in is_live:
-                        add(r0 + w2, c0 + w, rsign * c)
-            for mono, c in _sub_terms(signs, brackets, N).items():
-                c0 = cols[mono] * vdim
-                for w in live:
-                    add(r0 + w, c0 + w, c)
+        for md, monos in self.algebra.monomials_by_degree(n + 1).items():
+            # the module vectors whose row with a monomial of degree md lies
+            # on this side of K, with that row's sector
+            wanted = [(w, keys[(md, d)]) for w, d in enumerate(vdegs) if keys[(md, d)] in rows]
+            if not wanted:
+                continue
+            for N in monos:
+                live = {
+                    w: (ents[key], row_at[key][(N, w)], col_at.get(key, {}), key)
+                    for w, key in wanted
+                }
+                for r, idx in enumerate(N):
+                    terms = action[idx]
+                    if not terms:
+                        continue
+                    M = N[:r] + N[r + 1 :]
+                    # (-1)^r prod_{t>r} eps(a_t, a_r); eps(a_r, v_w) is in the term
+                    rsign = -1 if r % 2 else 1
+                    for t in N[r + 1 :]:
+                        rsign *= signs[t][idx]
+                    for w2, w, c in terms:
+                        row = live.get(w2)
+                        if row is not None:
+                            add(row, (M, w), rsign * c)
+                for mono, c in _sub_terms(signs, brackets, N).items():
+                    for w, row in live.items():
+                        add(row, (mono, w), c)
         return {
             key: RationalSparseMatrix(
-                len(row_pos.get(key, ())), len(col_pos.get(key, ())), ents.pop(key)
+                len(rows.get(key, ())), len(cols.get(key, ())), ents.pop(key)
             )
             for key in list(ents)
         }
@@ -674,27 +667,24 @@ class CochainComplex:
         """Coordinates of a homogeneous cochain over its sector basis."""
         if g.degree is None:
             raise CochainError("sector vector of an inhomogeneous cochain")
-        _, keys, local = self._sector_layout(g.level)
-        monos = self._monomial_index(g.level)
-        vdim = self.module.dim
+        at = self._sector(g.level, g.degree)[1]
         vec = {}
         for mono, v in g.values.items():
             for w, c in v.items():
-                p = monos[mono] * vdim + w
-                if keys[p] != g.degree:
+                k = at.get((mono, w))
+                if k is None:
                     raise CochainError("cochain value outside its degree sector")
-                vec[local[p]] = c
+                vec[k] = c
         return vec
 
     def cochain_from_vector(self, n, vec, deg):
         """Inverse of cochain_vector: a vector over the sector deg of C^n."""
-        monos = self.monomials(n)
-        positions = self.sectors(n).get(deg, [])
+        pairs = self._sector(n, deg)[0]
         vals = {}
         for k, c in vec.items():
             if c:
-                m, w = divmod(positions[k], self.module.dim)
-                vals.setdefault(monos[m], {})[w] = c
+                M, w = pairs[k]
+                vals.setdefault(M, {})[w] = c
         return make_cochain(self.algebra, self.module, n, vals)
 
     # ----------------------------------------------------------------- results
@@ -706,22 +696,20 @@ class CochainComplex:
         res = CohomologyResult(self)
         for n in range(self.n_max + 1):
             level = {}
-            vanishing = {}
             # a degree missing from C^n has z = b = 0
-            for deg in self.sectors(n):
-                cert = self.vanishing_certificate(deg)
-                if cert is not None:
-                    vanishing[deg] = cert
-                    continue
+            for deg in self._layout(n, True)[0]:
                 z, b = self.sector_ranks(n, deg)
                 level[deg] = (z, b, z - b)
+            # the layout put every key of C^n in _sector_keys
+            mds = self.algebra.monomials_by_degree(n)
+            degs = sorted({key for (md, _), key in self._sector_keys.items() if md in mds})
             res.levels[n] = level
-            res.vanishing[n] = vanishing
+            res.vanishing[n] = {d: c for d in degs if (c := self.vanishing_certificate(d))}
         return res
 
     def sector_ranks(self, n, deg):
         """(dim Z, dim B) of the sector deg of C^n."""
-        z = len(self.sectors(n)[deg]) - self.delta_sector(n, deg).rank()
+        z = len(self._sector(n, deg)[0]) - self.delta_sector(n, deg).rank()
         b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
         return z, b
 
@@ -759,9 +747,9 @@ class CochainComplex:
 
     def coboundary_witness(self, g):
         """Solve d(b) = g exactly; None when g is not a coboundary."""
-        if g.is_zero():
-            return zero_cochain(self.algebra, self.module, g.level - 1)
         out = zero_cochain(self.algebra, self.module, g.level - 1)
+        if g.is_zero():
+            return out
         for deg, piece in components(g).items():
             prev = self.delta_sector(g.level - 1, deg)
             vec = self.cochain_vector(piece)

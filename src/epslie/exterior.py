@@ -1,13 +1,14 @@
 """Monomial bases of the exterior powers of a graded space, with signs.
 
-basis() and canonicalize() read the sign table of the space,
-signs[i][j] = eps(deg e_i, deg e_j) from CommutationFactor.sign_table, whose
-diagonal is the parity of each basis element.  A monomial is a weakly
+basis(), basis_by_degree() and canonicalize() read the sign table of the
+space, signs[i][j] = eps(deg e_i, deg e_j) from CommutationFactor.sign_table,
+whose diagonal is the parity of each basis element.  A monomial is a weakly
 increasing tuple of basis indices; an index of parity +1 may appear at most
 once, an index of parity -1 may repeat.  canonicalize() sorts an arbitrary
 index tuple into this form, accumulating -signs[a][b] per adjacent swap,
 which is exactly the skew-symmetry sign convention used by the cochain
-complex.
+complex.  basis_by_degree() groups the monomials by degree; it builds the
+per-level tables of EpsLieAlgebra.monomials_by_degree.
 """
 
 from __future__ import annotations
@@ -19,56 +20,51 @@ Monomial = tuple  # weakly increasing indices
 
 def basis(signs, n):
     """All canonical n-monomials over the basis of the sign table."""
-    if n < 0:
-        return []
-    if n == 0:
-        return [()]
     out = []
 
     def extend(prefix, start):
         if len(prefix) == n:
-            out.append(tuple(prefix))
+            out.append(prefix)
             return
         for i in range(start, len(signs)):
-            if prefix and prefix[-1] == i and signs[i][i] == 1:
-                continue
-            prefix.append(i)
-            extend(prefix, i)
-            prefix.pop()
+            # an index of parity +1 does not repeat
+            extend(prefix + (i,), i + 1 if signs[i][i] == 1 else i)
 
-    extend([], 0)
+    if n >= 0:
+        extend((), 0)
     return out
 
 
-def basis_of_degrees(signs, n, group, degrees, wanted, sums=None):
-    """The canonical n-monomials M with deg M in wanted, in the order of
-    basis(signs, n).
+def basis_by_degree(signs, n, group, degrees, sums=None):
+    """The canonical n-monomials grouped by degree: {deg M: [M, ...]}, each
+    list in the order of basis(signs, n), keys in order of first appearance.
 
     degrees[i] is the degree of index i in the grading group.  Each prefix
     carries its degree, and each distinct (prefix degree, index degree) pair
-    is added once; sums, when given, is that memo, kept by the caller."""
+    is added once; sums, when given, is that memo, kept by the caller.
+    Monomials are weakly increasing tuples in lexicographic basis order, so
+    sorting any merge of these lists gives basis order again."""
     if n <= 0:
-        return [()] if n == 0 and group.zero() in wanted else []
+        return {group.zero(): [()]} if n == 0 else {}
     sums = {} if sums is None else sums
-    out = []
+    out = {}
 
     def extend(prefix, start, deg):
-        last = len(prefix) == n - 1
         for i in range(start, len(signs)):
-            if prefix and prefix[-1] == i and signs[i][i] == 1:
-                continue
             pair = (deg, degrees[i])
             d = sums.get(pair)
             if d is None:
                 d = sums[pair] = group.add(*pair)
-            prefix.append(i)
-            if not last:
-                extend(prefix, i, d)
-            elif d in wanted:
-                out.append(tuple(prefix))
-            prefix.pop()
+            mono = prefix + (i,)
+            if len(mono) < n:
+                # an index of parity +1 does not repeat
+                extend(mono, i + 1 if signs[i][i] == 1 else i, d)
+            elif d in out:
+                out[d].append(mono)
+            else:
+                out[d] = [mono]
 
-    extend([], 0, group.zero())
+    extend((), 0, group.zero())
     return out
 
 

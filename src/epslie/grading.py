@@ -16,6 +16,7 @@ loops multiply table entries instead of adding degrees.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 Degree = tuple  # integer tuple; length = free_rank + number of torsion coords
@@ -47,25 +48,24 @@ class GradingGroup:
         return (0,) * self.ncoords
 
     def reduce(self, coords) -> Degree:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.ncoords:
             raise GradingError(
                 "degree has %d coordinates, expected %d" % (len(coords), self.ncoords)
             )
+        if not self.torsion_orders:
+            return coords
         free = coords[: self.free_rank]
-        tors = tuple(
-            c % t for c, t in zip(coords[self.free_rank :], self.torsion_orders)
-        )
-        return free + tors
+        return free + tuple(map(operator.mod, coords[self.free_rank :], self.torsion_orders))
 
     def add(self, a: Degree, b: Degree) -> Degree:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        return self.reduce(tuple(map(operator.add, a, b)))
 
     def neg(self, a: Degree) -> Degree:
         return self.reduce(tuple(-x for x in a))
 
     def sub(self, a: Degree, b: Degree) -> Degree:
-        return self.reduce(tuple(x - y for x, y in zip(a, b)))
+        return self.reduce(tuple(map(operator.sub, a, b)))
 
     def sum(self, degs) -> Degree:
         total = [0] * self.ncoords

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from epslie import catalog, exterior
+from epslie.algebra import EpsLieAlgebra
 from epslie.cohomology import (
     Cochain,
     CochainComplex,
@@ -292,6 +293,61 @@ def test_sector_layout_adds_each_prefix_degree_once(monkeypatch):
     assert calls["add"] <= len(prefix_pairs) < len(monos)
     assert calls["sub"] <= len(keys)
     assert calls["reduce"] == calls["add"] + calls["sub"]
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names())
+def test_each_side_layout_agrees_with_pair_degree(name):
+    L = catalog.get_algebra(name)
+    for V in (trivial(L), adjoint(L)):
+        cx = CochainComplex(L, V, 2)
+        for n in range(3):
+            index = cx.index(n)
+            placed = []
+            for weight_zero in (True, False):
+                sectors, local = cx._layout(n, weight_zero)
+                assert list(sectors) == sorted(sectors)
+                for deg, pairs in sectors.items():
+                    assert all(cx.pair_degree(p) == deg for p in pairs)
+                    # basis order inside the sector
+                    assert [index[p] for p in pairs] == sorted(index[p] for p in pairs)
+                    assert local[deg] == {p: k for k, p in enumerate(pairs)}
+                    placed += pairs
+            assert sorted(placed) == cx.basis(n)
+            degs = {cx.pair_degree(p) for p in cx.basis(n)}
+            weight_zero = {d for d in degs if cx.vanishing_certificate(d) is None}
+            assert set(cx._layout(n, True)[0]) == weight_zero
+
+
+def test_default_path_never_enumerates_a_full_level(monkeypatch):
+    calls = {}
+
+    def count(owner, name):
+        method = getattr(owner, name)
+        key = "%s.%s" % (owner.__name__, name)
+        calls[key] = []
+
+        def wrapper(*args):
+            calls[key].append(args[1])  # the level
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(exterior, "basis"), (CochainComplex, "monomials"),
+                        (CochainComplex, "basis"), (CochainComplex, "sectors")]:
+        count(owner, name)
+    L = catalog.psl_nn(2)
+    cx = CochainComplex(L, adjoint(L), 3)
+    res = cx.cohomology()
+    reps = [cx.representatives(n, deg) for n in range(4) for deg, _ in res.sector_table(n)]
+    assert len(reps) == 8 and all(reps)
+    assert all(levels == [] for levels in calls.values()) and len(calls) == 4
+    # the direct formula builds the table of a level once per algebra
+    P = EpsLieAlgebra(L.factor, L.labels, L.degrees, L.table)
+    count(exterior, "basis_by_degree")
+    rng = random.Random(7)
+    for _ in range(2):
+        coboundary(random_cochain(rng, P, trivial(P), 1))
+    assert calls["epslie.exterior.basis_by_degree"] == [2]
 
 
 def test_cohomology_assembles_each_level_once_and_no_full_matrix(monkeypatch):

@@ -139,20 +139,19 @@ def test_table_signs_match_the_factor(fd, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(factors_and_degrees(), st.integers(0, 4), st.data())
-def test_degree_restricted_basis_is_the_filtered_basis(fd, n, data):
+@given(factors_and_degrees(), st.integers(0, 4))
+def test_basis_by_degree_groups_the_basis(fd, n):
     factor, degrees = fd
     g = factor.group
     degrees = [g.reduce(d) for d in degrees]
     signs = factor.sign_table(degrees, degrees)
     full = exterior.basis(signs, n)
     deg = {M: g.sum(degrees[i] for i in M) for M in full}
-    occurring = sorted(set(deg.values()))
-    wanted = set()
-    if occurring:
-        wanted = set(data.draw(st.lists(st.sampled_from(occurring), max_size=3)))
     sums = {}
-    got = exterior.basis_of_degrees(signs, n, g, degrees, wanted, sums)
-    assert got == [M for M in full if deg[M] in wanted]
-    assert exterior.basis_of_degrees(signs, n, g, degrees, wanted, sums) == got
-    assert exterior.basis_of_degrees(signs, n, g, degrees, set(occurring)) == full
+    table = exterior.basis_by_degree(signs, n, g, degrees, sums)
+    # keys: exactly the occurring degrees, in order of first appearance
+    assert list(table) == list(dict.fromkeys(deg[M] for M in full))
+    for d, monos in table.items():
+        assert monos == [M for M in full if deg[M] == d]
+    assert sorted(M for monos in table.values() for M in monos) == full
+    assert exterior.basis_by_degree(signs, n, g, degrees, sums) == table

@@ -87,27 +87,50 @@ def test_engine_has_no_unused_imports():
     assert unused == []
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_no_unreferenced_private_function():
-    """Every module-level _name function in the engine is used somewhere in
-    the engine outside its own definition."""
+    """Every _name function of the engine, module-level or a method, is used
+    somewhere in the engine outside its own definition, and every self._name
+    attribute that a method stores is read somewhere."""
     defined = set()
     used = set()
+    stored = set()
+    read = set()
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(SRC, name)) as fh:
             tree = ast.parse(fh.read(), name)
+        # (definition, nodes to scan): a module-level statement, or one
+        # statement of a class body
+        units = []
         for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                if _private(top.name):
+                    defined.add(top.name)
+                units.append((None, top.bases + top.decorator_list))
+                units += [(item, [item]) for item in top.body]
+            else:
+                units.append((top, [top]))
+        for top, roots in units:
             own = None
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 own = top.name
-                if own.startswith("_") and not own.startswith("__"):
+                if _private(own):
                     defined.add(own)
-            for node in ast.walk(top):
+            for node in (n for root in roots for n in ast.walk(root)):
                 if isinstance(node, ast.Name):
                     ref = node.id
                 elif isinstance(node, ast.Attribute):
                     ref = node.attr
+                    if not isinstance(node.ctx, ast.Store):
+                        read.add(ref)
+                    elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                        if _private(ref):
+                            stored.add(ref)
                 elif isinstance(node, ast.alias):
                     ref = node.name
                 else:
@@ -115,6 +138,7 @@ def test_no_unreferenced_private_function():
                 if ref != own:
                     used.add(ref)
     assert sorted(defined - used) == []
+    assert sorted(stored - read) == []
 
 
 def test_no_dead_local_assignment():
