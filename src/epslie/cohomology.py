@@ -26,8 +26,9 @@ deg v_w - sum_{t>r} a_t, hence
 CochainComplex assembles the sector blocks delta_sector(n, deg) directly
 from these products, with integral coefficients kept as ints until each
 block is made.  coboundary() takes the action signs from
-CommutationFactor.eps and is the reference for the matrix.  The module
-action on cochains is
+CommutationFactor.eps, so it checks the first sum of the matrix; the
+second sum is _sub_terms in both, which the tests check term by term
+against the formula.  The module action on cochains is
 
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
@@ -219,7 +220,8 @@ def _sub_terms(signs, brackets, N):
 
 
 def coboundary(g):
-    """The cochain d(g), computed directly from the explicit formula.
+    """The cochain d(g): the first sum of the explicit formula with
+    CommutationFactor.eps, the second from _sub_terms as in the assembly.
 
     A component of degree gamma is nonzero only on the monomials N with
     deg v_w - deg N = gamma for some module vector v_w, so only those are

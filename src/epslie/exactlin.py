@@ -11,7 +11,6 @@ column -> row index.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -411,60 +410,3 @@ def stack_rows(mats):
         r0 += m.rows
     return RationalSparseMatrix(r0, cols, ent)
 
-
-# ---------------------------------------------------------------------------
-# degree sectors
-
-
-def sector_positions(keys):
-    """{key: sorted list of the indices holding it}, in sorted key order."""
-    out = {}
-    for k, key in enumerate(keys):
-        out.setdefault(key, []).append(k)
-    return dict(sorted(out.items()))
-
-
-def sector_indices(positions, size):
-    """The index of each of size positions inside its sector, for positions
-    from sector_positions."""
-    local = [0] * size
-    for ps in positions.values():
-        for k, p in enumerate(ps):
-            local[p] = k
-    return local
-
-
-def split_sectors(mat, row_positions, col_positions):
-    """Diagonal blocks {key: block} of a sector-preserving matrix, in one
-    pass over its entries.
-
-    row_positions and col_positions come from sector_positions and cover
-    every row and column.  Each key of either gets a block, with no rows or
-    no columns where the other side lacks it.  An entry whose row and
-    column lie in different sectors raises ShapeError.
-    """
-    def sector_of(positions, size):
-        where = [None] * size
-        for key, ps in positions.items():
-            for p in ps:
-                where[p] = key
-        return where
-
-    row_keys = sector_of(row_positions, mat.rows)
-    col_keys = sector_of(col_positions, mat.cols)
-    keys = sorted(set(row_positions) | set(col_positions))
-    ents = {key: {} for key in keys}
-    for (r, c), v in mat.entries.items():
-        key = col_keys[c]
-        if row_keys[r] != key:
-            raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
-        rk = bisect_left(row_positions[key], r)
-        ck = bisect_left(col_positions[key], c)
-        ents[key][(rk, ck)] = v
-    # pop, so that the entries are not held twice
-    return {
-        key: RationalSparseMatrix(
-            len(row_positions.get(key, ())), len(col_positions.get(key, ())), ents.pop(key)
-        )
-        for key in keys
-    }

@@ -26,8 +26,6 @@ from .exactlin import (
     ShapeError,
     SpanTracker,
     integral_row,
-    sector_indices,
-    sector_positions,
     vec_axpy,
 )
 from .gmodule import GradedModule, trivial
@@ -132,27 +130,29 @@ def homology_h2(L):
     """H_2 = ker d2 / im d3 per degree sector, with cycle representatives
     and the echelon basis of im d3 over all monomials.
 
-    d2 and d3 are built straight into sector pieces; a term whose row and
-    column lie in different sectors raises ShapeError.  One elimination of
-    a sector's d3 columns gives its rank and independent image rows, and
-    the boundaries are the unique leading-pivot reduced echelon basis of
-    their span (see H2Result), whatever pivots the elimination chose."""
+    The sectors of L and of the exterior square are the monomial tables
+    L.monomials_by_degree(1) and (2), each list in basis order.  d2 and d3
+    are built straight into sector pieces; a term whose row and column lie
+    in different sectors raises ShapeError.  One elimination of a sector's
+    d3 columns gives its rank and independent image rows, and the
+    boundaries are the unique leading-pivot reduced echelon basis of their
+    span (see H2Result), whatever pivots the elimination chose."""
     degs = L.degrees
-    sums = {}  # (degree, degree) -> their sum
-
-    def add(a, b):
-        d = sums.get((a, b))
-        if d is None:
-            d = sums[(a, b)] = L.group.add(a, b)
-        return d
-
+    sums = L.degree_sums
+    table1 = L.monomials_by_degree(1)
+    table2 = L.monomials_by_degree(2)
     monos2 = lambda2_basis(L)
     index2 = {m: k for k, m in enumerate(monos2)}
-    degs2 = [add(degs[i], degs[j]) for i, j in monos2]
-    pos1 = sector_positions(degs)
-    pos2 = sector_positions(degs2)
-    local1 = sector_indices(pos1, len(degs))
-    local2 = sector_indices(pos2, len(degs2))
+    degs2 = [None] * len(monos2)
+    local1 = [0] * len(degs)
+    local2 = [0] * len(monos2)
+    for ms in table1.values():
+        for k, (i,) in enumerate(ms):
+            local1[i] = k
+    for D, ms in table2.items():
+        for k, m in enumerate(ms):
+            p = index2[m]
+            degs2[p], local2[p] = D, k
 
     def check(row_degs, c, col, D):
         for r in col:
@@ -163,13 +163,16 @@ def homology_h2(L):
     image = {}
     for c, ((i, j, k), col) in enumerate(_d3_columns(L, index2)):
         if col:
-            D = add(degs2[index2[(i, j)]], degs[k])
+            pair = (degs2[index2[(i, j)]], degs[k])
+            D = sums.get(pair)
+            if D is None:
+                D = sums[pair] = L.group.add(*pair)
             check(degs2, c, col, D)
             image.setdefault(D, []).append(
                 integral_row({local2[r]: v for r, v in col.items()})
             )
     # each sector's d2 block
-    blocks2 = {D: {} for D in pos2}
+    blocks2 = {D: {} for D in table2}
     for c, col in enumerate(_d2_columns(L, monos2)):
         D = degs2[c]
         check(degs, c, col, D)
@@ -181,8 +184,9 @@ def homology_h2(L):
     boundaries = {}
     # a degree missing from the exterior square has z = b = 0; pieces are
     # popped so that each is freed, with its elimination, once used
-    for D, cols2 in pos2.items():
-        sub2 = RationalSparseMatrix(len(pos1.get(D, ())), len(cols2), blocks2.pop(D))
+    for D in sorted(table2):
+        cols2 = [index2[m] for m in table2[D]]
+        sub2 = RationalSparseMatrix(len(table1.get(D, ())), len(cols2), blocks2.pop(D))
         z = len(cols2) - sub2.rank()
         _, rows = _elim.rref(image.pop(D, []))
         b = len(rows)

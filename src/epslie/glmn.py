@@ -186,67 +186,43 @@ def sl12_highest_weight(b, q):
     return GlWeight(1, 2, (-2 * b, b + q, b - q))
 
 
+def _dominant_tuples(size, bound, pinned):
+    """The weakly decreasing integer tuples of length size with entries in
+    [-bound, bound], in itertools.product order; pinned maps 0-based
+    positions to the values they must take."""
+    for t in itertools.product(range(-bound, bound + 1), repeat=size):
+        if any(t[p] != v for p, v in pinned.items()):
+            continue
+        if all(t[i] >= t[i + 1] for i in range(size - 1)):
+            yield t
+
+
 def dominant_integral_weights(m, n, bound):
     """All dominant weights with integer coordinates in [-bound, bound]."""
-    rng = range(-bound, bound + 1)
-
-    def block(size):
-        return [
-            t
-            for t in itertools.product(rng, repeat=size)
-            if all(t[i] >= t[i + 1] for i in range(size - 1))
-        ]
-
-    out = []
-    for top in block(m):
-        for bot in block(n):
-            out.append(GlWeight(m, n, top + bot))
-    return out
+    bottoms = list(_dominant_tuples(n, bound, {}))
+    return [GlWeight(m, n, top + bot)
+            for top in _dominant_tuples(m, bound, {}) for bot in bottoms]
 
 
 def family_images(m, n, bound):
     """All enumerate_family outputs with integer entries within the bound."""
-    rng = range(-bound, bound + 1)
-    seen = set()
-
-    def dominant_blocks(size, pinned):
-        # pinned: {position(0-based in block): value}
-        for t in itertools.product(rng, repeat=size):
-            if any(t[p] != v for p, v in pinned.items()):
-                continue
-            if all(t[i] >= t[i + 1] for i in range(size - 1)):
-                yield t
-
+    # (branch, pinned plateau of the free block) for each case of
+    # enumerate_family; the free block has max(m, n) entries
     if m == n:
-        for top in dominant_blocks(m, {}):
+        cases = [(None, {})]
+    elif m > n:
+        cases = [(k, {p - 1: n - k for p in range(n + 1 - k, m - k + 1)})
+                 for k in range(n + 1)]
+    else:
+        cases = [(h, {p - m - 1: -(m - h) for p in range(m + 1 + h, n + h + 1)})
+                 for h in range(m + 1)]
+    seen = set()
+    for branch, pinned in cases:
+        for free in _dominant_tuples(max(m, n), bound, pinned):
             try:
-                w = enumerate_family(m, n, free=top)
+                w = enumerate_family(m, n, branch=branch, free=free)
             except WeightError:
                 continue
             if all(-bound <= x <= bound for x in w.L):
                 seen.add(w.L)
-    elif m > n:
-        for k in range(n + 1):
-            pinned = {p - 1: n - k for p in range(n + 1 - k, m - k + 1)}
-            if any(not -bound <= v <= bound for v in pinned.values()):
-                continue
-            for top in dominant_blocks(m, pinned):
-                try:
-                    w = enumerate_family(m, n, branch=k, free=top)
-                except WeightError:
-                    continue
-                if all(-bound <= x <= bound for x in w.L):
-                    seen.add(w.L)
-    else:
-        for h in range(m + 1):
-            pinned = {p - m - 1: -(m - h) for p in range(m + 1 + h, n + h + 1)}
-            if any(not -bound <= v <= bound for v in pinned.values()):
-                continue
-            for bot in dominant_blocks(n, pinned):
-                try:
-                    w = enumerate_family(m, n, branch=h, free=bot)
-                except WeightError:
-                    continue
-                if all(-bound <= x <= bound for x in w.L):
-                    seen.add(w.L)
     return seen

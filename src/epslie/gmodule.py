@@ -349,100 +349,23 @@ def eps_power(V, k, sym):
 # weights and intertwiners
 
 
-def _char_poly(mat):
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn]
-    (Faddeev-LeVerrier, exact)."""
-    n = mat.rows
-    coeffs = [ONE]
-    M = RationalSparseMatrix.identity(n)
-    for k in range(1, n + 1):
-        AM = mat.multiply(M)
-        tr = sum((AM.get(i, i) for i in range(n)), Fraction(0))
-        c = -tr / k
-        coeffs.append(c)
-        M = AM.add(RationalSparseMatrix.identity(n).scale(c))
-    return coeffs
-
-
-def _rational_eigenvalues(mat):
-    """All rational eigenvalues of an exact square matrix."""
-    from math import lcm
-
-    n = mat.rows
-    if n == 0:
-        return []
-    if all(r == c for (r, c) in mat.entries):
-        return sorted({mat.get(i, i) for i in range(n)})
-    den = lcm(*[v.denominator for v in mat.entries.values()]) if mat.entries else 1
-    A = mat.scale(den)
-    coeffs = _char_poly(A)  # integer coefficients, monic
-    ints = [int(c) for c in coeffs]
-    m = len(ints) - 1
-    while m > 0 and ints[m] == 0:
-        m -= 1
-    cands = {0} if m < len(ints) - 1 else set()
-    const = abs(ints[m])
-    if const > 10**12:
-        raise ModuleError("eigenvalue search: constant term too large to factor")
-    if const:
-        divs = set()
-        f = 1
-        while f * f <= const:
-            if const % f == 0:
-                divs.update((f, const // f))
-            f += 1
-        for dd in divs:
-            cands.update((dd, -dd))
-
-    def value(x):
-        acc = 0
-        for c in ints:
-            acc = acc * x + c
-        return acc
-
-    roots = sorted(x for x in cands if value(x) == 0)
-    return [Fraction(x, den) for x in roots]
-
-
 def weight_spaces(V, cartan_vectors):
-    """Simultaneous eigenspace decomposition for commuting algebra vectors
-    acting diagonalizably with rational eigenvalues.
+    """Weight spaces of commuting algebra vectors h_1..h_k that act
+    diagonally on V's basis.
 
-    Returns {eigenvalue-tuple: [module vectors]}; raises ModuleError when an
-    operator is not diagonalizable over Q.
+    Returns {(rho(h_1)[a,a], .., rho(h_k)[a,a]): [{a: 1}, ..]}, keys sorted
+    and vectors in basis order; raises ModuleError when some rho(h) has an
+    off-diagonal entry.  Submodules and quotients of such a module keep
+    weight bases, since reduced echelon bases stay inside coordinate blocks.
     """
     ops = [V.action_matrix(av) for av in cartan_vectors]
-    spaces = {(): [{a: ONE} for a in range(V.dim)]}
     for op in ops:
-        new = {}
-        for key, basis in spaces.items():
-            tracker = SpanTracker(basis)
-            pivots = sorted(tracker.rows)
-            basis = [tracker.rows[p] for p in pivots]
-            ent = {}
-            for a, b in enumerate(basis):
-                coords, rem = tracker.express(op.apply(b))
-                if rem:
-                    raise ModuleError("element does not preserve the subspace")
-                for k, p in enumerate(pivots):
-                    if p in coords:
-                        ent[(k, a)] = coords[p]
-            R = RationalSparseMatrix(len(basis), len(basis), ent)
-            found = 0
-            for lam in _rational_eigenvalues(R):
-                shifted = R.sub(RationalSparseMatrix.identity(R.rows).scale(lam))
-                for kv in shifted.kernel_basis():
-                    vec = {}
-                    for ci, c in kv.items():
-                        vec_axpy(vec, c, basis[ci])
-                    new.setdefault(key + (lam,), []).append(vec)
-                    found += 1
-            if found != len(basis):
-                raise ModuleError("operator is not diagonalizable over Q")
-        spaces = new
-    # RREF bases of graded subspaces are automatically homogeneous (degree
-    # blocks occupy disjoint coordinate sets), so this stays deterministic.
-    return {k: SpanTracker(vs).basis() for k, vs in sorted(spaces.items())}
+        if any(r != c for r, c in op.entries):
+            raise ModuleError("rho(h) is not diagonal on the basis of V")
+    spaces = {}
+    for a in range(V.dim):
+        spaces.setdefault(tuple(op.get(a, a) for op in ops), []).append({a: ONE})
+    return dict(sorted(spaces.items()))
 
 
 def torus_weight(chi, deg):

@@ -10,13 +10,13 @@ from epslie.exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
-    sector_positions,
-    split_sectors,
     stack_rows,
     vec_axpy,
     vec_clean,
     vec_eq,
 )
+
+from _sectors import sector_positions, split_sectors
 
 
 def random_matrix(rng, rows, cols, density=0.4, scale=6):

@@ -15,8 +15,6 @@ from epslie.exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
-    sector_positions,
-    split_sectors,
     vec_axpy,
 )
 from epslie.extensions import (
@@ -35,6 +33,8 @@ from epslie.extensions import (
 )
 from epslie.gmodule import trivial
 from epslie.grading import trivial_factor
+
+from _sectors import sector_positions, split_sectors
 
 
 def catalog_algebras():

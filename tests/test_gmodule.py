@@ -304,6 +304,21 @@ def test_weight_spaces_rejects_nondiagonalizable():
         weight_spaces(V, [{QP: ONE}])  # nilpotent
 
 
+def test_weight_spaces_needs_a_diagonal_action():
+    """On the basis (e+ + e-, e-, e0) of v_half, rho(Q3) is diagonalizable
+    with eigenvalues +-1/2 but no longer diagonal, so no weights are read."""
+    L = catalog.sl12()
+    V = catalog.module_v_half(L)
+    P = RationalSparseMatrix.from_dense([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    P_inv = RationalSparseMatrix.from_dense([[1, 0, 0], [-1, 1, 0], [0, 0, 1]])
+    W = GradedModule(L, ["f0", "f1", "f2"], V.degrees,
+                     [P_inv.multiply(m).multiply(P) for m in V.action])
+    assert W.degrees[0] == W.degrees[1] and W.validate().ok
+    assert weight_spaces(W, [{B: ONE}]) == weight_spaces(V, [{B: ONE}])
+    with pytest.raises(ModuleError, match="not diagonal"):
+        weight_spaces(W, [{B: ONE}, {Q3: ONE}])
+
+
 def test_quotients_identify_across_the_lattice():
     """V4/V1 and V7/V4bar carry the (1/2,1/2) module; V4bar/V1 its twist."""
     L = catalog.sl12()

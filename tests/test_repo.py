@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import shutil
@@ -164,3 +165,31 @@ def test_no_dead_local_assignment():
                     read.update(node.names)
             dead += ["%s: %s: %s" % (name, fn.name, n) for n in sorted(stored - read)]
     assert dead == []
+
+
+def test_every_traced_name_exists():
+    """Each p(owner, "name", ...) in the benchmark's tracer names an attribute
+    the engine still has; a missing one would fail every traced run."""
+    with open(os.path.join(ROOT, "perfbench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read(), "tracer.py")
+    modules = {}  # local name -> the epslie module it is bound to
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "import_module"):
+            modules[node.targets[0].id] = importlib.import_module(node.value.args[0].value)
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return modules[expr.id]
+        return getattr(resolve(expr.value), expr.attr)
+
+    traced, missing = 0, []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "p"):
+            owner, name = node.args[0], node.args[1].value
+            traced += 1
+            if not hasattr(resolve(owner), name):
+                missing.append("%s.%s" % (ast.unparse(owner), name))
+    assert traced > 0
+    assert missing == []
