@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from .cohomology import CochainComplex
-from .exactlin import RationalSparseMatrix
-from .exterior import canonicalize
-from .gmodule import GradedModule, coadjoint, eps_power
+from .exactlin import RationalSparseMatrix, rows_kernel
+from .exterior import arrangements, canonicalize
+from .gmodule import GradedModule, coadjoint, leibniz_rows, power_monomials
 
 
 class CasimirError(ValueError):
@@ -55,93 +56,40 @@ class InvariantForm:
 def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
     """Exact basis of the invariant r-linear forms on M, ordered by degree.
 
-    symmetry "none": the unknowns are the values on all ordered r-tuples of
-    basis indices.  The invariance system is block-diagonal over the form
-    degree, so each degree block is solved separately.
+    phi is fixed by psi(m) = phi(m) on a basis of monomials m, and is
+    invariant exactly when psi . rho(e_i) = 0 for every i, with rho the
+    Leibniz action of gmodule.leibniz_rows, whose integer rows are each a
+    positive multiple of that equation; they are eliminated once.  A row
+    meets one degree only, so with the monomials ordered by degree the
+    kernel vectors are homogeneous and come out in degree order.
 
-    symmetry "eps_skew" or "eps_symmetric": such a form phi is fixed by the
-    functional psi(m) = phi(embedding of m) on P = eps_power(M, r, sym), and
-    phi is invariant exactly when psi . rho_P(e_i) = 0 for every i, so the
-    unknowns are the canonical monomials m of P.  Each kernel vector psi
-    gives phi(arr) = sign(arr) psi(m) / #arrangements(m) on the arrangements
-    of m, read with their signs from P's embedding.
+    symmetry "none": the monomials are all ordered r-tuples, and psi = phi.
+    "eps_skew" or "eps_symmetric": they are the canonical r-monomials of the
+    eps-power (gmodule.power_monomials), which is not built, and
+    psi(m) = phi(symmetrization of m).  Each psi gives
+    phi(arr) = sign(arr) psi(m) P(m) / r! on the distinct arrangements of
+    the monomials m in its support.
     """
     if r < 1:
         raise CasimirError("arity must be >= 1")
     if symmetry not in ("none", "eps_symmetric", "eps_skew"):
         raise CasimirError("unknown symmetry option %r" % symmetry)
-    if symmetry != "none":
-        return _symmetric_forms(M, r, symmetry == "eps_symmetric")
-    L = M.algebra
-    g = M.group
-    fac = M.factor
-    by_deg = {}
-    for T in itertools.product(range(M.dim), repeat=r):
-        by_deg.setdefault(g.sum(M.degrees[t] for t in T), []).append(T)
-    colmaj = [
-        [sorted(col.items()) for col in m.columns()] for m in M.action
-    ]
-
+    if symmetry == "none":
+        g = M.group
+        table = None
+        monos = sorted(itertools.product(range(M.dim), repeat=r),
+                       key=lambda T: g.sum(M.degrees[t] for t in T))
+        repeats = [1] * len(monos)
+    else:
+        table, monos, _, repeats = power_monomials(M, r, symmetry == "eps_symmetric")
+    rows = [row for _, act in leibniz_rows(M, table, monos, repeats) for row in act]
     out = []
-    for D in sorted(by_deg):
-        tuples = by_deg[D]
-        pos = {T: k for k, T in enumerate(tuples)}
-        eta = g.neg(D)
-        rows = {}
-        ent = {}
-
-        def put(row_key, col, c):
-            if not c:
-                return
-            rr = rows.setdefault(row_key, len(rows))
-            v = ent.get((rr, col), Fraction(0)) + c
-            if v:
-                ent[(rr, col)] = v
-            else:
-                ent.pop((rr, col), None)
-
-        for i in range(L.dim):
-            src = by_deg.get(g.sub(D, L.degrees[i]), [])
-            # eps(alpha, eta + m_{T_0}+..+m_{T_{k-1}})
-            #     = eps(alpha, eta) * prod_{t<k} M.signs[i][T_t]
-            e_eta = fac.eps(L.degrees[i], eta)
-            for T in src:
-                e = e_eta
-                for k, tk in enumerate(T):
-                    for (s, c) in colmaj[i][tk]:
-                        U = T[:k] + (s,) + T[k + 1 :]
-                        put(("inv", i, T), pos[U], e * c)
-                    e *= M.signs[i][tk]
-        mat = RationalSparseMatrix(len(rows), len(tuples), ent)
-        for kv in mat.kernel_basis():
-            out.append(InvariantForm(M, r, {tuples[k]: c for k, c in kv.items()}))
-    return out
-
-
-def _symmetric_forms(M, r, sym):
-    """Invariant eps-symmetric (sym) or eps-skew r-linear forms on M, solved
-    on the canonical monomials of eps_power(M, r, sym)."""
-    P = eps_power(M, r, sym)
-    # Row (i, a) of the stacked transposes: (psi . rho_P(e_i))(monomial a).
-    # Each row meets columns of one degree only, so elimination stays inside
-    # degree blocks: the kernel vectors are homogeneous and, with P's basis
-    # ordered by degree, come out in the degree order of the "none" path.
-    ent = {(i * P.dim + a, b): v
-           for i, act in enumerate(P.action)
-           for (b, a), v in act.entries.items()}
-    system = RationalSparseMatrix(M.algebra.dim * P.dim, P.dim, ent)
-    arrangements = P.embedding.columns()
-    out = []
-    for kv in system.kernel_basis():
-        values = {}
-        for b, c in kv.items():
-            col = arrangements[b]
-            for flat, s in col.items():
-                arr = []
-                for _ in range(r):
-                    flat, x = divmod(flat, M.dim)
-                    arr.append(x)
-                values[tuple(reversed(arr))] = s * c / len(col)
+    for kv in rows_kernel(rows, len(monos)):
+        if table is None:
+            values = {monos[b]: c for b, c in kv.items()}
+        else:
+            values = {arr: s * c * repeats[b] / factorial(r)
+                      for b, c in kv.items() for s, arr in arrangements(table, monos[b])}
         out.append(InvariantForm(M, r, values))
     return out
 

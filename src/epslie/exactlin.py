@@ -345,18 +345,7 @@ class RationalSparseMatrix:
 
     def kernel_basis(self):
         """Basis of the right null space {x : Mx = 0}, sorted by free column."""
-        piv_cols, piv_rows = self.rref()
-        pivset = set(piv_cols)
-        out = []
-        for f in range(self.cols):
-            if f in pivset:
-                continue
-            v = {f: ONE}
-            for p, row in zip(piv_cols, piv_rows):
-                if f in row:
-                    v[p] = Fraction(-row[f], row[p])
-            out.append(v)
-        return out
+        return list(rref_kernel(self.cols, *self.rref()))
 
     def image_membership(self, b):
         """Solve Mx = b; returns a solution vector or None when b is not in
@@ -372,20 +361,9 @@ class RationalSparseMatrix:
         if any(i >= self.rows for i in b):
             raise ShapeError("rhs longer than row count")
         neg = {i: -v for i, v in b.items()}
-        piv_cols, piv_rows = _elim.rref(self._int_rows(extra_col=neg))
         aug = self.cols
-        pivset = set(piv_cols)
-        sol = None
-        for f in range(aug + 1):
-            if f in pivset:
-                continue
-            v = {f: ONE}
-            for p, row in zip(piv_cols, piv_rows):
-                if f in row:
-                    v[p] = Fraction(-row[f], row[p])
-            if v.get(aug):
-                sol = v
-                break
+        kernel = rref_kernel(aug + 1, *_elim.rref(self._int_rows(extra_col=neg)))
+        sol = next((v for v in kernel if v.get(aug)), None)
         if sol is None:
             return None
         scale = sol.pop(aug)
@@ -393,6 +371,26 @@ class RationalSparseMatrix:
         if not vec_eq(self.apply(x), b):
             raise ArithmeticError("solver produced an invalid solution")
         return x
+
+
+def rref_kernel(cols, piv_cols, piv_rows):
+    """Kernel vectors of an rref result over columns 0..cols-1, one per free
+    column f in increasing order: 1 at f and -row[f]/row[p] at the pivot p
+    of every row holding f."""
+    pivset = set(piv_cols)
+    for f in range(cols):
+        if f not in pivset:
+            v = {f: ONE}
+            for p, row in zip(piv_cols, piv_rows):
+                if f in row:
+                    v[p] = Fraction(-row[f], row[p])
+            yield v
+
+
+def rows_kernel(rows, cols):
+    """Basis of {x : row . x = 0 for every row} for sparse rows of ints and
+    Fractions over columns 0..cols-1, sorted by free column."""
+    return list(rref_kernel(cols, *_elim.rref([integral_row(r) for r in rows])))
 
 
 def stack_rows(mats):

@@ -8,7 +8,8 @@ once, an index of parity -1 may repeat.  canonicalize() sorts an arbitrary
 index tuple into this form, accumulating -signs[a][b] per adjacent swap,
 which is exactly the skew-symmetry sign convention used by the cochain
 complex.  basis_by_degree() groups the monomials by degree; it builds the
-per-level tables of EpsLieAlgebra.monomials_by_degree.
+per-level tables of EpsLieAlgebra.monomials_by_degree.  arrangements()
+lists the distinct orderings of a monomial with their signs.
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ def canonicalize(signs, indices):
         if arr[k - 1] == arr[k] and signs[arr[k]][arr[k]] == 1:
             return 0, None
     return sign, tuple(arr)
+
+
+def arrangements(signs, mono):
+    """The distinct orderings of a monomial, each once and in sorted order,
+    as (canonicalize sign, tuple)."""
+    arrs = {()}
+    for x in mono:
+        arrs = {a[:j] + (x,) + a[j:] for a in arrs for j in range(len(a) + 1)}
+    return [(canonicalize(signs, a)[0], a) for a in sorted(arrs)]
 
 
 def super_dimension(p, q, n):

@@ -9,8 +9,9 @@ compatibility exactly.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial, lcm, prod
 
 from .algebra import (
     AlgebraError,
@@ -52,7 +53,7 @@ class GradedModule:
         for m in self.action:
             if (m.rows, m.cols) != (d, d):
                 raise ModuleError("action matrix shape mismatch")
-        self.embedding = embedding    # columns = basis vectors in ambient coords
+        self._embedding = embedding
         self.projection = projection  # ambient coords -> this module's coords
         # signs[i][w] = eps(deg e_i, deg v_w) for algebra basis e_i
         self.signs = self.factor.sign_table(algebra.degrees, self.degrees)
@@ -60,6 +61,14 @@ class GradedModule:
     @property
     def dim(self):
         return len(self.labels)
+
+    @property
+    def embedding(self):
+        """Columns = basis vectors in ambient coordinates, or None.  An
+        embedding given as a function is built on first read."""
+        if callable(self._embedding):
+            self._embedding = self._embedding()
+        return self._embedding
 
     def apply_basis(self, i, vec):
         return self.action[i].apply(vec)
@@ -298,51 +307,79 @@ def quotient(V, sub_vectors):
     return GradedModule(V.algebra, labels, deg, mats, projection=proj)
 
 
-def eps_power(V, k, sym):
-    """The k-th eps-skew (sym=False) or eps-symmetric (sym=True) power of V.
-
-    Basis: the canonical k-monomials of exterior.basis over V's sign table
-    (negated for the symmetric power), ordered by (degree, monomial).
-    Monomial m is the tensor with the canonicalize sign at each distinct
-    arrangement of m (a column of `embedding`): the (skew)symmetrization of
-    m over P(m) = Π(multiplicity!) = k! / (number of arrangements).  The
-    action is the Leibniz rule with prefix signs Π_{s<t} V.signs[i][m_s],
-    canonicalized and rescaled by P(m2) / P(m).
-    """
-    if k < 1:
-        raise ModuleError("need k >= 1")
+def power_monomials(V, k, sym):
+    """(sign table, monomials, degrees, P) of the k-th eps-skew (sym=False)
+    or eps-symmetric (sym=True, negated table) power of V: its canonical
+    k-monomials m ordered by (degree, m), and P(m) = prod(multiplicity!),
+    so that m has k! / P(m) distinct arrangements."""
     table = V.factor.sign_table(V.degrees, V.degrees)
     if sym:
         table = [[-s for s in row] for row in table]
-    degree = {m: V.group.sum(V.degrees[x] for x in m)
-              for m in exterior.basis(table, k)}
-    monos = sorted(degree, key=lambda m: (degree[m], m))
-    pos = {m: a for a, m in enumerate(monos)}
-    columns = []
-    labels = []
-    for m in monos:
-        col = {sum(x * V.dim ** (k - 1 - t) for t, x in enumerate(arr)):
-               exterior.canonicalize(table, arr)[0] for arr in set(itertools.permutations(m))}
-        columns.append(col)
-        lab = "⊗".join(V.labels[x] for x in m)
-        labels.append(lab if len(col) == 1 else "(%s+…)" % lab)
-    mats = []
+    by_deg = exterior.basis_by_degree(table, k, V.group, V.degrees)
+    degrees = [d for d in sorted(by_deg) for _ in by_deg[d]]
+    monos = [m for d in sorted(by_deg) for m in by_deg[d]]
+    return table, monos, degrees, [prod(map(factorial, Counter(m).values())) for m in monos]
+
+
+def leibniz_rows(V, table, monos, weights):
+    """Per algebra basis element e_i, (den, rows) for the Leibniz action
+    e_i . m_a = sum_t prefix_t m_a[:t] (e_i . m_a[t]) m_a[t+1:] with
+    prefix_t = prod_{s<t} V.signs[i][m_a[s]]: den > 0 is the common
+    denominator of rho(e_i), and row a holds the integers
+    {b: sum of den * prefix_t * s * v * weights[b]} over the terms, each
+    canonicalized to s m_b.  Each distinct term is canonicalized once.
+    With table None the monomials are the ordered tuples of the full tensor
+    power, and each term is its own basis element."""
+    pos = {m: b for b, m in enumerate(monos)}
+    canon = {}
     for i in range(V.algebra.dim):
-        acts = V.action[i].columns()
-        ent = {}
-        for a, m in enumerate(monos):
+        cols = V.action[i].columns()
+        den = lcm(*[v.denominator for col in cols for v in col.values()])
+        acts = [{r: v.numerator * (den // v.denominator) for r, v in col.items()}
+                for col in cols]
+        rows = []
+        for m in monos:
+            row = {}
             prefix = 1
             for t, c in enumerate(m):
                 for r, v in acts[c].items():
-                    s, m2 = exterior.canonicalize(table, m[:t] + (r,) + m[t + 1:])
+                    term = m[:t] + (r,) + m[t + 1:]
+                    if term not in canon:
+                        s, m2 = (1, term) if table is None else exterior.canonicalize(table, term)
+                        canon[term] = s, pos[m2] if s else None
+                    s, b = canon[term]
                     if s:
-                        b = pos[m2]
-                        x = prefix * s * v * len(columns[a]) / len(columns[b])
-                        ent[(b, a)] = ent.get((b, a), 0) + x
+                        row[b] = row.get(b, 0) + prefix * s * v * weights[b]
                 prefix *= V.signs[i][c]
-        mats.append(RationalSparseMatrix(len(monos), len(monos), ent))
-    return GradedModule(V.algebra, labels, [degree[m] for m in monos], mats,
-                        embedding=RationalSparseMatrix.from_columns(columns, V.dim ** k))
+            rows.append({b: x for b, x in row.items() if x})
+        yield den, rows
+
+
+def eps_power(V, k, sym):
+    """The k-th eps-skew (sym=False) or eps-symmetric (sym=True) power of V.
+
+    Basis: the monomials of power_monomials.  Monomial m is the tensor with
+    the canonicalize sign at each distinct arrangement of m, the
+    (skew)symmetrization of m over P(m).  The action is read off
+    leibniz_rows weighted by P: entry (b, a) is row a's value at b divided
+    by den * P(m_a).  The `embedding` into tensor-power coordinates (the
+    arrangements of each monomial) is built when it is first read.
+    """
+    if k < 1:
+        raise ModuleError("need k >= 1")
+    table, monos, degrees, repeats = power_monomials(V, k, sym)
+    labels = ["⊗".join(V.labels[x] for x in m) for m in monos]
+    labels = [lab if m[0] == m[-1] else "(%s+…)" % lab for m, lab in zip(monos, labels)]
+    mats = [RationalSparseMatrix(len(monos), len(monos), {
+        (b, a): Fraction(x, den * repeats[a]) for a, row in enumerate(rows) for b, x in row.items()
+    }) for den, rows in leibniz_rows(V, table, monos, repeats)]
+
+    def embedding():
+        return RationalSparseMatrix.from_columns([
+            {sum(x * V.dim ** (k - 1 - t) for t, x in enumerate(arr)): s
+             for s, arr in exterior.arrangements(table, m)} for m in monos], V.dim ** k)
+
+    return GradedModule(V.algebra, labels, degrees, mats, embedding=embedding)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import io
 import itertools
+import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
-from epslie import catalog
+from epslie import catalog, cli, gmodule
 from epslie.casimir import (
     CasimirError,
     InvariantForm,
@@ -15,7 +19,7 @@ from epslie.casimir import (
     verify_homotopy_identity,
 )
 from epslie.cohomology import CochainComplex
-from epslie.exactlin import ONE, RationalSparseMatrix
+from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
 from epslie.gmodule import adjoint, coadjoint, trivial
 
 
@@ -267,6 +271,61 @@ def test_symmetric_forms_match_the_full_tuple_reference(algebra, rmax):
                 want = _reference_forms(M, r, symmetry)
                 assert [f.degree for f in got] == [f.degree for f in want], (
                     r, symmetry)
+                assert _spans_by_degree(got) == _spans_by_degree(want), (r, symmetry)
+
+
+def _spans_by_degree(forms):
+    """{degree: reduced echelon basis of the span of the forms' values}; the
+    basis of a span does not depend on the spanning set."""
+    spans = {}
+    for f in forms:
+        assert spans.setdefault(f.degree, SpanTracker()).add(f.values)
+    return {deg: span.basis() for deg, span in spans.items()}
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _form_values(L):
+    """Exact values of the eps-skew and eps-symmetric forms of arity <= 3 on
+    the adjoint and coadjoint modules, keyed as in golden/forms-*.json."""
+    out = {}
+    for name, M in (("adjoint", adjoint(L)), ("coadjoint", coadjoint(L))):
+        for symmetry in ("eps_skew", "eps_symmetric"):
+            for r in (1, 2, 3):
+                out["%s %s r=%d" % (name, symmetry, r)] = [
+                    {",".join(map(str, k)): str(v) for k, v in f.values.items()}
+                    for f in invariant_multilinear_forms(M, r, symmetry)]
+    return out
+
+
+# Pinned when the forms were still read off eps_power and its embedding.
+@pytest.mark.parametrize("algebra", ["sl2", "sl12", "sl12_z2", "osp12", "gl11", "gl21"])
+def test_symmetric_form_values_match_the_pinned_ones(algebra):
+    with open(os.path.join(GOLDEN, "forms-%s.json" % algebra), encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert _form_values(catalog.get_algebra(algebra)) == want
+
+
+def test_oracle_check_builds_no_eps_power(monkeypatch):
+    calls = []
+    original = gmodule.eps_power
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("epslie") and getattr(m, "eps_power", None) is original]
+    assert gmodule in holders
+    for m in holders:
+        monkeypatch.setattr(m, "eps_power", counted)
+    args = ["cohomology", "--algebra", "sl12", "--module", "trivial", "--nmax", "4",
+            "--oracle-check"]
+    assert cli.main(args, stdout=io.StringIO()) == 0
+    assert calls == []
+    gmodule.eps_power(adjoint(catalog.sl12()), 2, False)
+    assert calls == [(2, False)]
 
 
 @pytest.mark.parametrize(

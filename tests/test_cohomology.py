@@ -93,6 +93,31 @@ def test_delta_squared_zero_up_to_level_four(pair):
         assert prod.is_zero()
 
 
+# Above level 5 the bracket sum of _sub_terms has no term-by-term check, so
+# d∘d = 0 is checked per sector block at n = 5 and 6.  sl12 and sl21 have an
+# inner torus, so their sectors lie on both sides of K; osp12 has none.
+@pytest.mark.parametrize("algebra, module, sides", [
+    ("sl12", "trivial", {True, False}),
+    ("osp12", "trivial", {True}),
+    ("sl21", "adjoint", {True, False}),
+])
+def test_delta_squared_zero_per_sector_at_levels_five_and_six(algebra, module, sides):
+    L = catalog.get_algebra(algebra)
+    V = trivial(L) if module == "trivial" else adjoint(L)
+    cx = CochainComplex(L, V, 7)
+    seen = set()
+    composed = 0
+    for n in (5, 6):
+        # a sector empty at level n + 1 composes to zero trivially
+        for deg in cx.sectors(n + 1):
+            outer, inner = cx.delta_sector(n + 1, deg), cx.delta_sector(n, deg)
+            assert outer.multiply(inner).is_zero(), (n, deg)
+            seen.add(cx.vanishing_certificate(deg) is None)
+            composed += bool(outer.entries and inner.entries)
+    assert seen == sides
+    assert composed >= 4
+
+
 def test_delta_preserves_sectors():
     L = catalog.sl12()
     V = catalog.module_v_half(L)
