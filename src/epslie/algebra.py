@@ -13,7 +13,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exterior
-from .exactlin import SpanTracker, as_integral, vec_axpy, vec_clean, vec_is_zero
+from .exactlin import (
+    RationalSparseMatrix,
+    SpanTracker,
+    as_integral,
+    rows_kernel,
+    vec_axpy,
+    vec_clean,
+    vec_is_zero,
+)
 from .grading import CommutationFactor
 
 
@@ -44,27 +52,16 @@ def split_components(group, degrees, vec):
     return parts
 
 
-def graded_echelon(group, degrees, vectors):
-    """Deterministic echelon basis of a span of homogeneous vectors."""
-    trackers = {}
-    for v in vectors:
-        if vec_is_zero(v):
-            continue
-        d = degree_of_vector(group, degrees, v)
-        trackers.setdefault(d, SpanTracker()).add(v)
-    out = []
-    for d in sorted(trackers):
-        out.extend(trackers[d].basis())
-    return out
-
-
 def graded_subquotient(group, degrees, vectors, divisor):
-    """Basis of the span of homogeneous vectors modulo the span held by the
-    SpanTracker divisor (an empty tracker for a plain subspace).
+    """The one routine that turns spanning vectors into an ordered basis:
+    the span of homogeneous vectors modulo the span held by the SpanTracker
+    divisor (an empty tracker for a plain subspace).
 
     Returns (basis, basis_degrees, coords).  The basis is the reduced echelon
     basis ordered by (degree, pivot); coords(vec) is {slot: coeff} for vec
-    modulo divisor, or None when vec leaves the span.
+    modulo divisor, or None when vec leaves the span.  Zero vectors are
+    skipped and a mixed vector raises AlgebraError.  graded_echelon and
+    graded_kernel are its special cases.
     """
     comp = SpanTracker()
     for v in vectors:
@@ -81,6 +78,24 @@ def graded_subquotient(group, degrees, vectors, divisor):
         return {slot[p]: x for p, x in c.items()}
 
     return [dict(comp.rows[p]) for p in pivots], [deg[p] for p in pivots], coords
+
+
+def graded_echelon(group, degrees, vectors):
+    """Echelon basis of a span of homogeneous vectors, ordered by (degree,
+    pivot).  Vectors of different degrees have disjoint supports, so its rows
+    are those of one echelon basis per degree."""
+    return graded_subquotient(group, degrees, vectors, SpanTracker())[0]
+
+
+def graded_kernel(group, degrees, operators):
+    """Echelon basis of the common kernel of square matrices on the span of
+    the basis, split into homogeneous parts; no operators give the whole
+    space."""
+    rows = [row for m in operators for row in m.row_dicts()]
+    vecs = []
+    for v in rows_kernel(rows, len(degrees)):
+        vecs.extend(split_components(group, degrees, v).values())
+    return graded_echelon(group, degrees, vecs)
 
 
 class ValidationReport:
@@ -279,25 +294,14 @@ class EpsLieAlgebra:
         return len(self.derived_subalgebra()) == self.dim
 
     def center(self):
-        """Echelon basis of {x : <x, e_j> = 0 for all j}."""
-        from .exactlin import RationalSparseMatrix
-
-        rowdex = {}
-        ent = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.bracket_basis(i, j).items():
-                    r = rowdex.setdefault((j, k), len(rowdex))
-                    ent[(r, i)] = c
-        mat = RationalSparseMatrix(len(rowdex), self.dim, ent)
-        vecs = []
-        for v in mat.kernel_basis():
-            vecs.extend(split_components(self.group, self.degrees, v).values())
-        return graded_echelon(self.group, self.degrees, vecs)
+        """Echelon basis of {x : <e_i, x> = 0 for all i}."""
+        n = self.dim
+        ads = [RationalSparseMatrix(n, n, self.ad_matrix(i)) for i in range(n)]
+        return graded_kernel(self.group, self.degrees, ads)
 
     # ------------------------------------------------------------ subquotients
 
-    def subquotient(self, sub_vectors, ideal_vectors=(), label_prefix=None):
+    def subquotient(self, sub_vectors, ideal_vectors=(), label_prefix=""):
         """Quotient of the subalgebra spanned by sub_vectors by the ideal
         spanned by ideal_vectors.  All spanning vectors must be homogeneous;
         closure of the span and invariance of the ideal are verified.
@@ -308,19 +312,18 @@ class EpsLieAlgebra:
         g = self.group
         sub = graded_echelon(g, self.degrees, [vec_clean(v) for v in sub_vectors])
         ideal = graded_echelon(g, self.degrees, [vec_clean(v) for v in ideal_vectors])
-        sub_span = SpanTracker(sub)
         ideal_span = SpanTracker(ideal)
-        for v in ideal:
-            if not sub_span.contains(v):
-                raise AlgebraError("ideal is not contained in the subalgebra")
+        reps, rep_deg, coords = graded_subquotient(g, self.degrees, sub, ideal_span)
+        # dim(sub + ideal) = len(reps) + len(ideal), which is len(sub)
+        # exactly when the ideal lies in sub
+        if len(reps) + len(ideal) != len(sub):
+            raise AlgebraError("ideal is not contained in the subalgebra")
         for a in sub:
             for b in ideal:
                 if not ideal_span.contains(self.bracket(a, b)):
                     raise AlgebraError("ideal_vectors do not span an ideal")
 
-        reps, rep_deg, coords = graded_subquotient(g, self.degrees, sub, ideal_span)
-        prefix = label_prefix if label_prefix is not None else ""
-        labels = ["%s[%s]" % (prefix, self.labels[min(v)]) for v in reps]
+        labels = ["%s[%s]" % (label_prefix, self.labels[min(v)]) for v in reps]
         # The span is span(reps) + ideal, the ideal is checked above, and the
         # representatives are homogeneous, so <b,a> = -eps(a,b)<a,b>: the one
         # bracket per unordered pair of the table decides closure.

@@ -116,7 +116,7 @@ def _sl_data(m, n):
             # block junction
             c = Fraction(1) if sig[a] == sig[a + 1] else Fraction(-1)
             vecs.append({a * total + a: ONE, (a + 1) * total + (a + 1): -c})
-        L, reps = G.subquotient(vecs, (), label_prefix="")
+        L, reps = G.subquotient(vecs)
         L.catalog_name = "sl(%d|%d)" % (m, n)
         return L, reps, G
 
@@ -146,9 +146,7 @@ def _psl_data(n):
     def build():
         L, reps, G = _sl_data(n, n)
         ivec = identity_vector_sl(n, n)
-        P, preps = L.subquotient(
-            [{a: ONE} for a in range(L.dim)], [ivec], label_prefix=""
-        )
+        P, preps = L.subquotient([{a: ONE} for a in range(L.dim)], [ivec])
         P.catalog_name = "psl(%d|%d)" % (n, n)
         return P, preps, L
 
@@ -297,7 +295,7 @@ def osp12_in_sl12():
     def build():
         L = sl12("Z2")
         vecs = osp12_vectors()
-        G, reps = L.subquotient(vecs, (), label_prefix="")
+        G, reps = L.subquotient(vecs)
         G.catalog_name = "osp(1|2)"
         return G, vecs
 

@@ -130,8 +130,15 @@ def cmd_check(args, out):
 
 def cmd_cohomology(args, out):
     _check_count("--nmax", args.nmax, 0)
+    if args.csv and (args.oracle_check or args.representatives):
+        flag = "--oracle-check" if args.oracle_check else "--representatives"
+        raise CliError(EXIT_PARSE, "--csv does not combine with %s" % flag)
     L, name = _resolve_algebra(args.algebra)
     V = _resolve_module(args.module, L, name)
+    if args.oracle_check and (any(not m.is_zero() for m in V.action) or V.dim != 1):
+        raise CliError(
+            EXIT_PRECONDITION, "--oracle-check applies to trivial coefficients"
+        )
     cx = CochainComplex(L, V, args.nmax)
     res = cx.cohomology()
     if args.csv:
@@ -153,10 +160,6 @@ def cmd_cohomology(args, out):
         for ln in lines:
             out("  " + ln)
     if args.oracle_check:
-        if any(not m.is_zero() for m in V.action) or V.dim != 1:
-            raise CliError(
-                EXIT_PRECONDITION, "--oracle-check applies to trivial coefficients"
-            )
         ad = adjoint(L)
         for n in range(1, args.nmax + 1):
             forms = invariant_multilinear_forms(ad, n, "eps_skew")

@@ -465,7 +465,6 @@ class CochainComplex:
         self._delta_blocks = {}
         self._certificates = {}  # degree -> vanishing_certificate(degree)
         # integral coefficients as ints; each block makes Fractions once
-        self._brackets = L.bracket_terms
         # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry
         self._action = [
             [(w2, w, as_integral(c) * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
@@ -587,7 +586,7 @@ class CochainComplex:
         cols, col_at = self._layout(n, weight_zero)
         signs = self.algebra.signs
         action = self._action
-        brackets = self._brackets
+        brackets = self.algebra.bracket_terms
         ents = {key: {} for key in sorted(set(rows) | set(cols))}
         vdegs = self.module.degrees
         keys = self._sector_keys  # the layouts put every key of both levels here

@@ -79,7 +79,8 @@ def as_integral(c):
 
 
 # ---------------------------------------------------------------------------
-# span tracking (incremental echelon basis)
+# span tracking (incremental echelon basis; algebra.graded_subquotient
+# orders its rows by degree and is the one way spans become bases)
 
 
 class SpanTracker:
@@ -391,20 +392,4 @@ def rows_kernel(rows, cols):
     """Basis of {x : row . x = 0 for every row} for sparse rows of ints and
     Fractions over columns 0..cols-1, sorted by free column."""
     return list(rref_kernel(cols, *_elim.rref([integral_row(r) for r in rows])))
-
-
-def stack_rows(mats):
-    """Vertical stack; all matrices must share the column count."""
-    if not mats:
-        raise ShapeError("nothing to stack")
-    cols = mats[0].cols
-    ent = {}
-    r0 = 0
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError("stack column mismatch")
-        for (r, c), v in m.entries.items():
-            ent[(r0 + r, c)] = v
-        r0 += m.rows
-    return RationalSparseMatrix(r0, cols, ent)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import _elim_py as _elim
 from . import exterior
-from .algebra import EpsLieAlgebra, degree_of_vector
+from .algebra import EpsLieAlgebra, degree_of_vector, graded_subquotient
 from .cohomology import (
     Cochain,
     CochainComplex,
@@ -41,10 +41,6 @@ class NotPerfectError(ExtensionError):
 
 # ---------------------------------------------------------------------------
 # boundary operators and H_2
-
-
-def lambda2_basis(L):
-    return exterior.basis(L.signs, 2)
 
 
 def _d2_columns(L, monos2):
@@ -95,12 +91,12 @@ def _place(rows, columns):
 
 def boundary2(L):
     """Matrix of d2 : exterior square -> L on canonical pair monomials."""
-    return _place(L.dim, _d2_columns(L, lambda2_basis(L)))
+    return _place(L.dim, _d2_columns(L, exterior.basis(L.signs, 2)))
 
 
 def boundary3(L):
     """Matrix of d3 : exterior cube -> exterior square."""
-    index2 = {m: k for k, m in enumerate(lambda2_basis(L))}
+    index2 = {m: k for k, m in enumerate(exterior.basis(L.signs, 2))}
     return _place(len(index2), [col for _, col in _d3_columns(L, index2)])
 
 
@@ -141,7 +137,7 @@ def homology_h2(L):
     sums = L.degree_sums
     table1 = L.monomials_by_degree(1)
     table2 = L.monomials_by_degree(2)
-    monos2 = lambda2_basis(L)
+    monos2 = exterior.basis(L.signs, 2)
     index2 = {m: k for k, m in enumerate(monos2)}
     degs2 = [None] * len(monos2)
     local1 = [0] * len(degs)
@@ -274,26 +270,21 @@ def cocycle_from_section(E, L, project, section):
         d = degree_of_vector(E.group, E.degrees, col)
         if d is not None and d != E.group.reduce(L.degrees[j]):
             raise ExtensionError("section is not homogeneous of degree zero")
-    kernel = project.kernel_basis()
-    span = SpanTracker(kernel)
-    pivots = sorted(span.rows)
-    hdegs = [degree_of_vector(E.group, E.degrees, span.rows[p]) for p in pivots]
-    H = trivial(
-        L,
-        degrees=[d if d is not None else E.group.zero() for d in hdegs],
-        labels=["k%d" % k for k in range(len(pivots))],
+    basis, hdegs, coords = graded_subquotient(
+        E.group, E.degrees, project.kernel_basis(), SpanTracker()
     )
+    H = trivial(L, degrees=hdegs, labels=["k%d" % k for k in range(len(basis))])
     vals = {}
-    for mono in lambda2_basis(L):
+    for mono in exterior.basis(L.signs, 2):
         i, j = mono
         w = E.bracket(seccols[i], seccols[j])
         vec_axpy(w, -ONE, section.apply(L.bracket_basis(i, j)))
         if not w:
             continue
-        coords, rem = span.express(w)
-        if rem:
+        c = coords(w)
+        if c is None:
             raise ExtensionError("section defect escapes the kernel of project")
-        vals[mono] = {k: coords[p] for k, p in enumerate(pivots) if p in coords}
+        vals[mono] = c
     g = make_cochain(L, H, 2, vals)
     if not is_cocycle(g):
         raise ExtensionError("section defect is not a cocycle")

@@ -18,6 +18,7 @@ from .algebra import (
     EpsLieAlgebra,
     ValidationReport,
     graded_echelon,
+    graded_kernel,
     graded_subquotient,
     split_components,
 )
@@ -25,7 +26,6 @@ from .exactlin import (
     ONE,
     RationalSparseMatrix,
     SpanTracker,
-    stack_rows,
     vec_axpy,
     vec_clean,
 )
@@ -37,8 +37,12 @@ class ModuleError(ValueError):
 
 
 class GradedModule:
+    """A homogeneous basis (labels, degrees) with one action matrix per
+    algebra basis element.  Submodules and eps-powers also carry their
+    embedding into the ambient module; no other map is kept."""
+
     def __init__(self, algebra: EpsLieAlgebra, labels, degrees, action,
-                 embedding=None, projection=None):
+                 embedding=None):
         self.algebra = algebra
         self.group = algebra.group
         self.factor = algebra.factor
@@ -54,7 +58,6 @@ class GradedModule:
             if (m.rows, m.cols) != (d, d):
                 raise ModuleError("action matrix shape mismatch")
         self._embedding = embedding
-        self.projection = projection  # ambient coords -> this module's coords
         # signs[i][w] = eps(deg e_i, deg v_w) for algebra basis e_i
         self.signs = self.factor.sign_table(algebra.degrees, self.degrees)
 
@@ -222,19 +225,12 @@ def twist(V, omega_matrix):
 
 def invariants_subspace(V):
     """Echelon basis of the simultaneous kernel of the action (= H^0)."""
-    if V.algebra.dim == 0:
-        return graded_echelon(V.group, V.degrees, [{a: ONE} for a in range(V.dim)])
-    stacked = stack_rows(V.action)
-    vecs = []
-    for v in stacked.kernel_basis():
-        vecs.extend(split_components(V.group, V.degrees, v).values())
-    return graded_echelon(V.group, V.degrees, vecs)
+    return graded_kernel(V.group, V.degrees, V.action)
 
 
-def submodule_span(V, vectors, labels=None):
-    """Submodule on an invariant homogeneous span; raises when the span is
-    not invariant.  Basis is the deterministic graded echelon of the span."""
-    basis, deg, coords = graded_subquotient(V.group, V.degrees, vectors, SpanTracker())
+def _action_on(V, basis, coords):
+    """Action matrices of V on a basis whose coords locate vectors in it; a
+    vector that leaves the span raises ModuleError."""
     mats = []
     for i in range(V.algebra.dim):
         ent = {}
@@ -247,11 +243,18 @@ def submodule_span(V, vectors, labels=None):
             for r, c in w.items():
                 ent[(r, a)] = c
         mats.append(RationalSparseMatrix(len(basis), len(basis), ent))
-    if labels is None:
-        labels = []
-        for b in basis:
-            lead = V.labels[min(b)]
-            labels.append(lead if len(b) == 1 else "(%s+…)" % lead)
+    return mats
+
+
+def submodule_span(V, vectors):
+    """Submodule on an invariant homogeneous span; raises when the span is
+    not invariant.  Basis is the deterministic graded echelon of the span."""
+    basis, deg, coords = graded_subquotient(V.group, V.degrees, vectors, SpanTracker())
+    mats = _action_on(V, basis, coords)
+    labels = []
+    for b in basis:
+        lead = V.labels[min(b)]
+        labels.append(lead if len(b) == 1 else "(%s+…)" % lead)
     emb = RationalSparseMatrix.from_columns(basis, V.dim)
     return GradedModule(V.algebra, labels, deg, mats, embedding=emb)
 
@@ -284,27 +287,8 @@ def quotient(V, sub_vectors):
     reps, deg, coords = graded_subquotient(
         V.group, V.degrees, [{a: ONE} for a in range(V.dim)], span
     )
-
-    def project(vec):
-        w = coords(vec)
-        if w is None:
-            raise ModuleError("projection failed")
-        return w
-
-    mats = []
-    for i in range(V.algebra.dim):
-        ent = {}
-        for a, r in enumerate(reps):
-            for k, c in project(V.apply_basis(i, r)).items():
-                ent[(k, a)] = c
-        mats.append(RationalSparseMatrix(len(reps), len(reps), ent))
     labels = ["[%s]" % V.labels[min(r)] for r in reps]
-    proj_ent = {}
-    for a in range(V.dim):
-        for k, c in project({a: ONE}).items():
-            proj_ent[(k, a)] = c
-    proj = RationalSparseMatrix(len(reps), V.dim, proj_ent)
-    return GradedModule(V.algebra, labels, deg, mats, projection=proj)
+    return GradedModule(V.algebra, labels, deg, _action_on(V, reps, coords))
 
 
 def power_monomials(V, k, sym):

@@ -1,8 +1,11 @@
+import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from epslie import catalog
+from epslie import catalog, fileio
 from epslie.algebra import AlgebraError
 from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
 from epslie.gmodule import (
@@ -289,3 +292,31 @@ def test_sign_tables_agree_with_the_factor():
         for mname in catalog.module_names(name):
             V = catalog.get_module(L, name, mname)
             assert V.signs == [[eps(a, v) for v in V.degrees] for a in degs], mname
+
+
+def _export_digests():
+    """SHA-256 of the sorted JSON export of every catalog algebra and of every
+    (algebra, module) pair that `epslie catalog list` shows."""
+    def digest(data):
+        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+    out = {}
+    for aname in catalog.algebra_names():
+        L = catalog.get_algebra(aname)
+        out[aname] = digest(fileio.algebra_to_dict(L))
+        for mname in catalog.module_names(aname):
+            V = catalog.get_module(L, aname, mname)
+            out["%s/%s" % (aname, mname)] = digest(fileio.module_to_dict(V))
+    return out
+
+
+# Pinned while subquotient, submodule_span and eps_power still kept their own
+# span trackers: every basis, label and order of the catalog.
+def test_catalog_exports_match_the_pinned_digests():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                        "catalog-exports.json")
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = _export_digests()
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []

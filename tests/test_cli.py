@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epslie import catalog, fileio
+from epslie import catalog, cli, fileio
 from epslie.algebra import EpsLieAlgebra
 from epslie.cli import main
 from test_algebra import B, VP, WM, reference_validate
@@ -478,3 +478,27 @@ def test_covering_exports_are_pinned_for_every_perfect_algebra():
     pinned = {f[len("covering-"):-len(".json")] for f in os.listdir(GOLDEN)
               if f.startswith("covering-")}
     assert pinned == perfect
+
+
+def _no_complex(*args, **kwargs):
+    raise AssertionError("a refused command built a cochain complex")
+
+
+# The first offending flag in the order --oracle-check, --representatives
+@pytest.mark.parametrize("flags, named", [
+    (["--oracle-check"], "--oracle-check"),
+    (["--representatives"], "--representatives"),
+    (["--representatives", "--oracle-check"], "--oracle-check"),
+])
+def test_csv_refuses_report_flags_before_any_work(monkeypatch, flags, named):
+    monkeypatch.setattr(cli, "CochainComplex", _no_complex)
+    args = ["cohomology", "--algebra", "sl12", "--module", "trivial", "--nmax", "1",
+            "--csv"] + flags
+    assert run_cli(args) == (2, "error: --csv does not combine with %s\n" % named)
+
+
+def test_oracle_check_refuses_module_coefficients_before_any_work(monkeypatch):
+    monkeypatch.setattr(cli, "CochainComplex", _no_complex)
+    args = ["cohomology", "--algebra", "sl12", "--module", "v_half", "--nmax", "1",
+            "--oracle-check"]
+    assert run_cli(args) == (4, "error: --oracle-check applies to trivial coefficients\n")

@@ -10,7 +10,6 @@ from epslie.exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
-    stack_rows,
     vec_axpy,
     vec_clean,
     vec_eq,
@@ -130,14 +129,6 @@ def test_int_rows_clear_each_rows_denominators():
     assert m._int_rows(extra_col={1: Fraction(1, 4)}) == [
         {0: 2, 2: -3}, {0: 6, 1: -8, 2: 60, 3: 3}, {},
     ]
-
-
-def test_stack_rows():
-    a = RationalSparseMatrix.identity(2)
-    b = RationalSparseMatrix.zero(1, 2)
-    s = stack_rows([a, b])
-    assert (s.rows, s.cols) == (3, 2)
-    assert s.rank() == 2
 
 
 def test_span_tracker_basis_is_order_independent():
