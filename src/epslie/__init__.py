@@ -1,6 +1,6 @@
 """Exact cohomology of Lie superalgebras and color Lie algebras over Q."""
 
-from .exactlin import BACKEND, Rational, RationalSparseMatrix
+from .exactlin import BACKEND, RationalSparseMatrix
 from .grading import CommutationFactor, GradingGroup, super_factor, super_z_factor
 from .algebra import EpsLieAlgebra
 from .gmodule import GradedModule
@@ -8,7 +8,6 @@ from .cohomology import Cochain, CochainComplex, cohomology
 
 __all__ = [
     "BACKEND",
-    "Rational",
     "RationalSparseMatrix",
     "CommutationFactor",
     "GradingGroup",

@@ -9,14 +9,13 @@ construction once the input is consistent.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import exterior
 from .exactlin import (
     RationalSparseMatrix,
     SpanTracker,
-    as_integral,
+    rational,
     rows_kernel,
     vec_axpy,
     vec_clean,
@@ -134,7 +133,7 @@ class EpsLieAlgebra:
         for (i, j), vec in brackets.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraError("bracket index out of range: (%d,%d)" % (i, j))
-            vec = vec_clean({k: Fraction(c) for k, c in vec.items()})
+            vec = vec_clean({k: rational(c) for k, c in vec.items()})
             for k in vec:
                 if not 0 <= k < n:
                     raise AlgebraError("bracket term index out of range: %d" % k)
@@ -184,11 +183,10 @@ class EpsLieAlgebra:
 
     @cached_property
     def bracket_terms(self):
-        """bracket_terms[i][j]: the terms (k, c) of <e_i, e_j>, with integral c
-        as ints; built once per algebra."""
+        """bracket_terms[i][j]: the terms (k, c) of <e_i, e_j> as stored in the
+        table (c an int when integral); built once per algebra."""
         return [
-            [tuple((k, as_integral(c)) for k, c in self.bracket_basis(i, j).items())
-             for j in range(self.dim)]
+            [tuple(self.bracket_basis(i, j).items()) for j in range(self.dim)]
             for i in range(self.dim)
         ]
 
@@ -242,7 +240,7 @@ class EpsLieAlgebra:
         col = [{} for _ in range(n)]
         made = [[] for _ in range(n)]
         for (a, b), vec in self.table.items():
-            terms = [(m, as_integral(c)) for m, c in vec.items()]
+            terms = list(vec.items())
             if not terms:
                 continue
             row[a][b] = col[b][a] = terms

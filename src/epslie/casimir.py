@@ -190,7 +190,7 @@ def homotopy_matrix(C: CasimirOperator, cx: CochainComplex, n):
                 sg *= L.signs[i][t]
             for (w2, w), c in part.entries.items():
                 key = (rows[(T, w2)], cols[(mono, w)])
-                v = ent.get(key, Fraction(0)) + sg * V.signs[i][w] * c
+                v = ent.get(key, 0) + sg * V.signs[i][w] * c
                 if v:
                     ent[key] = v
                 else:

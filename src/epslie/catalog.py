@@ -91,7 +91,7 @@ def gl(m, n):
                         if l == i:
                             e = fac.eps(degrees[a], degrees[b])
                             vec[dex(k, j)] = vec.get(dex(k, j), 0) - e
-                        vec = {x: Fraction(c) for x, c in vec.items() if c}
+                        vec = {x: c for x, c in vec.items() if c}
                         if vec:
                             brackets[(a, b)] = vec
         L = EpsLieAlgebra(fac, labels, degrees, brackets)
@@ -114,7 +114,7 @@ def _sl_data(m, n):
         for a in range(total - 1):
             # supertrace-free diagonal: E_aa - E_{a+1,a+1}, or the sum at the
             # block junction
-            c = Fraction(1) if sig[a] == sig[a + 1] else Fraction(-1)
+            c = 1 if sig[a] == sig[a + 1] else -1
             vecs.append({a * total + a: ONE, (a + 1) * total + (a + 1): -c})
         L, reps = G.subquotient(vecs)
         L.catalog_name = "sl(%d|%d)" % (m, n)
@@ -174,9 +174,9 @@ def sl2():
         labels = ["e", "h", "f"]
         degrees = [(2,), (0,), (-2,)]
         brackets = {
-            (0, 2): {1: Fraction(1)},
-            (0, 1): {0: Fraction(-2)},
-            (1, 2): {2: Fraction(-2)},
+            (0, 2): {1: 1},
+            (0, 1): {0: -2},
+            (1, 2): {2: -2},
         }
         L = EpsLieAlgebra(fac, labels, degrees, brackets)
         L.catalog_name = "sl(2)"
@@ -324,7 +324,7 @@ def _module_from_table(L, labels, zdegrees, table):
         ent = {}
         for col_lab, pairs in table.get(i, {}).items():
             for row_lab, c in pairs:
-                ent[(pos[row_lab], pos[col_lab])] = Fraction(c)
+                ent[(pos[row_lab], pos[col_lab])] = c
         mats.append(RationalSparseMatrix(len(labels), len(labels), ent))
     return GradedModule(L, labels, degrees, mats)
 

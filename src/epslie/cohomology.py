@@ -24,8 +24,8 @@ deg v_w - sum_{t>r} a_t, hence
   eps(a_{r+1}+..+a_{s-1}, a_s)     = prod_{r<t<s} L.signs[N_t][N_s].
 
 CochainComplex assembles the sector blocks delta_sector(n, deg) directly
-from these products, with integral coefficients kept as ints until each
-block is made.  coboundary() takes the action signs from
+from these products, in the stored coefficients (ints where integral;
+see exactlin.rational).  coboundary() takes the action signs from
 CommutationFactor.eps, so it checks the first sum of the matrix; the
 second sum is _sub_terms in both, which the tests check term by term
 against the formula.  The module action on cochains is
@@ -61,8 +61,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
 
 from . import exterior
 from .algebra import degree_of_vector, graded_echelon
@@ -71,12 +69,11 @@ from .exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
-    as_integral,
     vec_axpy,
     vec_clean,
     vec_scale,
 )
-from .gmodule import GradedModule, inner_torus, tensor
+from .gmodule import GradedModule, inner_torus, tensor, torus_weight
 
 
 class CochainError(ValueError):
@@ -464,10 +461,10 @@ class CochainComplex:
         # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
         self._certificates = {}  # degree -> vanishing_certificate(degree)
-        # integral coefficients as ints; each block makes Fractions once
-        # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry
+        # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry, with
+        # the coefficients as the matrices store them
         self._action = [
-            [(w2, w, as_integral(c) * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
+            [(w2, w, c * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
             for i, mat in enumerate(V.action)
         ]
 
@@ -556,16 +553,9 @@ class CochainComplex:
         cocycle there a coboundary."""
         if deg not in self._certificates:
             self._certificates[deg] = next(
-                (pair for pair, ints in self._weights if sum(map(mul, ints, deg))), None
+                (pair for pair in self.torus if torus_weight(pair[1], deg)), None
             )
         return self._certificates[deg]
-
-    @cached_property
-    def _weights(self):
-        """Each torus pair with chi scaled to integers on the free coordinates,
-        so that chi(deg) != 0 is tested in integers."""
-        scale = [lcm(*(Fraction(c).denominator for c in chi)) for _, chi in self.torus]
-        return [(pair, [int(c * m) for c in pair[1]]) for pair, m in zip(self.torus, scale)]
 
     def _blocks(self, n, weight_zero):
         """{deg: delta_sector(n, deg)} for the degrees of C^n or C^{n+1} in K

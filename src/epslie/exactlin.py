@@ -1,8 +1,10 @@
 """Exact rational sparse linear algebra.
 
-Scalars are ``fractions.Fraction`` (the field is Q; nothing here ever
-rounds).  Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
-{(row, col): Fraction}.  Rank / kernel / solve run on the one integer
+The field is Q; nothing here ever rounds.  A stored coefficient (a matrix
+entry, a structure constant, a parsed file value) is normalized once by
+rational(): an int when it is integral, else a Fraction, and never a float.
+Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
+{(row, col): coefficient}.  Rank / kernel / solve run on the one integer
 elimination kernel, ``_elim_py.rref``: each matrix is scaled to integer
 rows and reduced with a deterministic Markowitz pivot rule (shortest row,
 then the sparsest column), found through a row-length heap and a
@@ -18,16 +20,23 @@ from . import _elim_py as _elim
 
 BACKEND = _elim.BACKEND
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# Fractions are immutable, so matrices share one object per small integer
-_SMALL = {i: Fraction(i) for i in range(-16, 17)}
 
 
 class ShapeError(ValueError):
     pass
+
+
+def rational(c):
+    """c as a stored coefficient: an int, or a Fraction with denominator > 1.
+    Any other type (a float, a bool, a str) raises TypeError."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +81,6 @@ def integral_row(row):
     mult = lcm(*[v.denominator for v in row.values()])
     # v * mult is an integer; with mult == 1 it is v.numerator
     return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
-
-def as_integral(c):
-    """c as an int when it is integral, else the Fraction itself."""
-    return c.numerator if c.denominator == 1 else c
-
 
 # ---------------------------------------------------------------------------
 # span tracking (incremental echelon basis; algebra.graded_subquotient
@@ -157,9 +161,9 @@ class SpanTracker:
 class RationalSparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
-    entries maps (row, col) to a nonzero Fraction; shape is fixed at
-    construction.  Elimination results are cached, so do not mutate entries
-    after construction.
+    entries maps (row, col) to a nonzero rational() coefficient; shape is
+    fixed at construction.  Elimination results are cached, so do not mutate
+    entries after construction.
     """
 
     def __init__(self, rows, cols, entries=None):
@@ -172,8 +176,7 @@ class RationalSparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ShapeError("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
-                if not isinstance(v, Fraction):
-                    v = _SMALL.get(v) or Fraction(v)
+                v = rational(v)
                 if v:
                     self.entries[(r, c)] = v
         self._rref = None
@@ -183,7 +186,7 @@ class RationalSparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows, cols):
@@ -193,23 +196,13 @@ class RationalSparseMatrix:
     def from_dense(cls, dense):
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ShapeError("ragged dense input")
-            for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    ent[(r, c)] = v
-        return cls(rows, cols, ent)
+        if any(len(row) != cols for row in dense):
+            raise ShapeError("ragged dense input")
+        return cls(rows, cols, {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)})
 
     @classmethod
     def from_columns(cls, columns, rows):
-        ent = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                if v:
-                    ent[(r, c)] = Fraction(v)
+        ent = {(r, c): v for c, col in enumerate(columns) for r, v in col.items()}
         return cls(rows, len(columns), ent)
 
     @staticmethod
@@ -316,7 +309,7 @@ class RationalSparseMatrix:
         for c, x in vec.items():
             if not x:
                 continue
-            if c >= self.cols:
+            if not 0 <= c < self.cols:
                 raise ShapeError("vector index %d outside %d cols" % (c, self.cols))
             col = self._coldex.get(c)
             if col:
@@ -359,8 +352,8 @@ class RationalSparseMatrix:
             b = {i: Fraction(v) for i, v in enumerate(b) if v}
         else:
             b = {i: Fraction(v) for i, v in b.items() if v}
-        if any(i >= self.rows for i in b):
-            raise ShapeError("rhs longer than row count")
+        if any(not 0 <= i < self.rows for i in b):
+            raise ShapeError("rhs index outside %d rows" % self.rows)
         neg = {i: -v for i, v in b.items()}
         aug = self.cols
         kernel = rref_kernel(aug + 1, *_elim.rref(self._int_rows(extra_col=neg)))

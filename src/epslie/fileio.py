@@ -14,10 +14,11 @@ element:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import EpsLieAlgebra
-from .exactlin import RationalSparseMatrix
+from .exactlin import RationalSparseMatrix, rational
 from .gmodule import GradedModule
 from .grading import CommutationFactor, GradingGroup
 
@@ -32,7 +33,12 @@ class ValidationFailure(ValueError):
         super().__init__("validation failed: %r" % (report,))
 
 
-def coeff_str(x: Fraction):
+# the only coefficient form read: what coeff_str writes
+_COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def coeff_str(x: int | Fraction):
+    """A stored coefficient as "p/q", or "p" when it is an int."""
     return str(x)
 
 
@@ -44,9 +50,13 @@ def parse_str(raw, what):
 
 
 def parse_coeff(raw):
+    """A coefficient "p/q" or "p" as a stored coefficient; exponent, decimal
+    and padded forms are rejected, never evaluated."""
     s = parse_str(raw, "coefficient")
+    if not _COEFF.fullmatch(s):
+        raise ParseError("bad coefficient %r: expected p or p/q" % s)
     try:
-        return Fraction(s)
+        return rational(Fraction(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError("bad coefficient %r: %s" % (s, e))
 

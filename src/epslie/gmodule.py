@@ -26,6 +26,7 @@ from .exactlin import (
     ONE,
     RationalSparseMatrix,
     SpanTracker,
+    rational,
     vec_axpy,
     vec_clean,
 )
@@ -459,7 +460,7 @@ def inner_torus(V):
         if min(sol) >= len(span):
             break  # sorted by pivot: the rest have x = 0
         x = {span[u]: c for u, c in sol.items() if u < len(span)}
-        chi = tuple(sol.get(len(span) + t, Fraction(0)) for t in range(rank))
+        chi = tuple(rational(sol.get(len(span) + t, 0)) for t in range(rank))
         if not any(torus_weight(chi, d) for d in L.degrees + V.degrees):
             continue  # x acts as zero on L and V
         defect = torus_defect(V, x, chi)
@@ -494,15 +495,15 @@ def intertwiner_space(V, W, phi_degree):
                 if coeff:
                     key = (i, r, v)
                     rr = rowdex.setdefault(key, len(rowdex))
-                    ent[(rr, u)] = ent.get((rr, u), Fraction(0)) + coeff
+                    ent[(rr, u)] = ent.get((rr, u), 0) + coeff
             # (rho_W F)[w, c] picks up rho_W[w, r] F[r, c]
             for w in range(W.dim):
                 coeff = W.action[i].get(w, r)
                 if coeff:
                     key = (i, w, c)
                     rr = rowdex.setdefault(key, len(rowdex))
-                    ent[(rr, u)] = ent.get((rr, u), Fraction(0)) - e * coeff
-    mat = RationalSparseMatrix(len(rowdex), len(unknowns), {k: v for k, v in ent.items() if v})
+                    ent[(rr, u)] = ent.get((rr, u), 0) - e * coeff
+    mat = RationalSparseMatrix(len(rowdex), len(unknowns), ent)
     out = []
     for kv in mat.kernel_basis():
         F = {}

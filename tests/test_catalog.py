@@ -7,6 +7,7 @@ import pytest
 
 from epslie import catalog, fileio
 from epslie.algebra import AlgebraError
+from epslie.cohomology import CochainComplex
 from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
 from epslie.gmodule import (
     adjoint,
@@ -320,3 +321,26 @@ def test_catalog_exports_match_the_pinned_digests():
     got = _export_digests()
     assert sorted(got) == sorted(want)
     assert [k for k in want if got[k] != want[k]] == []
+
+
+def _stored(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def test_every_catalog_coefficient_is_stored_as_int_or_proper_fraction():
+    """Structure constants, action entries and the coboundary blocks of the
+    trivial and adjoint complexes (n <= 2) hold ints where integral."""
+    for aname in catalog.algebra_names():
+        L = catalog.get_algebra(aname)
+        assert all(_stored(c) for vec in L.table.values() for c in vec.values()), aname
+        for mname in catalog.module_names(aname):
+            V = catalog.get_module(L, aname, mname)
+            assert all(_stored(c) for m in V.action for c in m.entries.values()), mname
+            if mname not in ("trivial", "adjoint"):
+                continue
+            cx = CochainComplex(L, V, 2)
+            for n in range(3):
+                for deg in cx.sectors(n):
+                    block = cx.delta_sector(n, deg)
+                    assert all(_stored(c) for c in block.entries.values()), (
+                        aname, mname, n, deg)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,29 @@ def test_malformed_json_is_parse_error(tmp_path):
     code, out = run_cli(["check", "--algebra", alg_path])
     assert code == 2, out
     assert len(out.splitlines()) == 1, out
+
+
+@pytest.mark.parametrize("coeff", ["1e999999999", "0.5", " 1/2", "1/0", "\u0661"])
+def test_coefficients_other_than_p_over_q_are_refused_at_once(tmp_path, coeff):
+    """Only what coeff_str writes is read: an exponent form is never
+    expanded, and a decimal or padded one is never coerced."""
+    data = fileio.algebra_to_dict(catalog.sl2())
+    data["brackets"][0]["terms"][0]["coeff"] = coeff
+    path = str(tmp_path / "sl2.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    start = time.perf_counter()
+    code, out = run_cli(["check", "--algebra", path])
+    assert time.perf_counter() - start < 2
+    assert code == 2, out
+    assert out.startswith("parse error: bad coefficient %r" % coeff)
+    assert len(out.splitlines()) == 1, out
+
+
+def test_coefficients_are_read_in_the_stored_format():
+    assert [fileio.parse_coeff(s) for s in ("3", "-4/2", "+1/2", "007")] == [
+        3, -2, Fraction(1, 2), 7]
+    assert [type(fileio.parse_coeff(s)) for s in ("3", "-4/2", "6/4")] == [int, int, Fraction]
 
 
 @pytest.mark.parametrize("name", ["w0", "w07", "w5", "v9"])

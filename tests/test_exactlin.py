@@ -10,6 +10,7 @@ from epslie.exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
+    rational,
     vec_axpy,
     vec_clean,
     vec_eq,
@@ -108,16 +109,37 @@ def test_shape_errors():
         m.multiply(RationalSparseMatrix.zero(2, 2))
 
 
-def test_entries_are_stored_as_fractions():
-    """Assembly passes int entries; reports print the stored Fractions."""
+def test_entries_are_stored_as_ints_or_proper_fractions():
+    """An integral entry is stored as an int, any other as a Fraction; zeros
+    are dropped and a float is refused."""
     m = RationalSparseMatrix(2, 3, {
-        (0, 0): 3, (0, 1): 0, (0, 2): -40, (1, 0): Fraction(1, 2), (1, 2): Fraction(0),
+        (0, 0): 3, (0, 1): 0, (0, 2): Fraction(6, 2), (1, 0): Fraction(1, 2),
+        (1, 2): Fraction(0),
     })
-    assert m.entries == {(0, 0): 3, (0, 2): -40, (1, 0): Fraction(1, 2)}
-    assert all(type(v) is Fraction for v in m.entries.values())
-    assert repr(m.get(0, 0)) == "Fraction(3, 1)"
+    assert m.entries == {(0, 0): 3, (0, 2): 3, (1, 0): Fraction(1, 2)}
+    assert [type(v) for v in m.entries.values()] == [int, int, Fraction]
+    with pytest.raises(TypeError):
+        RationalSparseMatrix(1, 1, {(0, 0): 0.5})
     with pytest.raises(ShapeError):
         RationalSparseMatrix(2, 3, {(2, 0): 1})
+
+
+def test_rational_normalizes_and_refuses_other_types():
+    assert rational(-7) == -7 and type(rational(-7)) is int
+    assert rational(Fraction(-8, 4)) == -2 and type(rational(Fraction(-8, 4))) is int
+    assert rational(Fraction(2, 3)) == Fraction(2, 3)
+    for bad in (0.5, 2.0, True, "1/2", None):
+        with pytest.raises(TypeError):
+            rational(bad)
+
+
+def test_negative_indices_are_out_of_range():
+    m = RationalSparseMatrix.identity(2)
+    with pytest.raises(ShapeError):
+        m.apply({-1: 1})
+    with pytest.raises(ShapeError):
+        m.image_membership({-1: 1})
+    assert m.image_membership({1: 1}) == {1: 1}
 
 
 def test_int_rows_clear_each_rows_denominators():
