@@ -198,7 +198,8 @@ class RationalSparseMatrix:
         cols = len(dense[0]) if rows else 0
         if any(len(row) != cols for row in dense):
             raise ShapeError("ragged dense input")
-        return cls(rows, cols, {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)})
+        ent = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)}
+        return cls(rows, cols, ent)
 
     @classmethod
     def from_columns(cls, columns, rows):
