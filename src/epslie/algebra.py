@@ -124,7 +124,7 @@ class EpsLieAlgebra:
         self.factor = factor
         self.group = factor.group
         self.labels = list(labels)
-        self.degrees = [self.group.reduce(d) for d in degrees]
+        self.degrees = [self.group.degree(d) for d in degrees]
         if len(self.labels) != len(self.degrees):
             raise AlgebraError("labels and degrees length mismatch")
         self.signs = factor.sign_table(self.degrees, self.degrees)
@@ -345,9 +345,7 @@ class EpsLieAlgebra:
         """Pairs (i, j) where the linear map given by matrix (columns = images
         of this algebra's basis, as vectors over other's basis) fails
         phi<x,y> = <phi x, phi y>; empty list means homomorphism."""
-        cols = [dict() for _ in range(self.dim)]
-        for (r, c), v in matrix.entries.items():
-            cols[c][r] = v
+        cols = matrix.columns()
         bad = []
         for i in range(self.dim):
             for j in range(i, self.dim):

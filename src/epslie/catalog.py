@@ -94,9 +94,7 @@ def gl(m, n):
                         vec = {x: c for x, c in vec.items() if c}
                         if vec:
                             brackets[(a, b)] = vec
-        L = EpsLieAlgebra(fac, labels, degrees, brackets)
-        L.catalog_name = "gl(%d|%d)" % (m, n)
-        return L
+        return EpsLieAlgebra(fac, labels, degrees, brackets)
 
     return _cached(("gl", m, n), build)
 
@@ -117,7 +115,6 @@ def _sl_data(m, n):
             c = 1 if sig[a] == sig[a + 1] else -1
             vecs.append({a * total + a: ONE, (a + 1) * total + (a + 1): -c})
         L, reps = G.subquotient(vecs)
-        L.catalog_name = "sl(%d|%d)" % (m, n)
         return L, reps, G
 
     return _cached(("sl-data", m, n), build)
@@ -147,7 +144,6 @@ def _psl_data(n):
         L, reps, G = _sl_data(n, n)
         ivec = identity_vector_sl(n, n)
         P, preps = L.subquotient([{a: ONE} for a in range(L.dim)], [ivec])
-        P.catalog_name = "psl(%d|%d)" % (n, n)
         return P, preps, L
 
     return _cached(("psl-data", n), build)
@@ -178,9 +174,7 @@ def sl2():
             (0, 1): {0: -2},
             (1, 2): {2: -2},
         }
-        L = EpsLieAlgebra(fac, labels, degrees, brackets)
-        L.catalog_name = "sl(2)"
-        return L
+        return EpsLieAlgebra(fac, labels, degrees, brackets)
 
     return _cached(("sl2",), build)
 
@@ -253,10 +247,7 @@ def sl12(grading="Z"):
         else:
             fac = super_factor()
             degrees = [(0,)] * 4 + [(1,)] * 4
-        L = EpsLieAlgebra(fac, list(_SL12_LABELS), degrees, brackets)
-        L.catalog_name = "sl(1|2)[%s]" % grading
-        L.catalog_grading = grading
-        return L
+        return EpsLieAlgebra(fac, list(_SL12_LABELS), degrees, brackets)
 
     return _cached(("sl12", grading), build)
 
@@ -296,7 +287,6 @@ def osp12_in_sl12():
         L = sl12("Z2")
         vecs = osp12_vectors()
         G, reps = L.subquotient(vecs)
-        G.catalog_name = "osp(1|2)"
         return G, vecs
 
     return _cached(("osp12",), build)

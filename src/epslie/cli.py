@@ -256,9 +256,9 @@ def cmd_covering(args, out):
 
 def cmd_atypical(args, out):
     try:
-        L = [x.strip() for x in args.weight.split(",")]
+        L = [fileio.parse_coeff(x.strip()) for x in args.weight.split(",")]
         w = GlWeight(args.m, args.n, tuple(L))
-    except (WeightError, ValueError) as e:
+    except (WeightError, fileio.ParseError) as e:
         raise CliError(EXIT_PARSE, "bad weight: %s" % e)
     if args.sl:
         try:

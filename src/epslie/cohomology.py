@@ -69,6 +69,8 @@ from .exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
+    rational,
+    rows_kernel,
     vec_axpy,
     vec_clean,
     vec_scale,
@@ -167,7 +169,7 @@ def cochain_add(g, h):
 
 
 def cochain_scale(g, c):
-    c = Fraction(c)
+    c = rational(c)
     if not c:
         return zero_cochain(g.algebra, g.module, g.level)
     return Cochain(
@@ -816,8 +818,7 @@ def invariant_cochains(L, V, n, sub_vectors):
     """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span}."""
     cx = CochainComplex(L, V, max(n - 1, 0))
     basis = cx.basis(n)
-    rows = {}
-    ent = {}
+    rows = {}  # (t, monomial, w) -> {column: coefficient}
     vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])
     for t, avec in enumerate(vecs):
         for col, pair in enumerate(basis):
@@ -826,11 +827,9 @@ def invariant_cochains(L, V, n, sub_vectors):
             res = act(avec, b)
             for mono, vv in res.values.items():
                 for w2, c in vv.items():
-                    r = rows.setdefault((t, mono, w2), len(rows))
-                    ent[(r, col)] = c
-    mat = RationalSparseMatrix(len(rows), len(basis), ent)
+                    rows.setdefault((t, mono, w2), {})[col] = c
     out = []
-    for kv in mat.kernel_basis():
+    for kv in rows_kernel(list(rows.values()), len(basis)):
         vals = {}
         for k, c in kv.items():
             M, w = basis[k]

@@ -8,7 +8,10 @@ Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
 elimination kernel, ``_elim_py.rref``: each matrix is scaled to integer
 rows and reduced with a deterministic Markowitz pivot rule (shortest row,
 then the sparsest column), found through a row-length heap and a
-column -> row index.
+column -> row index.  A system solved once (inner tori, intertwiners,
+invariant cochains, the d2 sectors of H_2, invariant forms) is kept as row
+dicts and solved by rows_kernel, without building a matrix.  A scalar
+enters through rational() like every stored coefficient.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def vec_clean(v):
     return {k: x for k, x in v.items() if x}
 
 def vec_scale(a, c):
-    c = Fraction(c)
+    c = rational(c)
     if not c:
         return {}
     return {k: c * x for k, x in a.items()}
@@ -278,7 +281,7 @@ class RationalSparseMatrix:
         return self.add(other.scale(-1))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         if not c:
             return RationalSparseMatrix(self.rows, self.cols)
         return RationalSparseMatrix(
@@ -321,9 +324,7 @@ class RationalSparseMatrix:
 
     def _int_rows(self, extra_col=None):
         """Integer-scaled rows; extra_col appends a column from a vector."""
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
+        rows = self.row_dicts()
         if extra_col is not None:
             for r, v in extra_col.items():
                 if v:
@@ -349,10 +350,7 @@ class RationalSparseMatrix:
         Works on the kernel of [M | -b], which is independent of the pivot
         order (the sparsity-driven pivoting may well pivot inside the
         appended column)."""
-        if isinstance(b, (list, tuple)):
-            b = {i: Fraction(v) for i, v in enumerate(b) if v}
-        else:
-            b = {i: Fraction(v) for i, v in b.items() if v}
+        b = vec_clean({i: rational(v) for i, v in b.items()})
         if any(not 0 <= i < self.rows for i in b):
             raise ShapeError("rhs index outside %d rows" % self.rows)
         neg = {i: -v for i, v in b.items()}

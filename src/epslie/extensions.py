@@ -26,6 +26,7 @@ from .exactlin import (
     ShapeError,
     SpanTracker,
     integral_row,
+    rows_kernel,
     vec_axpy,
 )
 from .gmodule import GradedModule, trivial
@@ -52,23 +53,24 @@ def _d2_columns(L, monos2):
 def _d3_columns(L, index2):
     """(M, column of d3 at M) for each canonical 3-monomial M, in basis
     order; a column is {pair position: coefficient}, index2 maps each pair
-    monomial to its position, and integral coefficients are ints."""
+    monomial to its position, and integral coefficients are ints.  The sign
+    and position of l ^ m come from a table of exterior.canonicalize over
+    the ordered pairs, filled once per call."""
     signs = L.signs
     terms = L.bracket_terms
+    # pairs[l][m] = (sign, position) of l ^ m; sign 0 where it vanishes
+    pairs = [[(s, index2[mono] if s else None)
+              for s, mono in (exterior.canonicalize(signs, (l, m)) for m in range(L.dim))]
+             for l in range(L.dim)]
 
     def put(col, coeff, l, m):
-        # l ^ m = -eps(l, m) m ^ l, and an even index squares to zero
-        if l > m:
-            coeff *= -signs[l][m]
-            l, m = m, l
-        elif l == m and signs[l][l] == 1:
-            return
-        key = index2[(l, m)]
-        v = col.get(key, 0) + coeff
-        if v:
-            col[key] = v
-        else:
-            del col[key]
+        s, key = pairs[l][m]
+        if s:
+            v = col.get(key, 0) + s * coeff
+            if v:
+                col[key] = v
+            else:
+                del col[key]
 
     for M in exterior.basis(signs, 3):
         i, j, k = M
@@ -83,21 +85,17 @@ def _d3_columns(L, index2):
         yield M, col
 
 
-def _place(rows, columns):
-    return RationalSparseMatrix(rows, len(columns), {
-        (r, c): v for c, col in enumerate(columns) for r, v in col.items()
-    })
-
-
 def boundary2(L):
     """Matrix of d2 : exterior square -> L on canonical pair monomials."""
-    return _place(L.dim, _d2_columns(L, exterior.basis(L.signs, 2)))
+    return RationalSparseMatrix.from_columns(
+        _d2_columns(L, exterior.basis(L.signs, 2)), L.dim)
 
 
 def boundary3(L):
     """Matrix of d3 : exterior cube -> exterior square."""
     index2 = {m: k for k, m in enumerate(exterior.basis(L.signs, 2))}
-    return _place(len(index2), [col for _, col in _d3_columns(L, index2)])
+    return RationalSparseMatrix.from_columns(
+        [col for _, col in _d3_columns(L, index2)], len(index2))
 
 
 class H2Result:
@@ -167,14 +165,13 @@ def homology_h2(L):
             image.setdefault(D, []).append(
                 integral_row({local2[r]: v for r, v in col.items()})
             )
-    # each sector's d2 block
-    blocks2 = {D: {} for D in table2}
+    # each sector's d2 block, as rows over its local positions
+    rows2 = {D: [{} for _ in table1.get(D, ())] for D in table2}
     for c, col in enumerate(_d2_columns(L, monos2)):
         D = degs2[c]
         check(degs, c, col, D)
-        blk = blocks2[D]
         for r, v in col.items():
-            blk[(local1[r], local2[c])] = v
+            rows2[D][local1[r]][local2[c]] = v
     dims = {}
     cycles = {}
     boundaries = {}
@@ -182,8 +179,8 @@ def homology_h2(L):
     # popped so that each is freed, with its elimination, once used
     for D in sorted(table2):
         cols2 = [index2[m] for m in table2[D]]
-        sub2 = RationalSparseMatrix(len(table1.get(D, ())), len(cols2), blocks2.pop(D))
-        z = len(cols2) - sub2.rank()
+        kernel = rows_kernel(rows2.pop(D), len(cols2))
+        z = len(kernel)
         _, rows = _elim.rref(image.pop(D, []))
         b = len(rows)
         if not (z or b):
@@ -195,7 +192,7 @@ def homology_h2(L):
         for p, row in span.rows.items():
             boundaries[cols2[p]] = {cols2[k]: c for k, c in row.items()}
         reps = []
-        for kv in sub2.kernel_basis():
+        for kv in kernel:
             if span.add(kv):
                 reps.append({cols2[k]: c for k, c in kv.items()})
         cycles[D] = reps
@@ -352,10 +349,8 @@ def universal_covering(L):
     derived = E.derived_subalgebra()
     Lhat, hat_reps = E.subquotient(derived, (), label_prefix="^")
     nl = L.dim
-    proj = RationalSparseMatrix(
-        nl, Lhat.dim, {(r, c): val for c, v in enumerate(hat_reps)
-                       for r, val in v.items() if r < nl}
-    )
+    proj = RationalSparseMatrix.from_columns(
+        [{r: val for r, val in v.items() if r < nl} for v in hat_reps], nl)
     # center part: elements of the derived span supported on the W block
     center_vecs = proj.kernel_basis()
     center_dims = {}
@@ -428,17 +423,16 @@ def covering_morphism(cov: CoveringResult, ext: CentralExtension):
     class of A^B to g(A, B)."""
     nl = ext.base.dim
     g = ext.cocycle
-    ent = {}
-    for c, rep in enumerate(cov.hat_reps):
+    cols = []
+    for rep in cov.hat_reps:
         col = {r: val for r, val in rep.items() if r < nl}
         for r, val in rep.items():
             if r >= nl:
                 # W coordinate: g on the pair monomial of that W vector
                 hval = evaluate(g, cov.w_reps[r - nl])
                 vec_axpy(col, val, {nl + h: ch for h, ch in hval.items()})
-        for r, val in col.items():
-            ent[(r, c)] = val
-    return RationalSparseMatrix(ext.total.dim, cov.covering.dim, ent)
+        cols.append(col)
+    return RationalSparseMatrix.from_columns(cols, ext.total.dim)
 
 
 def h2_pairing_check(L):

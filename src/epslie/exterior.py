@@ -7,38 +7,32 @@ increasing tuple of basis indices; an index of parity +1 may appear at most
 once, an index of parity -1 may repeat.  canonicalize() sorts an arbitrary
 index tuple into this form, accumulating -signs[a][b] per adjacent swap,
 which is exactly the skew-symmetry sign convention used by the cochain
-complex.  basis_by_degree() groups the monomials by degree; it builds the
-per-level tables of EpsLieAlgebra.monomials_by_degree.  arrangements()
-lists the distinct orderings of a monomial with their signs.
+complex.  basis_by_degree() is the one walk of the monomial tree: it groups
+the monomials by degree and builds the per-level tables of
+EpsLieAlgebra.monomials_by_degree; basis() is its ungraded case.
+arrangements() lists the distinct orderings of a monomial with their signs.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .grading import GradingGroup
+
 Monomial = tuple  # weakly increasing indices
+
+_UNGRADED = GradingGroup()
 
 
 def basis(signs, n):
-    """All canonical n-monomials over the basis of the sign table."""
-    out = []
-
-    def extend(prefix, start):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for i in range(start, len(signs)):
-            # an index of parity +1 does not repeat
-            extend(prefix + (i,), i + 1 if signs[i][i] == 1 else i)
-
-    if n >= 0:
-        extend((), 0)
-    return out
+    """All canonical n-monomials over the basis of the sign table: the one
+    sector of basis_by_degree when every index has the same degree."""
+    return basis_by_degree(signs, n, _UNGRADED, [()] * len(signs)).get((), [])
 
 
 def basis_by_degree(signs, n, group, degrees, sums=None):
     """The canonical n-monomials grouped by degree: {deg M: [M, ...]}, each
-    list in the order of basis(signs, n), keys in order of first appearance.
+    list in lexicographic basis order, keys in order of first appearance.
 
     degrees[i] is the degree of index i in the grading group.  Each prefix
     carries its degree, and each distinct (prefix degree, index degree) pair

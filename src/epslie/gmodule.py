@@ -27,6 +27,7 @@ from .exactlin import (
     RationalSparseMatrix,
     SpanTracker,
     rational,
+    rows_kernel,
     vec_axpy,
     vec_clean,
 )
@@ -48,7 +49,7 @@ class GradedModule:
         self.group = algebra.group
         self.factor = algebra.factor
         self.labels = list(labels)
-        self.degrees = [self.group.reduce(d) for d in degrees]
+        self.degrees = [self.group.degree(d) for d in degrees]
         self.action = list(action)
         if len(self.labels) != len(self.degrees):
             raise ModuleError("labels and degrees length mismatch")
@@ -234,16 +235,10 @@ def _action_on(V, basis, coords):
     vector that leaves the span raises ModuleError."""
     mats = []
     for i in range(V.algebra.dim):
-        ent = {}
-        for a, b in enumerate(basis):
-            w = coords(V.apply_basis(i, b))
-            if w is None:
-                raise ModuleError(
-                    "span is not invariant under %s" % V.algebra.labels[i]
-                )
-            for r, c in w.items():
-                ent[(r, a)] = c
-        mats.append(RationalSparseMatrix(len(basis), len(basis), ent))
+        cols = [coords(V.apply_basis(i, b)) for b in basis]
+        if None in cols:
+            raise ModuleError("span is not invariant under %s" % V.algebra.labels[i])
+        mats.append(RationalSparseMatrix.from_columns(cols, len(basis)))
     return mats
 
 
@@ -441,22 +436,19 @@ def inner_torus(V):
     # unknowns: the coefficient of e_span[u] at u, chi_t at len(span) + t;
     # rows: (space, row, col) of sum_u c_u M_u - diag(chi(deg)) = 0
     rows = {}
-    ent = {}
     for space, degrees, mats in (
         (0, L.degrees, [L.ad_matrix(j) for j in span]),
         (1, V.degrees, [V.action[j].entries for j in span]),
     ):
         for u, mat in enumerate(mats):
             for (r, b), c in mat.items():
-                ent[(rows.setdefault((space, r, b), len(rows)), u)] = c
+                rows.setdefault((space, r, b), {})[u] = c
         for b, d in enumerate(degrees):
             for t in range(rank):
                 if d[t]:
-                    r = rows.setdefault((space, b, b), len(rows))
-                    ent[(r, len(span) + t)] = -d[t]
-    system = RationalSparseMatrix(len(rows), len(span) + rank, ent)
+                    rows.setdefault((space, b, b), {})[len(span) + t] = -d[t]
     pairs = []
-    for sol in SpanTracker(system.kernel_basis()).basis():
+    for sol in SpanTracker(rows_kernel(list(rows.values()), len(span) + rank)).basis():
         if min(sol) >= len(span):
             break  # sorted by pivot: the rest have x = 0
         x = {span[u]: c for u, c in sol.items() if u < len(span)}
@@ -483,8 +475,7 @@ def intertwiner_space(V, W, phi_degree):
             if g.reduce(W.degrees[r]) == g.add(phi, V.degrees[c]):
                 undex[(r, c)] = len(unknowns)
                 unknowns.append((r, c))
-    rowdex = {}
-    ent = {}
+    rows = {}  # (i, row, col) of F rho_V(e_i) - e rho_W(e_i) F = 0
     for i in range(L.dim):
         e = V.factor.eps(phi, L.degrees[i])
         for (r, c) in unknowns:
@@ -493,24 +484,16 @@ def intertwiner_space(V, W, phi_degree):
             for v in range(V.dim):
                 coeff = V.action[i].get(c, v)
                 if coeff:
-                    key = (i, r, v)
-                    rr = rowdex.setdefault(key, len(rowdex))
-                    ent[(rr, u)] = ent.get((rr, u), 0) + coeff
+                    row = rows.setdefault((i, r, v), {})
+                    row[u] = row.get(u, 0) + coeff
             # (rho_W F)[w, c] picks up rho_W[w, r] F[r, c]
             for w in range(W.dim):
                 coeff = W.action[i].get(w, r)
                 if coeff:
-                    key = (i, w, c)
-                    rr = rowdex.setdefault(key, len(rowdex))
-                    ent[(rr, u)] = ent.get((rr, u), 0) - e * coeff
-    mat = RationalSparseMatrix(len(rowdex), len(unknowns), ent)
-    out = []
-    for kv in mat.kernel_basis():
-        F = {}
-        for u, c in kv.items():
-            F[unknowns[u]] = c
-        out.append(RationalSparseMatrix(W.dim, V.dim, F))
-    return out
+                    row = rows.setdefault((i, w, c), {})
+                    row[u] = row.get(u, 0) - e * coeff
+    return [RationalSparseMatrix(W.dim, V.dim, {unknowns[u]: c for u, c in kv.items()})
+            for kv in rows_kernel(list(rows.values()), len(unknowns))]
 
 
 def regrade_algebra(L, new_factor, degree_map):

@@ -47,8 +47,15 @@ class GradingGroup:
     def zero(self) -> Degree:
         return (0,) * self.ncoords
 
+    def degree(self, coords) -> Degree:
+        """A degree given to an algebra or module, reduced; a coordinate that
+        is not an int (a bool, a float) is rejected, never truncated."""
+        if any(type(x) is not int for x in coords):
+            raise GradingError("degree %r has a coordinate that is not an int" % (coords,))
+        return self.reduce(coords)
+
     def reduce(self, coords) -> Degree:
-        coords = tuple(map(int, coords))
+        coords = tuple(coords)
         if len(coords) != self.ncoords:
             raise GradingError(
                 "degree has %d coordinates, expected %d" % (len(coords), self.ncoords)
@@ -101,10 +108,10 @@ class CommutationFactor:
         if self.form is None:
             object.__setattr__(self, "form", tuple((0,) * n for _ in range(n)))
         else:
-            object.__setattr__(
-                self, "form", tuple(tuple(int(x) for x in row) for row in self.form)
-            )
+            object.__setattr__(self, "form", tuple(tuple(row) for row in self.form))
         B = self.form
+        if any(type(x) is not int for row in B for x in row):
+            raise GradingError("form %r has an entry that is not an int" % (B,))
         if len(B) != n or any(len(row) != n for row in B):
             raise GradingError("form must be %d x %d" % (n, n))
         for i in range(n):

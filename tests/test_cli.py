@@ -120,6 +120,31 @@ def test_atypical_bad_weight():
     assert code == 2
 
 
+@pytest.mark.parametrize("weight", ["0.5,0,1/2", "1e200000,0,0", "1/0,0,0", "+-1,0,0"])
+def test_atypical_reads_weights_as_p_or_p_over_q(weight):
+    """A weight entry is read with the file format's p/q rule: decimal and
+    exponent forms end in one line with exit 2, at once."""
+    start = time.perf_counter()
+    code, out = run_cli(["atypical", "--m", "2", "--n", "1", "--weight", weight])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert len(out.splitlines()) == 1, out
+    assert out.startswith("error: bad weight: bad coefficient %r" % weight.split(",")[0])
+
+
+def test_atypical_report_of_an_integral_weight():
+    code, out = run_cli(["atypical", "--m", "2", "--n", "1", "--weight", "3, 1,-4"])
+    assert code == 0
+    assert out.splitlines() == [
+        "weight L = (3, 1, -4)",
+        "dominant-integral pattern: yes",
+        "coordinate sum: 0",
+        "all constant-term-free Casimir operators vanish: yes",
+        "power sums Q_1..Q_5: 0, 0, 0, 0, 0",
+        "criterion consistency: agree",
+    ]
+
+
 def test_casimir_and_homotopy_commands():
     code, out = run_cli(
         ["casimir-check", "--algebra", "sl12", "--module", "v_typical"]

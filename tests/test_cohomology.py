@@ -402,10 +402,13 @@ def test_default_path_never_enumerates_a_full_level(monkeypatch):
     assert all(levels == [] for levels in calls.values()) and len(calls) == 4
     # the direct formula builds the table of a level once per algebra
     P = EpsLieAlgebra(L.factor, L.labels, L.degrees, L.table)
-    count(exterior, "basis_by_degree")
     rng = random.Random(7)
-    for _ in range(2):
-        coboundary(random_cochain(rng, P, trivial(P), 1))
+    # drawn first: random_cochain walks exterior.basis, itself a
+    # basis_by_degree walk
+    cochains = [random_cochain(rng, P, trivial(P), 1) for _ in range(2)]
+    count(exterior, "basis_by_degree")
+    for g in cochains:
+        coboundary(g)
     assert calls["epslie.exterior.basis_by_degree"] == [2]
 
 
@@ -947,3 +950,13 @@ def test_g_decomposition_by_z_degree():
     assert evaluate(g, (B,)) == {2: ONE}
     assert evaluate(g, (VP,)) == {0: ONE}
     assert evaluate(g, (WP,)) == {0: -ONE}
+
+
+def test_cochain_scale_refuses_a_float():
+    L = catalog.sl12()
+    g = catalog.cocycle_g0(L)
+    assert cochain_scale(g, Fraction(1, 2)).values == {(4,): {0: Fraction(1, 2)},
+                                                       (5,): {1: Fraction(1, 2)}}
+    for bad in (0.5, 0.0, True):
+        with pytest.raises(TypeError):
+            cochain_scale(g, bad)

@@ -14,6 +14,7 @@ from epslie.exactlin import (
     vec_axpy,
     vec_clean,
     vec_eq,
+    vec_scale,
 )
 
 from _sectors import sector_positions, split_sectors
@@ -131,6 +132,23 @@ def test_rational_normalizes_and_refuses_other_types():
     for bad in (0.5, 2.0, True, "1/2", None):
         with pytest.raises(TypeError):
             rational(bad)
+
+
+def test_scalars_are_admitted_like_stored_coefficients():
+    """A scalar goes through rational(): an int or a Fraction is taken, and
+    a float, bool or str is refused, never expanded into a binary fraction."""
+    ident = RationalSparseMatrix.identity(2)
+    assert ident.scale(Fraction(1, 10)).entries == {(0, 0): Fraction(1, 10), (1, 1): Fraction(1, 10)}
+    assert ident.scale(3).entries == {(0, 0): 3, (1, 1): 3}
+    assert vec_scale({0: Fraction(1, 2)}, 4) == {0: 2}
+    assert ident.image_membership({0: 3, 1: Fraction(1, 2)}) == {0: 3, 1: Fraction(1, 2)}
+    for bad in (0.1, 0.0, True, "1/2"):
+        with pytest.raises(TypeError):
+            ident.scale(bad)
+        with pytest.raises(TypeError):
+            vec_scale({0: 1}, bad)
+        with pytest.raises(TypeError):
+            ident.image_membership({0: bad})
 
 
 def test_negative_indices_are_out_of_range():

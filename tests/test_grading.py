@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epslie import catalog
+from epslie.algebra import EpsLieAlgebra
+from epslie.gmodule import trivial
 from epslie.grading import (
     CommutationFactor,
     GradingGroup,
@@ -142,6 +144,24 @@ def test_degree_shape_errors():
     f = super_factor()
     with pytest.raises(GradingError):
         f.eps((1, 0), (1,))
+
+
+def test_degrees_and_form_entries_must_be_ints():
+    """A degree coordinate or form entry that is not an int is refused where
+    a factor, algebra or module is built, never truncated."""
+    g = GradingGroup(1)
+    for bad in (1.7, 0.5, True):
+        with pytest.raises(GradingError):
+            CommutationFactor(g, ((bad,),))
+    f = CommutationFactor(g, ((1,),))
+    assert EpsLieAlgebra(f, ["a"], [[3]], {}).degrees == [(3,)]
+    L = EpsLieAlgebra(f, ["a"], [(0,)], {})
+    for bad in ((0.9,), (True,), (1.0,)):
+        with pytest.raises(GradingError):
+            EpsLieAlgebra(f, ["a"], [bad], {})
+        with pytest.raises(GradingError):
+            trivial(L, degrees=[bad])
+    assert trivial(L, degrees=[(2,)]).degrees == [(2,)]
 
 
 @st.composite

@@ -193,3 +193,33 @@ def test_every_traced_name_exists():
                 missing.append("%s.%s" % (ast.unparse(owner), name))
     assert traced > 0
     assert missing == []
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for dirpath, _, names in os.walk(os.path.join(ROOT, d)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name)) as fh:
+                        yield name, ast.parse(fh.read(), name)
+
+
+def test_no_write_only_attribute_stored_from_outside():
+    """A public attribute that the engine stores on an object other than
+    self (L.name = ...) is read somewhere in the engine, the tests or the
+    benchmark, as an attribute or by name."""
+    stored = set()
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and not node.attr.startswith("_")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                stored.add("%s: %s" % (name, node.attr))
+    read = set()
+    for _, tree in _trees(os.path.join("src", "epslie"), "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert sorted(s for s in stored if s.split(": ")[1] not in read) == []
