@@ -4,7 +4,7 @@ from .exactlin import BACKEND, RationalSparseMatrix
 from .grading import CommutationFactor, GradingGroup, super_factor, super_z_factor
 from .algebra import EpsLieAlgebra
 from .gmodule import GradedModule
-from .cohomology import Cochain, CochainComplex, cohomology
+from .cohomology import Cochain, CochainComplex
 
 __all__ = [
     "BACKEND",
@@ -17,7 +17,6 @@ __all__ = [
     "GradedModule",
     "Cochain",
     "CochainComplex",
-    "cohomology",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from math import factorial
 from .cohomology import CochainComplex
 from .exactlin import RationalSparseMatrix, rows_kernel
 from .exterior import arrangements, canonicalize
-from .gmodule import GradedModule, coadjoint, leibniz_rows, power_monomials
+from .gmodule import GradedModule, coadjoint, intertwiner_defect, leibniz_rows, power_monomials
 
 
 class CasimirError(ValueError):
@@ -131,14 +131,10 @@ def casimir_operator(L, form: InvariantForm, V: GradedModule):
         if partials[i].entries:
             op = op.add(partials[i].multiply(V.action[i]))
     eta = form.degree
-    for j in range(L.dim):
-        e = L.factor.eps(L.degrees[j], eta)
-        lhs = V.action[j].multiply(op)
-        rhs = op.multiply(V.action[j]).scale(e)
-        if lhs != rhs:
-            raise CasimirError(
-                "operator is not graded-central (fails at %s)" % L.labels[j]
-            )
+    # graded-central: C_V is an intertwiner V -> V of degree eta
+    bad = intertwiner_defect(op, V, V, eta)
+    if bad is not None:
+        raise CasimirError("operator is not graded-central (fails at %s)" % L.labels[bad])
     return CasimirOperator(form, V, op, partials, eta)
 
 

@@ -105,25 +105,23 @@ def _fmt_monomial(labels, mono):
     return "^".join(labels[i] for i in mono)
 
 
+def _first_problem(report):
+    """The first problem of a ValidationReport as "kind at a/b: detail"."""
+    kind, where, detail = report.problems[0]
+    return "%s at %s: %s" % (kind, "/".join(where), detail)
+
+
 def cmd_check(args, out):
     L, name = _resolve_algebra(args.algebra)
     rep = L.validate()
     if not rep.ok:
-        kind, where, detail = rep.problems[0]
-        raise CliError(
-            EXIT_VALIDATION,
-            "algebra invalid: %s at %s: %s" % (kind, "/".join(where), detail),
-        )
+        raise CliError(EXIT_VALIDATION, "algebra invalid: " + _first_problem(rep))
     out("algebra ok: dim %d" % L.dim)
     if args.module:
         V = _resolve_module(args.module, L, name)
         vrep = V.validate()
         if not vrep.ok:
-            kind, where, detail = vrep.problems[0]
-            raise CliError(
-                EXIT_VALIDATION,
-                "module invalid: %s at %s: %s" % (kind, "/".join(where), detail),
-            )
+            raise CliError(EXIT_VALIDATION, "module invalid: " + _first_problem(vrep))
         out("module ok: dim %d" % V.dim)
     return EXIT_OK
 
@@ -390,8 +388,7 @@ def main(argv=None, stdout=None):
         out("parse error: %s" % e)
         return EXIT_PARSE
     except fileio.ValidationFailure as e:
-        kind, where, detail = e.report.problems[0]
-        out("validation error: %s at %s: %s" % (kind, "/".join(where), detail))
+        out("validation error: " + _first_problem(e.report))
         return EXIT_VALIDATION
     except (AlgebraError, ModuleError, CochainError, CasimirError,
             ExtensionError) as e:

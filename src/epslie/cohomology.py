@@ -63,19 +63,18 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exterior
-from .algebra import degree_of_vector, graded_echelon
+from .algebra import degree_of_vector, graded_echelon, graded_kernel
 from .exactlin import (
     ONE,
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
     rational,
-    rows_kernel,
     vec_axpy,
     vec_clean,
     vec_scale,
 )
-from .gmodule import GradedModule, inner_torus, tensor, torus_weight
+from .gmodule import GradedModule, inner_torus, intertwiner_defect, tensor, torus_weight
 
 
 class CochainError(ValueError):
@@ -270,19 +269,25 @@ def act(avec, g):
     """Action of a homogeneous algebra vector on a cochain."""
     L, V = g.algebra, g.module
     alpha = degree_of_vector(L.group, L.degrees, avec)
-    if alpha is None:
-        return zero_cochain(L, V, g.level)
     out = zero_cochain(L, V, g.level)
+    if alpha is None:
+        return out
     fac = L.factor
-    monos = exterior.basis(L.signs, g.level)
+    gr = L.group
+    table = L.monomials_by_degree(g.level)
+    rho = V.action_matrix(avec)
     brackets = [L.bracket(avec, {idx: ONE}) for idx in range(L.dim)]
     for gamma, piece in components(g).items():
+        # A.g has degree gamma + alpha: only the monomials N with
+        # deg v_w - deg N = gamma + alpha for some module vector v_w
+        target = gr.add(gamma, alpha)
+        wanted = {gr.sub(d, target) for d in set(V.degrees)}
         vals = {}
-        for N in monos:
+        for N in sorted(N for md in wanted for N in table.get(md, ())):
             acc = {}
             gv = piece.values.get(N)
             if gv:
-                vec_axpy(acc, ONE, V.act(avec, gv))
+                vec_axpy(acc, ONE, rho.apply(gv))
             prefix = gamma
             for r, idx in enumerate(N):
                 e = fac.eps(alpha, prefix)
@@ -294,7 +299,7 @@ def act(avec, g):
                         gv2 = piece.values.get(mono)
                         if gv2:
                             vec_axpy(acc, -e * c * sg, gv2)
-                prefix = L.group.add(prefix, L.degrees[idx])
+                prefix = gr.add(prefix, L.degrees[idx])
             if acc:
                 vals[N] = acc
         out = cochain_add(out, make_cochain(L, V, g.level, vals))
@@ -386,15 +391,10 @@ def push_forward(fmat, W, g):
             phi = d
         elif phi != d:
             raise CochainError("map is not homogeneous")
-    if not fmat.is_zero():
-        for i in range(L.dim):
-            e = L.factor.eps(phi, L.degrees[i])
-            lhs = fmat.multiply(V.action[i])
-            rhs = W.action[i].multiply(fmat).scale(e)
-            if lhs != rhs:
-                raise CochainError(
-                    "map is not invariant (fails at %s)" % L.labels[i]
-                )
+    if phi is not None:
+        bad = intertwiner_defect(fmat, V, W, phi)
+        if bad is not None:
+            raise CochainError("map is not invariant (fails at %s)" % L.labels[bad])
     vals = {}
     for mono, vec in g.values.items():
         w = fmat.apply(vec)
@@ -800,38 +800,30 @@ class CohomologyResult:
         return "CohomologyResult(%s)" % core
 
 
-def cohomology(L, V, n_max):
-    """Convenience wrapper: dimensions of H^0..H^n_max."""
-    return CochainComplex(L, V, n_max).cohomology()
-
-
-def coboundary_witness(g):
-    cx = CochainComplex(g.algebra, g.module, max(g.level - 1, 0))
-    return cx.coboundary_witness(g)
-
-
 # ---------------------------------------------------------------------------
 # invariant cochains and classical cocycle constructions
 
 
 def invariant_cochains(L, V, n, sub_vectors):
-    """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span}."""
+    """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span}:
+    the common kernel, from graded_kernel, of the matrices of g -> A.g on
+    C^n, one per echelon basis vector A of the span."""
     cx = CochainComplex(L, V, max(n - 1, 0))
     basis = cx.basis(n)
-    rows = {}  # (t, monomial, w) -> {column: coefficient}
-    vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])
-    for t, avec in enumerate(vecs):
-        for col, pair in enumerate(basis):
-            M, w = pair
-            b = Cochain(L, V, n, {M: {w: ONE}}, cx.pair_degree(pair))
-            res = act(avec, b)
-            for mono, vv in res.values.items():
-                for w2, c in vv.items():
-                    rows.setdefault((t, mono, w2), {})[col] = c
+    index = cx.index(n)
+    degrees = [cx.pair_degree(pair) for pair in basis]
+    thetas = []
+    for avec in graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors]):
+        cols = []
+        for (M, w), deg in zip(basis, degrees):
+            image = act(avec, Cochain(L, V, n, {M: {w: ONE}}, deg))
+            cols.append({index[(N, w2)]: c
+                         for N, vec in image.values.items() for w2, c in vec.items()})
+        thetas.append(RationalSparseMatrix.from_columns(cols, len(basis)))
     out = []
-    for kv in rows_kernel(list(rows.values()), len(basis)):
+    for vec in graded_kernel(L.group, degrees, thetas):
         vals = {}
-        for k, c in kv.items():
+        for k, c in vec.items():
             M, w = basis[k]
             vals.setdefault(M, {})[w] = c
         out.append(make_cochain(L, V, n, vals))

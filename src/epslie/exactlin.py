@@ -8,9 +8,9 @@ Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
 elimination kernel, ``_elim_py.rref``: each matrix is scaled to integer
 rows and reduced with a deterministic Markowitz pivot rule (shortest row,
 then the sparsest column), found through a row-length heap and a
-column -> row index.  A system solved once (inner tori, intertwiners,
-invariant cochains, the d2 sectors of H_2, invariant forms) is kept as row
-dicts and solved by rows_kernel, without building a matrix.  A scalar
+column -> row index.  A system solved once (inner tori, the common kernels
+of algebra.graded_kernel, the d2 sectors of H_2, invariant forms) is kept
+as row dicts and solved by rows_kernel, without building a matrix.  A scalar
 enters through rational() like every stored coefficient.
 """
 

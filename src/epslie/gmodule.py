@@ -4,7 +4,9 @@ A module is a homogeneous basis plus one representation matrix per algebra
 basis element.  All constructions (duals, tensors, shifts, sub/quotients,
 eps-symmetric and eps-skew powers) carry the grading and the
 commutation-factor signs; validate() checks homogeneity and bracket
-compatibility exactly.
+compatibility exactly.  Intertwiners are invariants: the maps V -> W of
+degree phi are the degree-phi invariants of Hom(V, W) = W ⊗ V*, and
+intertwiner_defect is the one check of the eps-intertwining condition.
 """
 
 from __future__ import annotations
@@ -85,14 +87,6 @@ class GradedModule:
             vec_axpy(ent, c, self.action[j].entries)
         return RationalSparseMatrix(self.dim, self.dim, ent)
 
-    def act(self, avec, vec):
-        """Action of an algebra vector (any) on a module vector."""
-        out = {}
-        for i, c in avec.items():
-            if c:
-                vec_axpy(out, c, self.apply_basis(i, vec))
-        return out
-
     def validate(self):
         rep = ValidationReport()
         g = self.group
@@ -130,11 +124,11 @@ class GradedModule:
 # constructions
 
 
-def trivial(L, sigma=None, labels=None, degrees=None):
-    """Trivial module on the given degrees; by default one-dimensional,
-    concentrated in sigma."""
+def trivial(L, labels=None, degrees=None):
+    """Trivial module on the given degrees; by default one-dimensional, of
+    degree zero."""
     if degrees is None:
-        degrees = [L.group.zero() if sigma is None else sigma]
+        degrees = [L.group.zero()]
     if labels is None:
         labels = ["1"] if len(degrees) == 1 else ["u%d" % k for k in range(len(degrees))]
     zero = RationalSparseMatrix(len(degrees), len(degrees))
@@ -463,37 +457,25 @@ def inner_torus(V):
 
 
 def intertwiner_space(V, W, phi_degree):
-    """Basis of graded-invariant linear maps V -> W homogeneous of the given
-    degree: F rho_V(A) = eps(phi, alpha) rho_W(A) F."""
+    """Reduced echelon basis of the graded-invariant maps V -> W of degree
+    phi: the degree-phi invariants of Hom(V, W) = tensor(W, dual(V)), whose
+    basis vector w_a ⊗ v_c' at a * V.dim + c is the matrix entry (a, c)."""
+    H = tensor(W, dual(V))
+    phi = V.group.reduce(phi_degree)
+    return [RationalSparseMatrix(W.dim, V.dim, {divmod(k, V.dim): c for k, c in vec.items()})
+            for vec in invariants_subspace(H) if H.degrees[min(vec)] == phi]
+
+
+def intertwiner_defect(F, V, W, phi):
+    """The first algebra basis index i at which the map F: V -> W of degree
+    phi fails F rho_V(e_i) = eps(phi, alpha_i) rho_W(e_i) F, or None when F
+    is graded-invariant.  Each side is multiplied out; no system is solved."""
     L = V.algebra
-    g = V.group
-    phi = g.reduce(phi_degree)
-    unknowns = []
-    undex = {}
-    for r in range(W.dim):
-        for c in range(V.dim):
-            if g.reduce(W.degrees[r]) == g.add(phi, V.degrees[c]):
-                undex[(r, c)] = len(unknowns)
-                unknowns.append((r, c))
-    rows = {}  # (i, row, col) of F rho_V(e_i) - e rho_W(e_i) F = 0
     for i in range(L.dim):
         e = V.factor.eps(phi, L.degrees[i])
-        for (r, c) in unknowns:
-            u = undex[(r, c)]
-            # (F rho_V)[r, v] picks up F[r, c] rho_V[c, v]
-            for v in range(V.dim):
-                coeff = V.action[i].get(c, v)
-                if coeff:
-                    row = rows.setdefault((i, r, v), {})
-                    row[u] = row.get(u, 0) + coeff
-            # (rho_W F)[w, c] picks up rho_W[w, r] F[r, c]
-            for w in range(W.dim):
-                coeff = W.action[i].get(w, r)
-                if coeff:
-                    row = rows.setdefault((i, w, c), {})
-                    row[u] = row.get(u, 0) - e * coeff
-    return [RationalSparseMatrix(W.dim, V.dim, {unknowns[u]: c for u, c in kv.items()})
-            for kv in rows_kernel(list(rows.values()), len(unknowns))]
+        if F.multiply(V.action[i]) != W.action[i].multiply(F).scale(e):
+            return i
+    return None
 
 
 def regrade_algebra(L, new_factor, degree_map):

@@ -12,7 +12,6 @@ from epslie.cohomology import (
     CochainError,
     act,
     coboundary,
-    coboundary_witness,
     cochain_add,
     cochain_eq,
     cochain_scale,
@@ -879,6 +878,24 @@ def test_invariant_cochains_psl22_even_part():
     evens = [{i: ONE} for i in range(P.dim) if P.factor.parity(P.degrees[i]) == 1]
     inv = invariant_cochains(P, K, 2, evens)
     assert len(inv) == 3
+
+
+def test_act_visits_only_the_monomials_it_can_reach(monkeypatch):
+    """A.g of degree gamma + alpha lives on the monomials of degree
+    deg v_w - gamma - alpha, which act reads from the algebra's table: the
+    matrices of invariant_cochains take no walk of a whole level."""
+    walks = []
+    basis = exterior.basis
+
+    def counted(signs, n):
+        walks.append(n)
+        return basis(signs, n)
+
+    monkeypatch.setattr(exterior, "basis", counted)
+    P = catalog.psl_nn(2)
+    evens = [{i: ONE} for i in range(P.dim) if P.factor.parity(P.degrees[i]) == 1]
+    assert len(invariant_cochains(P, trivial(P), 2, evens)) == 3
+    assert walks == []
 
 
 # ------------------------------------------------ representatives / witness

@@ -165,7 +165,7 @@ def test_extension_rejects_non_cocycles_and_wrong_degree():
     bad = make_cochain(L, K, 2, {(0, 1): {0: ONE}})  # not a cocycle
     with pytest.raises(ExtensionError):
         extension_from_cocycle(L, K, bad)
-    Kshift = trivial(L, (1,))
+    Kshift = trivial(L, degrees=[(1,)])
     gshift = make_cochain(L, Kshift, 2, {})
     ext = extension_from_cocycle(L, Kshift, gshift)  # zero cochain is fine
     assert ext.total.dim == 9

@@ -57,7 +57,7 @@ def test_perturbed_action_fails_with_named_pair():
 
 def test_trivial_module():
     L = catalog.sl12()
-    K = trivial(L, (2,))
+    K = trivial(L, degrees=[(2,)])
     assert K.dim == 1 and K.degrees == [(2,)]
     assert all(m.is_zero() for m in K.action)
     assert K.validate().ok

@@ -223,3 +223,46 @@ def test_no_write_only_attribute_stored_from_outside():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
     assert sorted(s for s in stored if s.split(": ")[1] not in read) == []
+
+
+def test_every_public_engine_name_is_referenced():
+    """Each public top-level function or class of the engine is referenced
+    outside its own definition, in the engine, the tests or the benchmark.
+    An import or an __all__ entry is not a reference; a reference is a read
+    of the name in its own module, of a name imported from that module, or
+    of an attribute of that module."""
+    modules = {n[:-3] for n in os.listdir(SRC) if n.endswith(".py")} - {"__init__"}
+    defined = set()
+    used = set()
+    src = os.path.join("src", "epslie")
+    for d, name, tree in ((d, *t) for d in (src, "tests", "perfbench") for t in _trees(d)):
+        here = name[:-3] if d == src and name[:-3] in modules else None
+        names = {}  # local name -> (module, name) bound by an import
+        aliases = {}  # local name -> module bound by an import
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                base = (node.module or "").split(".")[-1]
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if alias.name in modules:
+                        aliases[local] = alias.name
+                    elif base in modules:
+                        names[local] = (base, alias.name)
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "attr", None) == "import_module"
+                    and isinstance(node.value.args[0], ast.Constant)):
+                aliases[node.targets[0].id] = node.value.args[0].value.split(".")[-1]
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if here and own and not own.startswith("_"):
+                defined.add((here, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in names:
+                        used.add(names[node.id])
+                    elif here and node.id != own:
+                        used.add((here, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in aliases):
+                    used.add((aliases[node.value.id], node.attr))
+    assert sorted("%s.%s" % d for d in defined - used) == []

@@ -1,7 +1,9 @@
-"""The span layer: graded_echelon, graded_kernel (center, invariants) and
-the checks of subquotient, against the references in _spans.py."""
+"""The span layer: graded_echelon, graded_kernel (center, invariants,
+intertwiners, invariant cochains) and the checks of subquotient, against
+the references in _spans.py."""
 
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,20 @@ import _spans
 from epslie import catalog, fileio
 from epslie.algebra import AlgebraError, EpsLieAlgebra, graded_echelon
 from epslie.cli import main
-from epslie.exactlin import ONE
-from epslie.gmodule import adjoint, invariants_subspace, trivial
+from epslie.cohomology import CochainComplex, invariant_cochains
+from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
+from epslie.gmodule import (
+    adjoint,
+    eps_power,
+    intertwiner_defect,
+    intertwiner_space,
+    invariants_subspace,
+    quotient,
+    shift,
+    submodule_generated,
+    trivial,
+    twist,
+)
 from epslie.grading import super_factor
 
 def _zero_dim_algebra():
@@ -108,3 +122,91 @@ def test_subquotient_names_each_fault(sub, ideal, message):
     with pytest.raises(AlgebraError) as err:
         catalog.sl2().subquotient(sub, ideal)
     assert str(err.value) == message
+
+
+def _quotient(mod, labels):
+    return quotient(mod, [{mod.labels.index(lab): ONE} for lab in labels])
+
+
+def _first_odd(L):
+    return min(i for i in range(L.dim) if L.signs[i][i] == -1)
+
+
+def _intertwiner_case(name):
+    """(V, W, phi) of an intertwiner case: the V(1/2) subquotients of the
+    sl(1|2) lattice, the closure of the invariant in S^2 ad, and odd-degree
+    maps ad -> shift(ad, sigma) for the degree sigma of an odd element."""
+    if name.startswith("odd "):
+        L = catalog.get_algebra(name[4:])
+        ad = adjoint(L)
+        sigma = L.degrees[_first_odd(L)]
+        return ad, shift(ad, sigma), L.group.neg(sigma)
+    L = catalog.sl12("Z2" if name == "v4bar/v1 -> twist" else "Z")
+    fam = catalog.module_v8_family(L)
+    Vh = catalog.module_v_half(L)
+    zero = L.group.zero()
+    if name == "v4/v1 -> v_half":
+        return _quotient(fam["v4"], ["s"]), Vh, zero
+    if name == "v7/v4bar -> v_half":
+        return _quotient(fam["v7"], ["s", "w+", "w-", "w"]), Vh, zero
+    if name == "v4bar/v1 -> twist":
+        return _quotient(fam["v4bar"], ["s"]), twist(Vh, catalog.omega_matrix(L)), zero
+    if name == "v8 -> v8":
+        return fam["v8"], fam["v8"], zero
+    ad = adjoint(L)
+    S = eps_power(ad, 2, True)
+    if name == "s2ad -> s2ad":
+        return S, S, zero
+    # Q+ ⊗ Q- + Q- ⊗ Q+ + 2 Q3 ⊗ Q3 + 2 B ⊗ B, in ad ⊗ ad coordinates
+    QP, QM, Q3, B = range(4)
+    d = L.dim
+    t = {QP * d + QM: ONE, QM * d + QP: ONE, Q3 * d + Q3: Fraction(2), B * d + B: Fraction(2)}
+    closure = submodule_generated(S, [S.embedding.image_membership(t)])
+    return closure, catalog.module_v8(L), zero
+
+
+def _map_span(maps):
+    return SpanTracker([F.entries for F in maps]).basis()
+
+
+@pytest.mark.parametrize("name", [
+    "v4/v1 -> v_half", "v7/v4bar -> v_half", "v4bar/v1 -> twist", "v8 -> v8",
+    "s2ad -> s2ad", "closure -> v8", "odd sl12_z2", "odd sl12", "odd osp12",
+    "odd gl11", "odd psl22",
+])
+def test_intertwiner_space_equals_the_equation_reference(name):
+    V, W, phi = _intertwiner_case(name)
+    maps = intertwiner_space(V, W, phi)
+    assert maps and _map_span(maps) == _map_span(_spans.intertwiner_space(V, W, phi))
+    assert all(intertwiner_defect(F, V, W, phi) is None for F in maps)
+
+
+@pytest.mark.parametrize("name", ["sl12", "sl12_z2", "osp12", "gl11", "psl22"])
+def test_intertwiner_defect_names_the_first_failing_element(name):
+    """The identity ad -> shift(ad, sigma) has odd degree -sigma, so it
+    fails exactly at the odd elements, where eps(-sigma, alpha) = -1."""
+    V, W, phi = _intertwiner_case("odd " + name)
+    ident = RationalSparseMatrix.identity(V.dim)
+    assert intertwiner_defect(ident, V, W, phi) == _first_odd(V.algebra)
+    assert intertwiner_defect(ident, V, V, V.group.zero()) is None
+
+
+def _cochain_span(cx, n, cochains):
+    index = cx.index(n)
+    return SpanTracker([{index[(M, w)]: c for M, vec in g.values.items() for w, c in vec.items()}
+                        for g in cochains]).basis()
+
+
+@pytest.mark.parametrize("name, module, n, vectors", [
+    ("sl12", catalog.module_v_half, 1, lambda L: []),
+    ("sl12_z2", catalog.module_v_half, 1, lambda L: catalog.osp12_vectors()),
+    ("psl22", trivial, 2, lambda L: [{i: ONE} for i in range(L.dim) if L.signs[i][i] == 1]),
+    ("sl12", adjoint, 2, lambda L: [{i: ONE} for i in range(L.dim) if L.signs[i][i] == 1]),
+])
+def test_invariant_cochains_equal_the_equation_reference(name, module, n, vectors):
+    L = catalog.get_algebra(name)
+    V = module(L)
+    got = invariant_cochains(L, V, n, vectors(L))
+    cx = CochainComplex(L, V, n)
+    want = _spans.invariant_cochains(L, V, n, vectors(L))
+    assert _cochain_span(cx, n, got) == _cochain_span(cx, n, want)
