@@ -87,14 +87,22 @@ def graded_echelon(group, degrees, vectors):
 
 
 def graded_kernel(group, degrees, operators):
-    """Echelon basis of the common kernel of square matrices on the span of
-    the basis, split into homogeneous parts; no operators give the whole
-    space."""
-    rows = [row for m in operators for row in m.row_dicts()]
-    vecs = []
-    for v in rows_kernel(rows, len(degrees)):
-        vecs.extend(split_components(group, degrees, v).values())
-    return graded_echelon(group, degrees, vecs)
+    """Echelon basis of the common kernel of homogeneous operators, matrices
+    whose columns are the basis; no operators give the whole space.
+
+    Each row of a homogeneous operator reads the columns of one degree, so
+    the rows go to the block of their column degree and the kernel is
+    solved one block per degree.  A row that mixes column degrees raises
+    AlgebraError."""
+    cols = {}  # degree -> its columns, in basis order
+    for k, d in enumerate(degrees):
+        cols.setdefault(group.reduce(d), []).append(k)
+    at = {k: j for ks in cols.values() for j, k in enumerate(ks)}
+    rows = {d: [] for d in cols}
+    for row in (row for m in operators for row in m.row_dicts() if row):
+        rows[degree_of_vector(group, degrees, row)].append({at[k]: c for k, c in row.items()})
+    return graded_echelon(group, degrees, [{ks[j]: c for j, c in v.items()} for d, ks in
+                                           cols.items() for v in rows_kernel(rows[d], len(ks))])
 
 
 class ValidationReport:

@@ -28,11 +28,15 @@ from these products, in the stored coefficients (ints where integral;
 see exactlin.rational).  coboundary() takes the action signs from
 CommutationFactor.eps, so it checks the first sum of the matrix; the
 second sum is _sub_terms in both, which the tests check term by term
-against the formula.  The module action on cochains is
+against the formula.  The module action on cochains, theta_A for A of
+degree alpha, maps the sector gamma to the sector gamma + alpha:
 
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
                             g(A_1,..,<A,A_r>,..,A_n).
+
+_theta builds its block once; act applies it to each component, and
+invariant_cochains stacks the blocks and solves one sector at a time.
 
 Most sectors are zero by the Cartan formula theta_x = d i_x + i_x d, where
 theta_x is the action of x and i_x the insertion.  It holds unchanged for
@@ -48,9 +52,9 @@ is recorded with h = 0 and its pair (x, chi) as the certificate.
 CohomologyResult.dims, which the --csv report prints, ranks those sectors
 the first time it is called, and fails if one has dim Z != dim B.
 
-The layout reads one table per algebra and level,
-EpsLieAlgebra.monomials_by_degree (the canonical monomials by degree).
-Each side of K is laid out apart, a sector as its pairs (M, w) in basis
+Every operator reads only the monomials its target sector can hold, from
+one table per algebra and level, EpsLieAlgebra.monomials_by_degree.  Each
+side of K is laid out apart, a sector as its pairs (M, w) in basis
 order; assembly, ranks, representatives and cochain vectors use these
 local positions.  Global positions (basis, sectors, the full delta(n)) are
 placed from both sides only when asked for.
@@ -59,8 +63,8 @@ placed from both sides only when asked for.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from . import exterior
 from .algebra import degree_of_vector, graded_echelon, graded_kernel
@@ -121,6 +125,16 @@ def make_cochain(L, V, level, values):
     return Cochain(L, V, level, vals, degree)
 
 
+def _from_pairs(L, V, level, pairs, vec):
+    """The cochain with coefficient vec[k] at the basis cochain pairs[k] = (M, w)."""
+    vals = {}
+    for k, c in vec.items():
+        if c:
+            M, w = pairs[k]
+            vals.setdefault(M, {})[w] = c
+    return make_cochain(L, V, level, vals)
+
+
 def zero_cochain(L, V, level, degree=None):
     return Cochain(L, V, level, {}, degree)
 
@@ -147,11 +161,7 @@ def evaluate(g, indices):
     if len(indices) != g.level:
         raise CochainError("expected %d arguments" % g.level)
     sign, mono = exterior.canonicalize(g.algebra.signs, indices)
-    if not sign:
-        return {}
-    vec = g.values.get(mono)
-    if not vec:
-        return {}
+    vec = g.values.get(mono, {})  # mono is None when sign == 0
     return vec if sign == 1 else vec_scale(vec, sign)
 
 
@@ -217,24 +227,29 @@ def _sub_terms(signs, brackets, N):
     return out
 
 
+def _sector_monomials(L, V, n, degrees):
+    """The canonical n-monomials N, in basis order, of the sectors of C^n in
+    degrees: deg v_w - deg N is in degrees for some module vector v_w.  They
+    are read from the algebra's table of monomials by degree."""
+    gr = L.group
+    table = L.monomials_by_degree(n)
+    wanted = {gr.sub(d, t) for t in degrees for d in set(V.degrees)}
+    return sorted(N for md in wanted for N in table.get(md, ()))
+
+
 def coboundary(g):
     """The cochain d(g): the first sum of the explicit formula with
     CommutationFactor.eps, the second from _sub_terms as in the assembly.
-
-    A component of degree gamma is nonzero only on the monomials N with
-    deg v_w - deg N = gamma for some module vector v_w, so only those are
-    visited, from the algebra's table of monomials by degree."""
+    A component of degree gamma is read only on the monomials of its sector."""
     parts = components(g)
     L, V = g.algebra, g.module
     total = zero_cochain(L, V, g.level + 1)
     fac = L.factor
     gr = L.group
-    table = L.monomials_by_degree(g.level + 1)
     sums = L.degree_sums
     for gamma, piece in parts.items():
-        wanted = {gr.sub(d, gamma) for d in set(V.degrees)}
         vals = {}
-        for N in sorted(N for md in wanted for N in table.get(md, ())):
+        for N in _sector_monomials(L, V, g.level + 1, [gamma]):
             acc = {}
             prefix = gamma
             for r, idx in enumerate(N):
@@ -265,65 +280,82 @@ def is_cocycle(g):
 # module structure, insertion, products, transport
 
 
-def act(avec, g):
-    """Action of a homogeneous algebra vector on a cochain."""
-    L, V = g.algebra, g.module
-    alpha = degree_of_vector(L.group, L.degrees, avec)
-    out = zero_cochain(L, V, g.level)
-    if alpha is None:
-        return out
-    fac = L.factor
+def _vectors_by_degree(V):
+    """{module degree: its vectors, in basis order}."""
+    vecs = {}
+    for w, d in enumerate(V.degrees):
+        vecs.setdefault(d, []).append(w)
+    return vecs
+
+
+def _theta(L, V, n, avec, gammas):
+    """The matrix of g -> A.g on C^n for a homogeneous algebra vector A of
+    degree alpha, one block per source degree gamma in gammas:
+    {gamma: {(N, w2): {(M, w): coefficient}}}, the rows of the map from the
+    sector gamma to the sector gamma + alpha.  No blocks for A = 0."""
     gr = L.group
-    table = L.monomials_by_degree(g.level)
-    rho = V.action_matrix(avec)
-    brackets = [L.bracket(avec, {idx: ONE}) for idx in range(L.dim)]
-    for gamma, piece in components(g).items():
-        # A.g has degree gamma + alpha: only the monomials N with
-        # deg v_w - deg N = gamma + alpha for some module vector v_w
+    alpha = degree_of_vector(gr, L.degrees, avec)
+    if alpha is None:
+        return {}
+    fac = L.factor
+    rho = V.action_matrix(avec).row_dicts()
+    # <A, e_i> in the stored coefficients, and eps(alpha, a_i)
+    brackets = [{k: rational(c) for k, c in L.bracket(avec, {i: ONE}).items()}
+                for i in range(L.dim)]
+    eps = [fac.eps(alpha, d) for d in L.degrees]
+    vecs = _vectors_by_degree(V)
+    blocks = {}
+    for gamma in gammas:
+        rows = blocks[gamma] = {}
         target = gr.add(gamma, alpha)
-        wanted = {gr.sub(d, target) for d in set(V.degrees)}
-        vals = {}
-        for N in sorted(N for md in wanted for N in table.get(md, ())):
-            acc = {}
-            gv = piece.values.get(N)
-            if gv:
-                vec_axpy(acc, ONE, rho.apply(gv))
-            prefix = gamma
+        for N in _sector_monomials(L, V, n, [target]):
+            # the second sum on N, one coefficient per argument monomial, with
+            # e = eps(alpha, gamma + a_1+..+a_{r-1}) a product of the eps[i]
+            terms = {}
+            e = fac.eps(alpha, gamma)
             for r, idx in enumerate(N):
-                e = fac.eps(alpha, prefix)
-                br = brackets[idx]
-                for k, c in br.items():
-                    tup = N[:r] + (k,) + N[r + 1 :]
-                    sg, mono = exterior.canonicalize(L.signs, tup)
+                for k, c in brackets[idx].items():
+                    sg, mono = exterior.canonicalize(L.signs, N[:r] + (k,) + N[r + 1 :])
                     if sg:
-                        gv2 = piece.values.get(mono)
-                        if gv2:
-                            vec_axpy(acc, -e * c * sg, gv2)
-                prefix = gr.add(prefix, L.degrees[idx])
-            if acc:
-                vals[N] = acc
-        out = cochain_add(out, make_cochain(L, V, g.level, vals))
-    return out
+                        terms[mono] = terms.get(mono, 0) - e * c * sg
+                e *= eps[idx]
+            for w2 in vecs[gr.add(target, gr.sum(L.degrees[i] for i in N))]:
+                row = rows[(N, w2)] = {(N, w): c for w, c in rho[w2].items()}
+                for mono, c in terms.items():
+                    row[(mono, w2)] = row.get((mono, w2), 0) + c
+    return blocks
+
+
+def act(avec, g):
+    """Action of a homogeneous algebra vector on a cochain: the theta block
+    of each component applied to it."""
+    L, V = g.algebra, g.module
+    parts = components(g)
+    vals = {}  # the target sectors of the components are disjoint
+    for gamma, rows in _theta(L, V, g.level, avec, parts).items():
+        piece = parts[gamma].values
+        for (N, w2), row in rows.items():
+            vals.setdefault(N, {})[w2] = sum(
+                v * piece[M][w] for (M, w), v in row.items() if w in piece.get(M, ()))
+    return make_cochain(L, V, g.level, vals)
 
 
 def insertion(g, avec):
-    """g_A: fix the first argument.  Level n-1; zero for n <= 0."""
+    """g_A: fix the first argument.  Level n-1; zero for n <= 0.  A component
+    of degree gamma and a part of A of degree alpha give values only on the
+    monomials of the sector gamma + alpha."""
     L, V = g.algebra, g.module
     if g.level <= 0:
         return zero_cochain(L, V, g.level - 1)
+    gr = L.group
+    alphas = {gr.reduce(L.degrees[i]) for i, c in avec.items() if c}
+    targets = {gr.add(gamma, a) for gamma in components(g) for a in alphas}
     vals = {}
-    for T in exterior.basis(L.signs, g.level - 1):
-        acc = {}
+    for T in _sector_monomials(L, V, g.level - 1, targets):
+        vals[T] = acc = {}
         for i, c in avec.items():
-            if not c:
-                continue
             sg, mono = exterior.canonicalize(L.signs, (i,) + T)
-            if sg:
-                gv = g.values.get(mono)
-                if gv:
-                    vec_axpy(acc, c * sg, gv)
-        if acc:
-            vals[T] = acc
+            vec_axpy(acc, c * sg, g.values.get(mono, {}))
     return make_cochain(L, V, g.level - 1, vals)
 
 
@@ -350,18 +382,13 @@ def _cup_value(g, h, args):
         e = fac.eps(eta, gr.sum(L.degrees[i] for i in left))
         coeff = psign * epsn * e
         for a, ca in gv.items():
-            for b, cb in hv.items():
-                key = a * wdim + b
-                v = total.get(key, Fraction(0)) + coeff * ca * cb
-                if v:
-                    total[key] = v
-                else:
-                    total.pop(key, None)
+            vec_axpy(total, coeff * ca, {a * wdim + b: cb for b, cb in hv.items()})
     return total
 
 
 def cup_product(g, h, target=None):
-    """Product C^m(L,V) x C^n(L,W) -> C^{m+n}(L, V tensor W)."""
+    """Product C^m(L,V) x C^n(L,W) -> C^{m+n}(L, V tensor W); components of
+    degrees gamma and eta give values only on the sector gamma + eta."""
     if g.algebra is not h.algebra:
         raise CochainError("cup product across different algebras")
     L = g.algebra
@@ -372,10 +399,9 @@ def cup_product(g, h, target=None):
     for gp in components(g).values():
         for hp in components(h).values():
             vals = {}
-            for N in exterior.basis(L.signs, g.level + h.level):
-                v = _cup_value(gp, hp, N)
-                if v:
-                    vals[N] = v
+            deg = L.group.add(gp.degree, hp.degree)
+            for N in _sector_monomials(L, T, g.level + h.level, [deg]):
+                vals[N] = _cup_value(gp, hp, N)
             out = cochain_add(out, make_cochain(L, T, g.level + h.level, vals))
     return out
 
@@ -383,24 +409,14 @@ def cup_product(g, h, target=None):
 def push_forward(fmat, W, g):
     """Compose with an invariant homogeneous map V -> W given by a matrix."""
     L, V = g.algebra, g.module
-    gr = L.group
-    phi = None
-    for (r, c) in fmat.entries:
-        d = gr.sub(W.degrees[r], V.degrees[c])
-        if phi is None:
-            phi = d
-        elif phi != d:
-            raise CochainError("map is not homogeneous")
-    if phi is not None:
+    phis = {L.group.sub(W.degrees[r], V.degrees[c]) for r, c in fmat.entries}
+    if len(phis) > 1:
+        raise CochainError("map is not homogeneous")
+    for phi in phis:
         bad = intertwiner_defect(fmat, V, W, phi)
         if bad is not None:
             raise CochainError("map is not invariant (fails at %s)" % L.labels[bad])
-    vals = {}
-    for mono, vec in g.values.items():
-        w = fmat.apply(vec)
-        if w:
-            vals[mono] = w
-    return make_cochain(L, W, g.level, vals)
+    return make_cochain(L, W, g.level, {mono: fmat.apply(vec) for mono, vec in g.values.items()})
 
 
 def pull_back(omega, Lsub, g):
@@ -416,26 +432,15 @@ def pull_back(omega, Lsub, g):
             raise CochainError("homomorphism does not preserve degrees")
     if Lsub.homomorphism_defect(L, omega):
         raise CochainError("omega is not an algebra homomorphism")
-    Vsub = GradedModule(
-        Lsub,
-        list(V.labels),
-        list(V.degrees),
-        [V.action_matrix(cols[j]) for j in range(Lsub.dim)],
-    )
+    Vsub = GradedModule(Lsub, list(V.labels), list(V.degrees),
+                        [V.action_matrix(cols[j]) for j in range(Lsub.dim)])
     vals = {}
-    for N in exterior.basis(Lsub.signs, g.level):
-        acc = {}
-        choices = [sorted(cols[j].items()) for j in N]
-        for combo in itertools.product(*choices):
-            coeff = ONE
-            for _, c in combo:
-                coeff *= c
-            idxs = tuple(i for i, _ in combo)
-            val = evaluate(g, idxs)
-            if val:
-                vec_axpy(acc, coeff, val)
-        if acc:
-            vals[N] = acc
+    # omega preserves degrees, so a component of degree gamma pulls back
+    # into the sector gamma
+    for N in _sector_monomials(Lsub, Vsub, g.level, components(g)):
+        vals[N] = acc = {}
+        for combo in itertools.product(*[sorted(cols[j].items()) for j in N]):
+            vec_axpy(acc, prod(c for _, c in combo), evaluate(g, tuple(i for i, _ in combo)))
     return make_cochain(Lsub, Vsub, g.level, vals), Vsub
 
 
@@ -489,12 +494,6 @@ class CochainComplex:
         self.basis(n)
         return self._index.get(n, {})
 
-    def pair_degree(self, pair):
-        M, w = pair
-        g = self.algebra.group
-        md = g.sum(self.algebra.degrees[i] for i in M)
-        return g.sub(self.module.degrees[w], md)
-
     def sectors(self, n):
         """Degree -> sorted list of basis positions, placed from the layouts
         of both sides of K."""
@@ -517,9 +516,7 @@ class CochainComplex:
         if (n, weight_zero) not in self._layouts:
             g = self.algebra.group
             memo = self._sector_keys
-            vecs = {}  # module degree -> its vectors
-            for w, d in enumerate(self.module.degrees):
-                vecs.setdefault(d, []).append(w)
+            vecs = _vectors_by_degree(self.module)
             found = {}
             for md, monos in self.algebra.monomials_by_degree(n).items():
                 for d, ws in vecs.items():
@@ -672,13 +669,7 @@ class CochainComplex:
 
     def cochain_from_vector(self, n, vec, deg):
         """Inverse of cochain_vector: a vector over the sector deg of C^n."""
-        pairs = self._sector(n, deg)[0]
-        vals = {}
-        for k, c in vec.items():
-            if c:
-                M, w = pairs[k]
-                vals.setdefault(M, {})[w] = c
-        return make_cochain(self.algebra, self.module, n, vals)
+        return _from_pairs(self.algebra, self.module, n, self._sector(n, deg)[0], vec)
 
     # ----------------------------------------------------------------- results
 
@@ -805,26 +796,23 @@ class CohomologyResult:
 
 
 def invariant_cochains(L, V, n, sub_vectors):
-    """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span}:
-    the common kernel, from graded_kernel, of the matrices of g -> A.g on
-    C^n, one per echelon basis vector A of the span."""
-    cx = CochainComplex(L, V, max(n - 1, 0))
-    basis = cx.basis(n)
-    index = cx.index(n)
-    degrees = [cx.pair_degree(pair) for pair in basis]
-    thetas = []
-    for avec in graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors]):
-        cols = []
-        for (M, w), deg in zip(basis, degrees):
-            image = act(avec, Cochain(L, V, n, {M: {w: ONE}}, deg))
-            cols.append({index[(N, w2)]: c
-                         for N, vec in image.values.items() for w2, c in vec.items()})
-        thetas.append(RationalSparseMatrix.from_columns(cols, len(basis)))
+    """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span},
+    in the (degree, pivot) echelon basis.  Each sector of C^n is solved
+    apart: the common kernel, from graded_kernel, of the theta blocks on it
+    of the echelon basis vectors A of the span."""
+    gr = L.group
+    degs = sorted({gr.sub(d, md) for md in L.monomials_by_degree(n) for d in set(V.degrees)})
+    thetas = [_theta(L, V, n, avec, degs)
+              for avec in graded_echelon(gr, L.degrees, [vec_clean(v) for v in sub_vectors])]
+    vecs = _vectors_by_degree(V)
     out = []
-    for vec in graded_kernel(L.group, degrees, thetas):
-        vals = {}
-        for k, c in vec.items():
-            M, w = basis[k]
-            vals.setdefault(M, {})[w] = c
-        out.append(make_cochain(L, V, n, vals))
+    for gamma in degs:
+        pairs = [(M, w) for M in _sector_monomials(L, V, n, [gamma])
+                 for w in vecs[gr.add(gamma, gr.sum(L.degrees[i] for i in M))]]
+        at = {p: k for k, p in enumerate(pairs)}
+        blocks = [RationalSparseMatrix(len(theta[gamma]), len(pairs), {
+            (r, at[p]): c for r, row in enumerate(theta[gamma].values()) for p, c in row.items()
+        }) for theta in thetas]
+        out.extend(_from_pairs(L, V, n, pairs, vec)
+                   for vec in graded_kernel(gr, [gamma] * len(pairs), blocks))
     return out

@@ -459,11 +459,15 @@ def inner_torus(V):
 def intertwiner_space(V, W, phi_degree):
     """Reduced echelon basis of the graded-invariant maps V -> W of degree
     phi: the degree-phi invariants of Hom(V, W) = tensor(W, dual(V)), whose
-    basis vector w_a ⊗ v_c' at a * V.dim + c is the matrix entry (a, c)."""
+    basis vector w_a ⊗ v_c' at a * V.dim + c is the matrix entry (a, c).
+    graded_kernel sees only the degree-phi columns of the action on H."""
     H = tensor(W, dual(V))
     phi = V.group.reduce(phi_degree)
-    return [RationalSparseMatrix(W.dim, V.dim, {divmod(k, V.dim): c for k, c in vec.items()})
-            for vec in invariants_subspace(H) if H.degrees[min(vec)] == phi]
+    cols = [k for k, d in enumerate(H.degrees) if d == phi]
+    ops = [RationalSparseMatrix.from_columns([mcols[k] for k in cols], H.dim)
+           for mcols in (m.columns() for m in H.action)]
+    return [RationalSparseMatrix(W.dim, V.dim, {divmod(cols[j], V.dim): c for j, c in vec.items()})
+            for vec in graded_kernel(V.group, [phi] * len(cols), ops)]
 
 
 def intertwiner_defect(F, V, W, phi):

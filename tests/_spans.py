@@ -121,7 +121,8 @@ def invariant_cochains(L, V, n, sub_vectors):
     vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])
     for t, avec in enumerate(vecs):
         for col, (M, w) in enumerate(basis):
-            res = act(avec, Cochain(L, V, n, {M: {w: ONE}}, cx.pair_degree((M, w))))
+            deg = L.group.sub(V.degrees[w], L.group.sum(L.degrees[i] for i in M))
+            res = act(avec, Cochain(L, V, n, {M: {w: ONE}}, deg))
             for mono, vv in res.values.items():
                 for w2, c in vv.items():
                     rows.setdefault((t, mono, w2), {})[col] = c

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -42,6 +45,7 @@ from epslie.gmodule import (
     adjoint,
     dual,
     inner_torus,
+    intertwiner_space,
     shift,
     tensor,
     torus_defect,
@@ -311,6 +315,12 @@ def test_split_of_delta_equals_the_assembled_blocks(name):
             assert blocks == {deg: cx.delta_sector(n, deg) for deg in blocks}
 
 
+def _pair_degree(L, V, pair):
+    """deg v_w - deg M of the basis cochain (M, w)."""
+    M, w = pair
+    return L.group.sub(V.degrees[w], L.group.sum(L.degrees[i] for i in M))
+
+
 @pytest.mark.parametrize("name", catalog.algebra_names())
 def test_sectors_follow_pair_degree(name):
     L = catalog.get_algebra(name)
@@ -318,7 +328,8 @@ def test_sectors_follow_pair_degree(name):
     for n in range(3):
         basis = cx.basis(n)
         placed = [(p, deg) for deg, ps in cx.sectors(n).items() for p in ps]
-        assert sorted(placed) == [(p, cx.pair_degree(pair)) for p, pair in enumerate(basis)]
+        assert sorted(placed) == [(p, _pair_degree(L, cx.module, pair))
+                                  for p, pair in enumerate(basis)]
 
 
 def test_sector_layout_adds_each_prefix_degree_once(monkeypatch):
@@ -365,13 +376,13 @@ def test_each_side_layout_agrees_with_pair_degree(name):
                 sectors, local = cx._layout(n, weight_zero)
                 assert list(sectors) == sorted(sectors)
                 for deg, pairs in sectors.items():
-                    assert all(cx.pair_degree(p) == deg for p in pairs)
+                    assert all(_pair_degree(L, V, p) == deg for p in pairs)
                     # basis order inside the sector
                     assert [index[p] for p in pairs] == sorted(index[p] for p in pairs)
                     assert local[deg] == {p: k for k, p in enumerate(pairs)}
                     placed += pairs
             assert sorted(placed) == cx.basis(n)
-            degs = {cx.pair_degree(p) for p in cx.basis(n)}
+            degs = {_pair_degree(L, V, p) for p in cx.basis(n)}
             weight_zero = {d for d in degs if cx.vanishing_certificate(d) is None}
             assert set(cx._layout(n, True)[0]) == weight_zero
 
@@ -896,6 +907,55 @@ def test_act_visits_only_the_monomials_it_can_reach(monkeypatch):
     evens = [{i: ONE} for i in range(P.dim) if P.factor.parity(P.degrees[i]) == 1]
     assert len(invariant_cochains(P, trivial(P), 2, evens)) == 3
     assert walks == []
+
+
+@pytest.mark.parametrize("name", [
+    "act", "insertion", "cup_product", "pull_back", "invariant_cochains", "intertwiner_space",
+])
+def test_cochain_operators_take_no_walk_of_a_whole_level(monkeypatch, name):
+    """Each operator reads the monomials of its target sectors from the
+    algebra's table of monomials by degree; none calls exterior.basis."""
+    L = catalog.sl12("Z2")
+    V = catalog.module_v_half(L)
+    g = random_cochain(random.Random(7), L, V, 2)  # walks exterior.basis itself
+    g0 = catalog.cocycle_g0(L)
+    calls = {
+        "act": lambda: act({QP: ONE}, g),
+        "insertion": lambda: insertion(g, {VP: ONE, Q3: ONE}),
+        "cup_product": lambda: cup_product(g0, g),
+        "pull_back": lambda: pull_back(catalog.omega_matrix(L), L, g)[0],
+        "invariant_cochains": lambda: invariant_cochains(L, V, 2, [{Q3: ONE}, {B: ONE}]),
+        "intertwiner_space": lambda: intertwiner_space(V, V, L.group.zero()),
+    }
+    walks = []
+    basis = exterior.basis
+
+    def counted(signs, n):
+        walks.append(n)
+        return basis(signs, n)
+
+    monkeypatch.setattr(exterior, "basis", counted)
+    out = calls[name]()
+    assert walks == []
+    assert out if isinstance(out, list) else not out.is_zero()
+
+
+def test_psl22_adjoint_even_part_invariants_at_level_3():
+    """The even-part invariant 3-cochains of psl(2|2) in the adjoint: 38
+    cochains, each killed by every even basis element, with values pinned
+    by a SHA-256 digest of the (degree, pivot) echelon basis."""
+    P = catalog.psl_nn(2)
+    evens = [{i: ONE} for i in range(P.dim) if P.factor.parity(P.degrees[i]) == 1]
+    inv = invariant_cochains(P, adjoint(P), 3, evens)
+    assert len(inv) == 38
+    assert all(act(A, g).is_zero() for A in evens for g in inv)
+    values = [sorted([list(M), w, str(c)] for M, vec in g.values.items() for w, c in vec.items())
+              for g in inv]
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                        "invariant-cochains.json")
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)["psl22/adjoint/3/even"]
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == want
 
 
 # ------------------------------------------------ representatives / witness

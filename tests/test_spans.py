@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import _spans
 from epslie import catalog, fileio
-from epslie.algebra import AlgebraError, EpsLieAlgebra, graded_echelon
+from epslie import algebra
+from epslie.algebra import AlgebraError, EpsLieAlgebra, graded_echelon, graded_kernel
 from epslie.cli import main
 from epslie.cohomology import CochainComplex, invariant_cochains
 from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
@@ -26,7 +27,7 @@ from epslie.gmodule import (
     trivial,
     twist,
 )
-from epslie.grading import super_factor
+from epslie.grading import GradingGroup, super_factor
 
 def _zero_dim_algebra():
     return EpsLieAlgebra(super_factor(), [], [], {})
@@ -92,6 +93,15 @@ def test_center_equals_the_reference_and_the_adjoint_invariants(name):
     cen = L.center()
     assert cen == _spans.center(L)
     assert cen == invariants_subspace(adjoint(L))
+
+
+def test_graded_kernel_refuses_a_row_that_mixes_degrees():
+    """The kernel of the row (1, 1) over columns of degrees 0 and 1 is
+    spanned by (1, -1), which is not homogeneous; solving one block per
+    degree has no block for that row, so it is refused, not split."""
+    op = RationalSparseMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    with pytest.raises(AlgebraError):
+        graded_kernel(GradingGroup(1), [(0,), (1,)], [op])
 
 
 def test_zero_dimensional_algebra_fixes_every_vector():
@@ -179,6 +189,27 @@ def test_intertwiner_space_equals_the_equation_reference(name):
     maps = intertwiner_space(V, W, phi)
     assert maps and _map_span(maps) == _map_span(_spans.intertwiner_space(V, W, phi))
     assert all(intertwiner_defect(F, V, W, phi) is None for F in maps)
+
+
+@pytest.mark.parametrize("name", ["s2ad -> s2ad", "v8 -> v8", "odd psl22"])
+def test_intertwiner_space_solves_only_the_degree_phi_block(name, monkeypatch):
+    """graded_kernel sees only the entries (a, c) of W ⊗ V* with
+    deg w_a - deg v_c = phi, not the whole of Hom(V, W)."""
+    V, W, phi = _intertwiner_case(name)
+    g = V.group
+    entries = sum(g.sub(dw, dv) == g.reduce(phi) for dw in W.degrees for dv in V.degrees)
+    solved = []
+    kernel = algebra.rows_kernel
+
+    def recorded(rows, cols):
+        solved.append(cols)
+        return kernel(rows, cols)
+
+    monkeypatch.setattr(algebra, "rows_kernel", recorded)
+    maps = intertwiner_space(V, W, phi)
+    monkeypatch.undo()
+    assert solved == [entries] and entries < V.dim * W.dim
+    assert _map_span(maps) == _map_span(_spans.intertwiner_space(V, W, phi))
 
 
 @pytest.mark.parametrize("name", ["sl12", "sl12_z2", "osp12", "gl11", "psl22"])
