@@ -5,7 +5,8 @@ here: an invariant r-linear form phi on the coadjoint module determines the
 operator C_V = sum phi(E'_{i_1},...,E'_{i_r}) rho(E_{i_r})...rho(E_{i_1})
 together with the partial operators C_i (products of r-1 representation
 matrices), and those two are all the vanishing criterion and its homotopy
-operator need.
+operator need.  The homotopy identity is checked one degree sector of the
+cochain complex at a time, in its sector-local positions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cohomology import CochainComplex
-from .exactlin import RationalSparseMatrix, rows_kernel
+from .exactlin import RationalSparseMatrix, ShapeError, rational, rows_kernel
 from .exterior import arrangements, canonicalize
 from .gmodule import GradedModule, coadjoint, intertwiner_defect, leibniz_rows, power_monomials
 
@@ -30,7 +31,7 @@ class InvariantForm:
     def __init__(self, module, arity, values):
         self.module = module
         self.arity = arity
-        self.values = {tuple(k): Fraction(v) for k, v in values.items() if v}
+        self.values = {tuple(k): rational(v) for k, v in values.items() if v}
         g = module.group
         degs = set()
         for k in self.values:
@@ -162,53 +163,72 @@ def vanishing_witness(L, V, candidate_forms=None):
     return None
 
 
-def homotopy_matrix(C: CasimirOperator, cx: CochainComplex, n):
-    """Matrix of the contracting map C^n -> C^{n-1} built from the partial
-    operators: (d_n g)(A_2..A_n) = sum_i eps(eps_i, gamma) C_i . g(E_i, A_2..)."""
+def _sector_matrix(cx: CochainComplex, n, deg, m, eta, images):
+    """Matrix of a map from the sector deg of C^n to the sector deg + eta of
+    C^m; images(M, w) yields the terms ((N, w2), coefficient) of the image of
+    the basis cochain (M, w).  A term outside the target sector raises
+    ShapeError, as the assembly of the coboundary blocks does."""
+    pairs = cx.sector(n, deg)[0]
+    target = cx.algebra.group.add(deg, eta)
+    rows, at = cx.sector(m, target)
+    ent = {}
+    for col, (M, w) in enumerate(pairs):
+        for pair, c in images(M, w):
+            row = at.get(pair)
+            if row is None:
+                raise ShapeError("entry %s of column %d leaves the sector %s" % (pair, col, target))
+            ent[(row, col)] = ent.get((row, col), 0) + c
+    return RationalSparseMatrix(len(rows), len(pairs), ent)
+
+
+def homotopy_matrix(C: CasimirOperator, cx: CochainComplex, n, deg):
+    """Matrix of the contracting map built from the partial operators,
+    (d_n g)(A_2..A_n) = sum_i eps(eps_i, gamma) C_i . g(E_i, A_2..), from the
+    sector gamma = deg of C^n to the sector gamma + eta of C^{n-1}, with eta
+    the degree of C_V."""
     if n < 1:
         raise CasimirError("homotopy operator needs n >= 1")
     L = cx.algebra
     V = cx.module
-    rows = cx.index(n - 1)
-    cols = cx.index(n)
-    ent = {}
-    for T in cx.monomials(n - 1):
-        for i in range(L.dim):
-            part = C.partials[i]
-            if not part.entries:
+    partials = [part.columns() for part in C.partials]
+
+    def images(mono, w):
+        for r, i in enumerate(mono):
+            col = partials[i][w]
+            # a repeated index leaves the same T
+            if not col or (r and mono[r - 1] == i):
                 continue
-            sg, mono = canonicalize(L.signs, (i,) + T)
-            if not sg:
-                continue
-            # eps(a_i, gamma) for gamma = deg v_w - deg mono is
-            # V.signs[i][w] * prod_{t in mono} L.signs[i][t]
+            T = mono[:r] + mono[r + 1 :]
+            # (i,) + T canonicalizes to mono; eps(a_i, gamma) for
+            # gamma = deg v_w - deg mono is V.signs[i][w] * prod_{t in mono} L.signs[i][t]
+            sg = canonicalize(L.signs, (i,) + T)[0] * V.signs[i][w]
             for t in mono:
                 sg *= L.signs[i][t]
-            for (w2, w), c in part.entries.items():
-                key = (rows[(T, w2)], cols[(mono, w)])
-                v = ent.get(key, 0) + sg * V.signs[i][w] * c
-                if v:
-                    ent[key] = v
-                else:
-                    ent.pop(key, None)
-    return RationalSparseMatrix(len(cx.basis(n - 1)), len(cx.basis(n)), ent)
+            for w2, c in col.items():
+                yield (T, w2), sg * c
+
+    return _sector_matrix(cx, n, deg, n - 1, C.degree, images)
 
 
-def casimir_cochain_matrix(C: CasimirOperator, cx: CochainComplex, n):
-    """Matrix of g -> C_V . g on C^n."""
-    dex = cx.index(n)
-    ent = {}
-    for M in cx.monomials(n):
-        for (w2, w), c in C.operator.entries.items():
-            ent[(dex[(M, w2)], dex[(M, w)])] = c
-    d = len(cx.basis(n))
-    return RationalSparseMatrix(d, d, ent)
+def casimir_cochain_matrix(C: CasimirOperator, cx: CochainComplex, n, deg):
+    """Matrix of g -> C_V . g from the sector deg of C^n to the sector
+    deg + eta, with eta the degree of C_V."""
+    op = C.operator.columns()
+    return _sector_matrix(cx, n, deg, n, C.degree,
+                          lambda M, w: (((M, w2), c) for w2, c in op[w].items()))
 
 
 def verify_homotopy_identity(C: CasimirOperator, cx: CochainComplex, n):
-    """Exact matrix identity d_{n+1} delta^n + delta^{n-1} d_n = (C_V)_c on C^n."""
+    """Exact matrix identity d_{n+1} delta^n + delta^{n-1} d_n = (C_V)_c on
+    C^n, one source sector gamma at a time: both sides map it to the sector
+    gamma + eta, whose delta^{n-1} block is taken."""
     if n < 1:
         raise CasimirError("identity is stated for n >= 1")
-    lhs = homotopy_matrix(C, cx, n + 1).multiply(cx.delta(n))
-    lhs = lhs.add(cx.delta(n - 1).multiply(homotopy_matrix(C, cx, n)))
-    return lhs == casimir_cochain_matrix(C, cx, n)
+    add = cx.algebra.group.add
+    for deg in cx.sector_degrees(n):
+        lhs = homotopy_matrix(C, cx, n + 1, deg).multiply(cx.delta_sector(n, deg))
+        lhs = lhs.add(cx.delta_sector(n - 1, add(deg, C.degree))
+                      .multiply(homotopy_matrix(C, cx, n, deg)))
+        if lhs != casimir_cochain_matrix(C, cx, n, deg):
+            return False
+    return True

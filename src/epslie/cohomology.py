@@ -54,10 +54,11 @@ the first time it is called, and fails if one has dim Z != dim B.
 
 Every operator reads only the monomials its target sector can hold, from
 one table per algebra and level, EpsLieAlgebra.monomials_by_degree.  Each
-side of K is laid out apart, a sector as its pairs (M, w) in basis
-order; assembly, ranks, representatives and cochain vectors use these
-local positions.  Global positions (basis, sectors, the full delta(n)) are
-placed from both sides only when asked for.
+side of K is laid out apart, a sector as its pairs (M, w) in basis order,
+and these sector-local positions are the only cochain coordinates:
+assembly, ranks, representatives, cochain vectors and the homotopy
+identity of casimir all work one sector at a time.  The full matrix
+delta(n) is the sector blocks laid end to end in degree order.
 """
 
 from __future__ import annotations
@@ -449,7 +450,8 @@ def pull_back(omega, Lsub, g):
 
 
 class CochainComplex:
-    """Bases and coboundary matrices for levels 0..n_max (+1 for targets)."""
+    """Sector layouts and coboundary blocks for levels 0..n_max (+1 for
+    targets)."""
 
     def __init__(self, L, V, n_max):
         if n_max < 0:
@@ -457,14 +459,10 @@ class CochainComplex:
         self.algebra = L
         self.module = V
         self.n_max = n_max
-        self._basis = {}
-        self._index = {}
-        self._sectors = {}
         # (monomial degree, module degree) -> sector key, shared by all levels
         self._sector_keys = {}
         # (n, weight zero?) -> _layout(n, weight zero?)
         self._layouts = {}
-        self._delta = {}
         # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
         self._certificates = {}  # degree -> vanishing_certificate(degree)
@@ -475,36 +473,13 @@ class CochainComplex:
             for i, mat in enumerate(V.action)
         ]
 
-    def monomials(self, n):
-        """The canonical n-monomials in basis order, merged from the table."""
-        return sorted(M for ms in self.algebra.monomials_by_degree(n).values() for M in ms)
-
-    def basis(self, n):
-        """Pairs (M, w); the k-th monomial with vector w is at position
-        k * module dim + w."""
-        if n < 0:
-            return []
-        if n not in self._basis:
-            pairs = [(M, w) for M in self.monomials(n) for w in range(self.module.dim)]
-            self._basis[n] = pairs
-            self._index[n] = {p: k for k, p in enumerate(pairs)}
-        return self._basis[n]
-
-    def index(self, n):
-        self.basis(n)
-        return self._index.get(n, {})
-
-    def sectors(self, n):
-        """Degree -> sorted list of basis positions, placed from the layouts
-        of both sides of K."""
-        if n not in self._sectors:
-            index = self.index(n)
-            out = {}
-            for weight_zero in (True, False):
-                for deg, pairs in self._layout(n, weight_zero)[0].items():
-                    out[deg] = [index[p] for p in pairs]
-            self._sectors[n] = dict(sorted(out.items()))
-        return self._sectors[n]
+    def sector_degrees(self, n):
+        """The sorted degrees of the sectors of C^n, on both sides of K.  Only
+        the layout of the side in K is built: it puts every key of C^n in
+        _sector_keys."""
+        self._layout(n, True)
+        mds = self.algebra.monomials_by_degree(n)
+        return sorted({key for (md, _), key in self._sector_keys.items() if md in mds})
 
     def _layout(self, n, weight_zero):
         """({deg: [(M, w), ...]}, {deg: {(M, w): index in the sector}}) for the
@@ -530,7 +505,7 @@ class CochainComplex:
             self._layouts[(n, weight_zero)] = sectors, index
         return self._layouts[(n, weight_zero)]
 
-    def _sector(self, n, deg):
+    def sector(self, n, deg):
         """(pairs, {pair: index}) of the sector deg of C^n, from the layout of
         its side of K."""
         sectors, index = self._layout(n, self.vanishing_certificate(deg) is None)
@@ -628,20 +603,11 @@ class CochainComplex:
         }
 
     def delta(self, n):
-        """Full matrix of the coboundary C^n -> C^{n+1}, placed from its
-        sector blocks."""
-        if n not in self._delta:
-            rows, cols = self.sectors(n + 1), self.sectors(n)
-            ent = {}
-            for weight_zero in (True, False):
-                for key, block in self._blocks(n, weight_zero).items():
-                    rp, cp = rows.get(key), cols.get(key)
-                    for (r, c), v in block.entries.items():
-                        ent[(rp[r], cp[c])] = v
-            self._delta[n] = RationalSparseMatrix(
-                len(self.basis(n + 1)), len(self.basis(n)), ent
-            )
-        return self._delta[n]
+        """Full matrix of the coboundary C^n -> C^{n+1}: the sector blocks of
+        both sides of K laid end to end in degree order, so that a sector's
+        positions follow those of every smaller degree."""
+        blocks = {**self._blocks(n, True), **self._blocks(n, False)}
+        return RationalSparseMatrix.block_diag(blocks[deg] for deg in sorted(blocks))
 
     def delta_sector(self, n, deg):
         """Block of delta(n) on the degree sector (rows C^{n+1}, cols C^n).
@@ -657,7 +623,7 @@ class CochainComplex:
         """Coordinates of a homogeneous cochain over its sector basis."""
         if g.degree is None:
             raise CochainError("sector vector of an inhomogeneous cochain")
-        at = self._sector(g.level, g.degree)[1]
+        at = self.sector(g.level, g.degree)[1]
         vec = {}
         for mono, v in g.values.items():
             for w, c in v.items():
@@ -669,7 +635,7 @@ class CochainComplex:
 
     def cochain_from_vector(self, n, vec, deg):
         """Inverse of cochain_vector: a vector over the sector deg of C^n."""
-        return _from_pairs(self.algebra, self.module, n, self._sector(n, deg)[0], vec)
+        return _from_pairs(self.algebra, self.module, n, self.sector(n, deg)[0], vec)
 
     # ----------------------------------------------------------------- results
 
@@ -684,16 +650,15 @@ class CochainComplex:
             for deg in self._layout(n, True)[0]:
                 z, b = self.sector_ranks(n, deg)
                 level[deg] = (z, b, z - b)
-            # the layout put every key of C^n in _sector_keys
-            mds = self.algebra.monomials_by_degree(n)
-            degs = sorted({key for (md, _), key in self._sector_keys.items() if md in mds})
             res.levels[n] = level
-            res.vanishing[n] = {d: c for d in degs if (c := self.vanishing_certificate(d))}
+            res.vanishing[n] = {
+                d: c for d in self.sector_degrees(n) if (c := self.vanishing_certificate(d))
+            }
         return res
 
     def sector_ranks(self, n, deg):
         """(dim Z, dim B) of the sector deg of C^n."""
-        z = len(self._sector(n, deg)[0]) - self.delta_sector(n, deg).rank()
+        z = len(self.sector(n, deg)[0]) - self.delta_sector(n, deg).rank()
         b = self.delta_sector(n - 1, deg).rank() if n > 0 else 0
         return z, b
 

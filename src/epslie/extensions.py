@@ -389,24 +389,27 @@ def covering_from_h2_basis(L, cocycles):
         return extension_from_cocycle(L, H, zero)
     g = L.group
     cx = CochainComplex(L, cocycles[0].module, 2)
-    # the coboundaries, from one elimination of the columns of delta^1
-    span = SpanTracker.of_rref(*cx.delta(1).transpose().rref())
-    degs = []
+    # per class degree, the coboundaries from one elimination of the columns
+    # of that sector's delta^1 block
+    spans = {}
     for gr_ in cocycles:
-        if gr_.level != 2 or gr_.module.dim != 1:
-            raise ExtensionError("need scalar-valued 2-cocycles")
+        if gr_.level != 2 or gr_.module.degrees != [g.zero()]:
+            raise ExtensionError("need scalar-valued 2-cocycles of module degree zero")
+        if gr_.is_zero():
+            raise ExtensionError("cohomology classes are not independent")
+        if gr_.degree is None:
+            raise ExtensionError("a cohomology class must be homogeneous")
         if not is_cocycle(gr_):
             raise ExtensionError("class input is not a cocycle")
-        vec = {}
-        dex = cx.index(2)
-        for mono, v in gr_.values.items():
-            vec[dex[(mono, 0)]] = v[0]
-        if not span.add(vec):
+        span = spans.get(gr_.degree)
+        if span is None:
+            block = cx.delta_sector(1, gr_.degree).transpose()
+            span = spans[gr_.degree] = SpanTracker.of_rref(*block.rref())
+        if not span.add(cx.cochain_vector(gr_)):
             raise ExtensionError("cohomology classes are not independent")
-        degs.append(gr_.degree if gr_.degree is not None else g.zero())
     H = trivial(
         L,
-        degrees=[g.neg(d) for d in degs],
+        degrees=[g.neg(gr_.degree) for gr_ in cocycles],
         labels=["z%d" % k for k in range(len(cocycles))],
     )
     vals = {}

@@ -2,11 +2,31 @@
 
 The engine lays out sectors from EpsLieAlgebra.monomials_by_degree; tests
 cut the same blocks from an assembled matrix with these helpers and compare.
+The whole cochain basis of a level is built here apart from the engine, from
+exterior.basis, so that the engine's sectors are checked against it.
 """
 
 from bisect import bisect_left
 
+from epslie import exterior
 from epslie.exactlin import RationalSparseMatrix, ShapeError
+
+
+def full_basis(L, V, n):
+    """The basis cochains (M, w) of C^n(L, V): every canonical n-monomial M
+    with every module vector w, the k-th monomial's pairs at k * dim V + w."""
+    return [(M, w) for M in exterior.basis(L.signs, n) for w in range(V.dim)]
+
+
+def pair_degree(L, V, pair):
+    """deg v_w - deg M of the basis cochain (M, w)."""
+    M, w = pair
+    return L.group.sub(V.degrees[w], L.group.sum(L.degrees[i] for i in M))
+
+
+def full_sector_positions(L, V, n):
+    """{degree: positions in full_basis(L, V, n)}, in sorted degree order."""
+    return sector_positions([pair_degree(L, V, p) for p in full_basis(L, V, n)])
 
 
 def sector_positions(keys):

@@ -11,7 +11,7 @@ compare them with these.
 
 from epslie import exterior
 from epslie.algebra import degree_of_vector, split_components
-from epslie.cohomology import Cochain, CochainComplex, components, make_cochain
+from epslie.cohomology import Cochain, components, make_cochain
 from epslie.exactlin import (
     ONE,
     RationalSparseMatrix,
@@ -21,6 +21,8 @@ from epslie.exactlin import (
     vec_clean,
     vec_is_zero,
 )
+
+from _sectors import full_basis
 
 
 def graded_echelon(group, degrees, vectors):
@@ -115,8 +117,7 @@ def act(avec, g):
 def invariant_cochains(L, V, n, sub_vectors):
     """Kernel basis of the system (A.g)(M)_w = 0, one row per (A, M, w),
     over the basis cochains of C^n."""
-    cx = CochainComplex(L, V, max(n - 1, 0))
-    basis = cx.basis(n)
+    basis = full_basis(L, V, n)
     rows = {}  # (t, monomial, w) -> {column: coefficient}
     vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])
     for t, avec in enumerate(vecs):

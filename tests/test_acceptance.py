@@ -263,7 +263,7 @@ def test_criterion_11_property_suites():
             cx = CochainComplex(L, V, nmax)
             for n in range(nmax):
                 assert cx.delta(n + 1).multiply(cx.delta(n)).is_zero()
-                for deg in cx.sectors(n):
+                for deg in cx.sector_degrees(n):
                     up = cx.delta_sector(n + 1, deg)
                     dn = cx.delta_sector(n, deg)
                     assert up.multiply(dn).is_zero()
@@ -358,7 +358,7 @@ def test_criterion_11_property_suites():
             if key not in complexes:
                 complexes[key] = CochainComplex(L, W, level)
             cx = complexes[key]
-            degs = sorted(cx.sectors(level))
+            degs = sorted(cx.sector_degrees(level))
             deg = degs[rng.randrange(len(degs))]
             kb = cx.delta_sector(level, deg).kernel_basis()
             if not kb:

@@ -10,6 +10,7 @@ import pytest
 from epslie import catalog, cli, gmodule
 from epslie.casimir import (
     CasimirError,
+    CasimirOperator,
     InvariantForm,
     casimir_operator,
     homotopy_matrix,
@@ -19,8 +20,10 @@ from epslie.casimir import (
     verify_homotopy_identity,
 )
 from epslie.cohomology import CochainComplex
-from epslie.exactlin import ONE, RationalSparseMatrix, SpanTracker
+from epslie.exactlin import ONE, RationalSparseMatrix, ShapeError, SpanTracker
 from epslie.gmodule import adjoint, coadjoint, trivial
+
+from _sectors import full_sector_positions
 
 
 def _reference_forms(M, r, symmetry):
@@ -212,12 +215,20 @@ def test_witness_implies_vanishing_cohomology():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_homotopy_identity_sl12_typical(n):
+def test_homotopy_identity_sl12_typical(n, monkeypatch):
+    """The identity holds, per sector and with no full coboundary matrix,
+    and fails once C_V is doubled while the partial operators are kept."""
+    def no_full_delta(self, level):
+        raise AssertionError("the full delta(%d) was built" % level)
+
+    monkeypatch.setattr(CochainComplex, "delta", no_full_delta)
     L = catalog.sl12()
     Vt = catalog.module_typical_v0_half(L)
     cas = casimir_operator(L, quadratic_invariant_forms(L)[0], Vt)
     cx = CochainComplex(L, Vt, n)
     assert verify_homotopy_identity(cas, cx, n)
+    doubled = CasimirOperator(cas.form, Vt, cas.operator.scale(2), cas.partials, cas.degree)
+    assert not verify_homotopy_identity(doubled, cx, n)
 
 
 def test_homotopy_identity_sl2_adjoint():
@@ -238,14 +249,35 @@ def test_homotopy_identity_more_modules():
 
 
 def test_homotopy_operator_level_one_shape():
+    """Each sector block maps the sector gamma of C^1 to the sector
+    gamma + eta of C^0, with the sizes of the full bases split by degree."""
     L = catalog.sl2()
     ad = adjoint(L)
     cas = casimir_operator(L, quadratic_invariant_forms(L)[0], ad)
     cx = CochainComplex(L, ad, 1)
-    d1 = homotopy_matrix(cas, cx, 1)
-    assert (d1.rows, d1.cols) == (len(cx.basis(0)), len(cx.basis(1)))
-    z = RationalSparseMatrix.zero(len(cx.basis(1)), 1)
-    assert d1.multiply(z).is_zero()
+    sizes = [{deg: len(ps) for deg, ps in full_sector_positions(L, ad, n).items()}
+             for n in (0, 1)]
+    assert cx.sector_degrees(1) == list(sizes[1])
+    for deg in cx.sector_degrees(1):
+        d1 = homotopy_matrix(cas, cx, 1, deg)
+        target = L.group.add(deg, cas.degree)
+        assert (d1.rows, d1.cols) == (sizes[0].get(target, 0), sizes[1][deg])
+        z = RationalSparseMatrix.zero(d1.cols, 1)
+        assert d1.multiply(z).is_zero()
+
+
+def test_homotopy_matrix_rejects_a_term_that_leaves_its_sector():
+    """The same action on vectors all of degree 0: the partial operators of
+    the odd elements now cross sectors, and the sector blocks refuse them
+    as the assembly of the coboundary blocks does."""
+    L = catalog.sl12()
+    V = catalog.module_typical_v0_half(L)
+    flat = gmodule.GradedModule(L, V.labels, [L.group.zero()] * V.dim, V.action)
+    cas = casimir_operator(L, quadratic_invariant_forms(L)[0], flat)
+    cx = CochainComplex(L, flat, 1)
+    with pytest.raises(ShapeError, match="leaves the sector"):
+        for deg in cx.sector_degrees(1):
+            homotopy_matrix(cas, cx, 1, deg)
 
 
 # The full-tuple reference has dim^r unknowns: r = 3 on sl(3|3) and
@@ -383,6 +415,9 @@ def test_form_homogeneity_enforced():
     co = coadjoint(L)
     with pytest.raises(CasimirError):
         InvariantForm(co, 1, {(4,): Fraction(1), (3,): Fraction(1)})
+    # a float value is not coerced to its binary fraction
+    with pytest.raises(TypeError):
+        InvariantForm(coadjoint(catalog.sl2()), 2, {(0, 1): 0.1})
 
 
 def test_non_invariant_form_rejected():

@@ -340,7 +340,7 @@ def test_every_catalog_coefficient_is_stored_as_int_or_proper_fraction():
                 continue
             cx = CochainComplex(L, V, 2)
             for n in range(3):
-                for deg in cx.sectors(n):
+                for deg in cx.sector_degrees(n):
                     block = cx.delta_sector(n, deg)
                     assert all(_stored(c) for c in block.entries.values()), (
                         aname, mname, n, deg)

@@ -54,7 +54,7 @@ from epslie.gmodule import (
 )
 from epslie.grading import GradingGroup
 
-from _sectors import split_sectors
+from _sectors import full_basis, full_sector_positions, pair_degree, split_sectors
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
 
@@ -112,7 +112,7 @@ def test_delta_squared_zero_per_sector_at_levels_five_and_six(algebra, module, s
     composed = 0
     for n in (5, 6):
         # a sector empty at level n + 1 composes to zero trivially
-        for deg in cx.sectors(n + 1):
+        for deg in cx.sector_degrees(n + 1):
             outer, inner = cx.delta_sector(n + 1, deg), cx.delta_sector(n, deg)
             assert outer.multiply(inner).is_zero(), (n, deg)
             seen.add(cx.vanishing_certificate(deg) is None)
@@ -126,7 +126,7 @@ def test_delta_preserves_sectors():
     V = catalog.module_v_half(L)
     cx = CochainComplex(L, V, 2)
     for n in range(3):
-        for deg in cx.sectors(n):
+        for deg in cx.sector_degrees(n):
             cx.delta_sector(n, deg)  # raises if an entry leaves the sector
 
 
@@ -248,17 +248,18 @@ def test_matrix_and_direct_coboundary_agree(algebra, module):
         assert cochain_eq(total, dg)
 
 
-def _delta_by_columns(cx, n):
-    """delta(n) from the direct formula: column k is d of basis cochain k."""
-    L, V = cx.algebra, cx.module
-    rows = cx.index(n + 1)
+def _delta_by_columns(L, V, n):
+    """The unsplit coboundary C^n -> C^{n+1} from the direct formula, over
+    the full bases of the two levels: column k is d of basis cochain k."""
+    cols = full_basis(L, V, n)
+    rows = {p: k for k, p in enumerate(full_basis(L, V, n + 1))}
     ent = {}
-    for col, (M, w) in enumerate(cx.basis(n)):
+    for col, (M, w) in enumerate(cols):
         dg = coboundary(make_cochain(L, V, n, {M: {w: ONE}}))
         for N, vec in dg.values.items():
             for w2, c in vec.items():
                 ent[(rows[(N, w2)], col)] = c
-    return RationalSparseMatrix(len(cx.basis(n + 1)), len(cx.basis(n)), ent)
+    return RationalSparseMatrix(len(rows), len(cols), ent)
 
 
 @pytest.mark.parametrize("algebra, module, nmax", [
@@ -268,9 +269,12 @@ def _delta_by_columns(cx, n):
 ], ids=["sl12-v_half", "sl12_z2-dual-v_half", "psl22-adjoint"])
 def test_delta_equals_the_direct_formula_column_by_column(algebra, module, nmax):
     L = catalog.get_algebra(algebra)
-    cx = CochainComplex(L, module(L), nmax)
+    V = module(L)
+    cx = CochainComplex(L, V, nmax)
     for n in range(nmax + 1):
-        assert cx.delta(n) == _delta_by_columns(cx, n)
+        blocks = split_sectors(_delta_by_columns(L, V, n), full_sector_positions(L, V, n + 1),
+                               full_sector_positions(L, V, n))
+        assert blocks == {deg: cx.delta_sector(n, deg) for deg in blocks}
 
 
 def _bracket_sum(L, N):
@@ -305,38 +309,51 @@ def test_sub_terms_equal_the_bracket_sum_of_the_formula(name):
             assert _sub_terms(L.signs, L.bracket_terms, N) == _bracket_sum(L, N), N
 
 
+def _end_to_end(positions):
+    """The sectors of full_sector_positions laid end to end in degree order,
+    as delta(n) lays out its blocks."""
+    out, start = {}, 0
+    for deg, ps in positions.items():
+        out[deg] = list(range(start, start + len(ps)))
+        start += len(ps)
+    return out
+
+
 @pytest.mark.parametrize("name", catalog.algebra_names())
 def test_split_of_delta_equals_the_assembled_blocks(name):
+    """delta(n) is the blocks laid end to end in degree order, and has the
+    shape of the full bases."""
     L = catalog.get_algebra(name)
     for V in (trivial(L), adjoint(L)):
         cx = CochainComplex(L, V, 2)
         for n in range(-1, 3):
-            blocks = split_sectors(cx.delta(n), cx.sectors(n + 1), cx.sectors(n))
+            rows, cols = full_sector_positions(L, V, n + 1), full_sector_positions(L, V, n)
+            delta = cx.delta(n)
+            assert (delta.rows, delta.cols) == (len(full_basis(L, V, n + 1)),
+                                                len(full_basis(L, V, n)))
+            blocks = split_sectors(delta, _end_to_end(rows), _end_to_end(cols))
             assert blocks == {deg: cx.delta_sector(n, deg) for deg in blocks}
-
-
-def _pair_degree(L, V, pair):
-    """deg v_w - deg M of the basis cochain (M, w)."""
-    M, w = pair
-    return L.group.sub(V.degrees[w], L.group.sum(L.degrees[i] for i in M))
 
 
 @pytest.mark.parametrize("name", catalog.algebra_names())
 def test_sectors_follow_pair_degree(name):
+    """sector_degrees and sector give the split of the full basis by pair
+    degree, each sector in basis order."""
     L = catalog.get_algebra(name)
-    cx = CochainComplex(L, adjoint(L), 2)
+    V = adjoint(L)
+    cx = CochainComplex(L, V, 2)
     for n in range(3):
-        basis = cx.basis(n)
-        placed = [(p, deg) for deg, ps in cx.sectors(n).items() for p in ps]
-        assert sorted(placed) == [(p, _pair_degree(L, cx.module, pair))
-                                  for p, pair in enumerate(basis)]
+        basis = full_basis(L, V, n)
+        want = {deg: [basis[p] for p in ps] for deg, ps in full_sector_positions(L, V, n).items()}
+        assert cx.sector_degrees(n) == list(want)
+        assert {deg: cx.sector(n, deg)[0] for deg in want} == want
 
 
 def test_sector_layout_adds_each_prefix_degree_once(monkeypatch):
     L = catalog.psl_nn(2)
     V = adjoint(L)
     cx = CochainComplex(L, V, 2)
-    monos = [M for n in range(4) for M in cx.monomials(n)]
+    monos = [M for n in range(4) for M in exterior.basis(L.signs, n)]
     calls = dict.fromkeys(["sum", "add", "sub", "reduce"], 0)
 
     def counted(name):
@@ -351,7 +368,8 @@ def test_sector_layout_adds_each_prefix_degree_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(GradingGroup, name, counted(name))
     for n in range(4):
-        cx.sectors(n)
+        for weight_zero in (True, False):
+            cx._layout(n, weight_zero)
     monkeypatch.undo()
     g = L.group
     deg = {M: g.sum(L.degrees[i] for i in M) for M in monos}
@@ -370,19 +388,20 @@ def test_each_side_layout_agrees_with_pair_degree(name):
     for V in (trivial(L), adjoint(L)):
         cx = CochainComplex(L, V, 2)
         for n in range(3):
-            index = cx.index(n)
+            basis = full_basis(L, V, n)
+            index = {p: k for k, p in enumerate(basis)}
             placed = []
             for weight_zero in (True, False):
                 sectors, local = cx._layout(n, weight_zero)
                 assert list(sectors) == sorted(sectors)
                 for deg, pairs in sectors.items():
-                    assert all(_pair_degree(L, V, p) == deg for p in pairs)
+                    assert all(pair_degree(L, V, p) == deg for p in pairs)
                     # basis order inside the sector
                     assert [index[p] for p in pairs] == sorted(index[p] for p in pairs)
                     assert local[deg] == {p: k for k, p in enumerate(pairs)}
                     placed += pairs
-            assert sorted(placed) == cx.basis(n)
-            degs = {_pair_degree(L, V, p) for p in cx.basis(n)}
+            assert sorted(placed) == basis
+            degs = {pair_degree(L, V, p) for p in basis}
             weight_zero = {d for d in degs if cx.vanishing_certificate(d) is None}
             assert set(cx._layout(n, True)[0]) == weight_zero
 
@@ -401,15 +420,23 @@ def test_default_path_never_enumerates_a_full_level(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in [(exterior, "basis"), (CochainComplex, "monomials"),
-                        (CochainComplex, "basis"), (CochainComplex, "sectors")]:
-        count(owner, name)
+    count(exterior, "basis")
+    layouts = []
+    layout = CochainComplex._layout
+
+    def recorded_layout(self, n, weight_zero):
+        layouts.append((n, weight_zero))
+        return layout(self, n, weight_zero)
+
+    monkeypatch.setattr(CochainComplex, "_layout", recorded_layout)
     L = catalog.psl_nn(2)
     cx = CochainComplex(L, adjoint(L), 3)
     res = cx.cohomology()
     reps = [cx.representatives(n, deg) for n in range(4) for deg, _ in res.sector_table(n)]
     assert len(reps) == 8 and all(reps)
-    assert all(levels == [] for levels in calls.values()) and len(calls) == 4
+    assert calls == {"epslie.exterior.basis": []}
+    # only the side of K is laid out: the other side's sectors vanish
+    assert layouts and all(weight_zero for _, weight_zero in layouts)
     # the direct formula builds the table of a level once per algebra
     P = EpsLieAlgebra(L.factor, L.labels, L.degrees, L.table)
     rng = random.Random(7)
@@ -723,9 +750,10 @@ def test_sector_sum_matches_unsplit():
     cx = CochainComplex(L, V, 2)
     res = cx.cohomology()
     for n in range(3):
-        # ranks of the full coboundaries, with no split into sectors
-        z = len(cx.basis(n)) - cx.delta(n).rank()
-        b = cx.delta(n - 1).rank() if n > 0 else 0
+        # ranks of the full coboundaries from the direct formula, with no
+        # split into sectors
+        z = len(full_basis(L, V, n)) - _delta_by_columns(L, V, n).rank()
+        b = _delta_by_columns(L, V, n - 1).rank() if n > 0 else 0
         assert (res.total(n, 0), res.total(n, 1), res.total(n)) == (z, b, z - b)
 
 

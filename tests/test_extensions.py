@@ -6,6 +6,7 @@ from epslie import catalog, exterior, extensions
 from epslie.algebra import EpsLieAlgebra
 from epslie.cohomology import (
     CochainComplex,
+    cochain_add,
     cochain_sub,
     is_cocycle,
     make_cochain,
@@ -57,11 +58,18 @@ def test_boundary_composition_vanishes_everywhere():
 @pytest.mark.parametrize("name", catalog.algebra_names())
 def test_boundaries_are_transposed_trivial_coboundaries(name):
     """d2 and d3 are the transposes of delta^1 and delta^2 with trivial
-    coefficients, entry by entry and with no sign change."""
+    coefficients, sector by sector, entry by entry and with no sign change.
+    The monomials of degree D carry the cochains of degree -D."""
     L = catalog.get_algebra(name)
+    g = L.group
     cx = CochainComplex(L, trivial(L), 2)
-    assert boundary2(L) == cx.delta(1).transpose()
-    assert boundary3(L) == cx.delta(2).transpose()
+    pos = [sector_positions([g.sum(L.degrees[i] for i in m) for m in exterior.basis(L.signs, n)])
+           for n in (1, 2, 3)]
+    for n, d in ((1, boundary2(L)), (2, boundary3(L))):
+        blocks = split_sectors(d, pos[n - 1], pos[n])
+        assert sorted(g.neg(D) for D in blocks) == sorted(
+            set(cx.sector_degrees(n)) | set(cx.sector_degrees(n + 1)))
+        assert blocks == {D: cx.delta_sector(n, g.neg(D)).transpose() for D in blocks}
 
 
 def test_boundary2_abelian_and_sl2():
@@ -363,7 +371,11 @@ def test_covering_w_reps_are_classes_of_the_w_basis():
         assert xy == want
 
 
-def test_covering_from_h2_basis_matches_universal():
+def test_covering_from_h2_basis_matches_universal(monkeypatch):
+    def no_full_delta(self, level):
+        raise AssertionError("the full delta(%d) was built" % level)
+
+    monkeypatch.setattr(CochainComplex, "delta", no_full_delta)
     P = catalog.psl_nn(2)
     K = trivial(P)
     cx = CochainComplex(P, K, 2)
@@ -399,6 +411,24 @@ def test_covering_from_dependent_classes_rejected():
         reps.extend(cx.representatives(2, deg))
     with pytest.raises(ExtensionError):
         covering_from_h2_basis(P, reps + [reps[0]])
+
+
+def test_covering_from_inhomogeneous_class_rejected():
+    """The sum of the representatives of two H^2 sectors is refused as a
+    class, not later as the combined cocycle; so is a class with values in
+    a module of nonzero degree."""
+    P = catalog.psl_nn(2)
+    cx = CochainComplex(P, trivial(P), 2)
+    first, second = [cx.representatives(2, deg)[0]
+                     for deg, _ in cx.cohomology().sector_table(2)[:2]]
+    assert first.degree != second.degree
+    with pytest.raises(ExtensionError, match="class must be homogeneous"):
+        covering_from_h2_basis(P, [cochain_add(first, second)])
+    shifted = trivial(P, degrees=[P.degrees[0]])
+    moved = make_cochain(P, shifted, 2, second.values)
+    assert is_cocycle(moved)
+    with pytest.raises(ExtensionError, match="module degree zero"):
+        covering_from_h2_basis(P, [first, moved])
 
 
 @pytest.mark.slow

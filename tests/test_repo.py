@@ -195,6 +195,21 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
+def test_engine_never_builds_the_full_coboundary():
+    """Cochains have one coordinate system, the sector-local positions: no
+    engine module calls CochainComplex.delta, which lays out the whole level
+    for the benchmark's tracer and the tests."""
+    calls = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            calls += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "delta"]
+    assert calls == []
+
+
 def _trees(*dirs):
     for d in dirs:
         for dirpath, _, names in os.walk(os.path.join(ROOT, d)):
