@@ -47,25 +47,32 @@ for an additive chi: grading group -> Q that is zero on torsion
 sector of degree D as chi(D) * id, and a cocycle g there is
 d(i_x g) / chi(D) when chi(D) != 0.  CochainComplex.cohomology therefore
 ranks only the sectors in the common kernel K of the chi ("inner weight
-zero"), and assembles the blocks of delta only there.  Each other sector
-is recorded with h = 0 and its pair (x, chi) as the certificate.
-CohomologyResult.dims, which the --csv report prints, ranks those sectors
-the first time it is called, and fails if one has dim Z != dim B.
+zero"), and assembles the blocks of delta only there.  The other sectors
+have h = 0 and are not visited: CohomologyResult.vanishing lists them, each
+with its pair (x, chi) as the certificate, when first asked, and
+CohomologyResult.dims, which the --csv report prints, ranks them the first
+time it is called and fails if one has dim Z != dim B.
 
-Every operator reads only the monomials its target sector can hold, from
-one table per algebra and level, EpsLieAlgebra.monomials_by_degree.  Each
-side of K is laid out apart, a sector as its pairs (M, w) in basis order,
-and these sector-local positions are the only cochain coordinates:
-assembly, ranks, representatives, cochain vectors and the homotopy
-identity of casimir all work one sector at a time.  The full matrix
-delta(n) is the sector blocks laid end to end in degree order.
+A monomial M with a module vector v_w lies in K exactly when the chi-weight
+of M, the sum of the weights of its indices, is that of v_w.  So the side
+of K is laid out from one weight-pruned walk per level
+(exterior.basis_by_degree with weights), which lists only the monomials
+whose weight is some module vector's; cohomology() builds no full table of
+any level.  Every other reader (the side outside K, the cochain operators,
+sector_degrees) takes its monomials from one table per algebra and level,
+EpsLieAlgebra.monomials_by_degree, and reads only those its target sector
+can hold.  Each side of K is laid out apart, a sector as its pairs (M, w)
+in basis order, and these sector-local positions are the only cochain
+coordinates: assembly, ranks, representatives, cochain vectors and the
+homotopy identity of casimir all work one sector at a time.  The full
+matrix delta(n) is the sector blocks laid end to end in degree order.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 
 from . import exterior
 from .algebra import degree_of_vector, graded_echelon, graded_kernel
@@ -226,6 +233,12 @@ def _sub_terms(signs, brackets, N):
                     else:
                         out.pop(mono, None)
     return out
+
+
+def _level_degrees(L, V, n):
+    """The sorted degrees of the sectors of C^n(L, V)."""
+    gr = L.group
+    return sorted({gr.sub(d, md) for md in L.monomials_by_degree(n) for d in set(V.degrees)})
 
 
 def _sector_monomials(L, V, n, degrees):
@@ -463,6 +476,7 @@ class CochainComplex:
         self._sector_keys = {}
         # (n, weight zero?) -> _layout(n, weight zero?)
         self._layouts = {}
+        self._k_tables = {}  # n -> the K-side table of _monomials(n, True)
         # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
         self._certificates = {}  # degree -> vanishing_certificate(degree)
@@ -474,26 +488,66 @@ class CochainComplex:
         ]
 
     def sector_degrees(self, n):
-        """The sorted degrees of the sectors of C^n, on both sides of K.  Only
-        the layout of the side in K is built: it puts every key of C^n in
-        _sector_keys."""
-        self._layout(n, True)
-        mds = self.algebra.monomials_by_degree(n)
-        return sorted({key for (md, _), key in self._sector_keys.items() if md in mds})
+        """The sorted degrees of the sectors of C^n, on both sides of K, from
+        the algebra's full table of n-monomials; no layout is built."""
+        return _level_degrees(self.algebra, self.module, n)
+
+    @cached_property
+    def _weight_walk(self):
+        """(weights, targets, reach) of the walk that lists the monomials of
+        levels 0..n_max + 1 that can lie in K, or None without a torus.
+
+        The weight of index i is the vector of chi(deg e_i) over the torus
+        pairs, each chi scaled to ints by the lcm of its denominators, packed
+        into one int in radix R = 2 (n_max + 2) B + 1, B the largest entry
+        size over the algebra and module bases.  The packing is additive and
+        injective on vectors with entries of size at most (n_max + 2) B,
+        which holds for a module weight minus a sum of up to n_max + 1
+        algebra weights; so a monomial of such a level has a sector in K
+        exactly when its packed sum is a packed module weight (targets)."""
+        if not self.torus:
+            return None
+        L = self.algebra
+        scaled = [(chi, lcm(*(c.denominator for c in chi))) for _, chi in self.torus]
+        alg, mod = ([[int(torus_weight(chi, d) * s) for chi, s in scaled] for d in degs]
+                    for degs in (L.degrees, self.module.degrees))
+        radix = 2 * (self.n_max + 2) * max(abs(x) for v in alg + mod for x in v) + 1
+
+        def pack(v):
+            return sum(x * radix**k for k, x in enumerate(v))
+
+        weights = [pack(v) for v in alg]
+        return weights, {pack(v) for v in mod}, exterior.weight_reach(L.signs, weights, self.n_max)
+
+    def _monomials(self, n, weight_zero):
+        """{deg M: [n-monomials M, in basis order]} for the layout of one side
+        of K.  The side in K of a level up to n_max + 1 lists only the
+        monomials whose weight is that of some module vector, from one
+        weight-pruned walk per level; otherwise it is the algebra's table."""
+        walk = self._weight_walk if weight_zero and n <= self.n_max + 1 else None
+        if walk is None:
+            return self.algebra.monomials_by_degree(n)
+        if n not in self._k_tables:
+            L = self.algebra
+            self._k_tables[n] = exterior.basis_by_degree(
+                L.signs, n, L.group, L.degrees, L.degree_sums, *walk
+            )
+        return self._k_tables[n]
 
     def _layout(self, n, weight_zero):
         """({deg: [(M, w), ...]}, {deg: {(M, w): index in the sector}}) for the
         sectors of C^n in K (weight_zero) or outside it, in degree order.
 
-        The pairs come from the algebra's table of n-monomials by degree, one
-        sector key per (monomial degree, module degree); each sector lists
-        its pairs in basis order."""
+        The pairs come from the table of n-monomials by degree of that side
+        (_monomials), one sector key per (monomial degree, module degree),
+        each kept by its vanishing certificate; each sector lists its pairs
+        in basis order."""
         if (n, weight_zero) not in self._layouts:
             g = self.algebra.group
             memo = self._sector_keys
             vecs = _vectors_by_degree(self.module)
             found = {}
-            for md, monos in self.algebra.monomials_by_degree(n).items():
+            for md, monos in self._monomials(n, weight_zero).items():
                 for d, ws in vecs.items():
                     key = memo.get((md, d))
                     if key is None:
@@ -568,7 +622,7 @@ class CochainComplex:
             else:
                 blk.pop((r, c), None)
 
-        for md, monos in self.algebra.monomials_by_degree(n + 1).items():
+        for md, monos in self._monomials(n + 1, weight_zero).items():
             # the module vectors whose row with a monomial of degree md lies
             # on this side of K, with that row's sector
             wanted = [(w, keys[(md, d)]) for w, d in enumerate(vdegs) if keys[(md, d)] in rows]
@@ -641,8 +695,8 @@ class CochainComplex:
 
     def cohomology(self):
         """Ranks of the sectors in the inner-weight-zero kernel K.  Every other
-        sector is recorded as vanishing with its certificate, and is ranked
-        only when CohomologyResult.dims asks for it."""
+        sector vanishes; CohomologyResult.vanishing lists them with their
+        certificates, and dims ranks them, only when asked."""
         res = CohomologyResult(self)
         for n in range(self.n_max + 1):
             level = {}
@@ -651,9 +705,6 @@ class CochainComplex:
                 z, b = self.sector_ranks(n, deg)
                 level[deg] = (z, b, z - b)
             res.levels[n] = level
-            res.vanishing[n] = {
-                d: c for d in self.sector_degrees(n) if (c := self.vanishing_certificate(d))
-            }
         return res
 
     def sector_ranks(self, n, deg):
@@ -711,20 +762,31 @@ class CochainComplex:
 
 class CohomologyResult:
     """levels[n]: {deg: (z, b, h)} for the ranked sectors of C^n.
-    vanishing[n]: {deg: (x, chi)} for the sectors an inner torus element
+    vanishing(n): {deg: (x, chi)} for the sectors an inner torus element
     kills (h = 0); they enter levels[n] once dims(n) has ranked them."""
 
     def __init__(self, cx):
         self.complex = cx
         self.levels = {}
-        self.vanishing = {}
+        self._vanishing = {}  # n -> vanishing(n)
+
+    def vanishing(self, n):
+        """{deg: (x, chi)} for the sectors of C^n, 0 <= n <= n_max, outside
+        K, in degree order, each with its vanishing certificate; listed from
+        the full table of n-monomials on the first call."""
+        if n not in self._vanishing:
+            cx = self.complex
+            self._vanishing[n] = {
+                d: c for d in cx.sector_degrees(n) if (c := cx.vanishing_certificate(d))
+            } if 0 <= n <= cx.n_max else {}
+        return self._vanishing[n]
 
     def dims(self, n):
         """{deg: (z, b, h)} for every sector of C^n, in degree order.  The
         vanishing sectors are ranked the first time; one with z != b
         contradicts its certificate and raises CochainError."""
         level = self.levels.get(n, {})
-        pending = [deg for deg in self.vanishing.get(n, ()) if deg not in level]
+        pending = [deg for deg in self.vanishing(n) if deg not in level]
         if pending:
             ranked = dict(level)
             for deg in pending:
@@ -766,7 +828,7 @@ def invariant_cochains(L, V, n, sub_vectors):
     apart: the common kernel, from graded_kernel, of the theta blocks on it
     of the echelon basis vectors A of the span."""
     gr = L.group
-    degs = sorted({gr.sub(d, md) for md in L.monomials_by_degree(n) for d in set(V.degrees)})
+    degs = _level_degrees(L, V, n)
     thetas = [_theta(L, V, n, avec, degs)
               for avec in graded_echelon(gr, L.degrees, [vec_clean(v) for v in sub_vectors])]
     vecs = _vectors_by_degree(V)

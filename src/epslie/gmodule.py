@@ -460,14 +460,31 @@ def intertwiner_space(V, W, phi_degree):
     """Reduced echelon basis of the graded-invariant maps V -> W of degree
     phi: the degree-phi invariants of Hom(V, W) = tensor(W, dual(V)), whose
     basis vector w_a ⊗ v_c' at a * V.dim + c is the matrix entry (a, c).
-    graded_kernel sees only the degree-phi columns of the action on H."""
-    H = tensor(W, dual(V))
-    phi = V.group.reduce(phi_degree)
-    cols = [k for k, d in enumerate(H.degrees) if d == phi]
-    ops = [RationalSparseMatrix.from_columns([mcols[k] for k in cols], H.dim)
-           for mcols in (m.columns() for m in H.action)]
-    return [RationalSparseMatrix(W.dim, V.dim, {divmod(cols[j], V.dim): c for j, c in vec.items()})
-            for vec in graded_kernel(V.group, [phi] * len(cols), ops)]
+
+    Only the degree-phi columns of the action on W ⊗ V* are built, straight
+    from rho_W and rho_V*: e_i (w_a ⊗ v_c') is (e_i w_a) ⊗ v_c' plus
+    eps(alpha_i, deg w_a) w_a ⊗ (e_i v_c'), where e_i v_c' has the entry
+    -eps(alpha_i, deg v_c) rho_V(e_i)[c, c2] at v_c2'."""
+    if V.algebra is not W.algebra:
+        raise ModuleError("tensor factors live over different algebras")
+    g = V.group
+    phi = g.reduce(phi_degree)
+    dv = V.dim
+    cols = [(a, c) for a, da in enumerate(W.degrees) for c, dc in enumerate(V.degrees)
+            if g.sub(da, dc) == phi]
+    ops = []
+    for i, (rho_w, rho_v) in enumerate(zip(W.action, V.action)):
+        w_cols, v_rows = rho_w.columns(), rho_v.row_dicts()
+        ent = {}
+        for j, (a, c) in enumerate(cols):
+            for a2, x in w_cols[a].items():
+                ent[(a2 * dv + c, j)] = x
+            e = -W.signs[i][a] * V.signs[i][c]
+            for c2, x in v_rows[c].items():
+                ent[(a * dv + c2, j)] = ent.get((a * dv + c2, j), 0) + e * x
+        ops.append(RationalSparseMatrix(W.dim * dv, len(cols), ent))
+    return [RationalSparseMatrix(W.dim, dv, {cols[j]: c for j, c in vec.items()})
+            for vec in graded_kernel(g, [phi] * len(cols), ops)]
 
 
 def intertwiner_defect(F, V, W, phi):

@@ -1,7 +1,8 @@
 """Reference degree-sector split of a whole matrix, by position lists.
 
-The engine lays out sectors from EpsLieAlgebra.monomials_by_degree; tests
-cut the same blocks from an assembled matrix with these helpers and compare.
+The engine lays out the sectors in K from a weight-pruned walk and the
+others from EpsLieAlgebra.monomials_by_degree; tests cut the same blocks
+from an assembled matrix with these helpers and compare.
 The whole cochain basis of a level is built here apart from the engine, from
 exterior.basis, so that the engine's sectors are checked against it.
 """

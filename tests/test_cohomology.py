@@ -406,6 +406,39 @@ def test_each_side_layout_agrees_with_pair_degree(name):
             assert set(cx._layout(n, True)[0]) == weight_zero
 
 
+@pytest.mark.parametrize("name", catalog.algebra_names())
+def test_k_table_is_the_full_table_filtered_by_the_certificates(name):
+    """The weight-pruned table of the K side lists, at every level up to
+    n_max + 1, exactly the monomials of the algebra's table that have a
+    sector in K, each degree's list in the same order."""
+    L = catalog.get_algebra(name)
+    nmax = 3 if L.dim > 20 else 4
+    for module in catalog.module_names(name):
+        V = catalog.get_module(L, name, module)
+        cx = CochainComplex(L, V, nmax)
+        for n in range(nmax + 2):
+            want = {
+                md: monos for md, monos in L.monomials_by_degree(n).items()
+                if any(cx.vanishing_certificate(L.group.sub(d, md)) is None
+                       for d in set(V.degrees))
+            }
+            assert cx._monomials(n, True) == want, (module, n)
+
+
+@pytest.mark.parametrize("name, module", [("sl12", "v_half"), ("psl22", "adjoint")])
+def test_k_side_past_n_max_plus_one_reads_the_full_table(name, module):
+    """The packed weights are exact up to level n_max + 1; past it the side
+    in K is laid out from the algebra's table, and agrees with a complex
+    whose weight-pruned walk covers that level."""
+    L = catalog.get_algebra(name)
+    V = catalog.get_module(L, name, module)
+    low, high = CochainComplex(L, V, 0), CochainComplex(L, V, 3)
+    for n in range(4):
+        assert low._layout(n, True) == high._layout(n, True)
+        for deg in high._layout(n, True)[0]:
+            assert low.delta_sector(n, deg) == high.delta_sector(n, deg)
+
+
 def test_default_path_never_enumerates_a_full_level(monkeypatch):
     calls = {}
 
@@ -421,6 +454,7 @@ def test_default_path_never_enumerates_a_full_level(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     count(exterior, "basis")
+    count(EpsLieAlgebra, "monomials_by_degree")
     layouts = []
     layout = CochainComplex._layout
 
@@ -429,12 +463,17 @@ def test_default_path_never_enumerates_a_full_level(monkeypatch):
         return layout(self, n, weight_zero)
 
     monkeypatch.setattr(CochainComplex, "_layout", recorded_layout)
+    # cohomology() lists only the monomials that can lie in K: no full table
+    # of any level is built
+    P3 = catalog.psl_nn(3)
+    assert CochainComplex(P3, trivial(P3), 2).cohomology().total(2) == 1
     L = catalog.psl_nn(2)
     cx = CochainComplex(L, adjoint(L), 3)
     res = cx.cohomology()
+    assert calls["EpsLieAlgebra.monomials_by_degree"] == []
     reps = [cx.representatives(n, deg) for n in range(4) for deg, _ in res.sector_table(n)]
     assert len(reps) == 8 and all(reps)
-    assert calls == {"epslie.exterior.basis": []}
+    assert calls["epslie.exterior.basis"] == []
     # only the side of K is laid out: the other side's sectors vanish
     assert layouts and all(weight_zero for _, weight_zero in layouts)
     # the direct formula builds the table of a level once per algebra
@@ -782,7 +821,7 @@ def test_weight_zero_ranking_matches_the_full_computation(name):
             # total and sector_table come from the weight-zero sectors alone
             assert res.total(n) == full.total(n)
             assert res.sector_table(n) == full.sector_table(n)
-            assert all(not full.dims(n)[deg][2] for deg in res.vanishing[n])
+            assert all(not full.dims(n)[deg][2] for deg in res.vanishing(n))
             # dims ranks the vanishing sectors lazily
             assert res.dims(n) == full.dims(n)
             assert list(res.dims(n)) == list(full.dims(n))
@@ -840,7 +879,7 @@ def test_a_wrong_certificate_fails_the_lazy_rank_check():
     cx = CochainComplex(L, V, 1)
     cx.torus = [wrong]
     res = cx.cohomology()
-    assert res.vanishing[1][(-2,)] == wrong
+    assert res.vanishing(1)[(-2,)] == wrong
     assert res.total(1) == 0
     with pytest.raises(CochainError, match="torus certificate"):
         res.dims(1)

@@ -155,3 +155,39 @@ def test_basis_by_degree_groups_the_basis(fd, n):
         assert monos == [M for M in full if deg[M] == d]
     assert sorted(M for monos in table.values() for M in monos) == full
     assert exterior.basis_by_degree(signs, n, g, degrees, sums) == table
+
+
+@st.composite
+def sign_tables_and_weights(draw):
+    """A small sign table with ±1 on the diagonal (so odd indices repeat),
+    Z-degrees, int weights of either sign and a set of target sums."""
+    dim = draw(st.integers(1, 6))
+    signs = [[1] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            signs[i][j] = signs[j][i] = draw(st.sampled_from([1, -1]))
+    degrees = [(d,) for d in draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))]
+    weights = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    targets = draw(st.sets(st.integers(-10, 10), max_size=4))
+    return signs, degrees, weights, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_tables_and_weights(), st.integers(0, 5))
+def test_weight_pruned_walk_is_the_walk_filtered_by_weight_sum(case, n):
+    signs, degrees, weights, targets = case
+    g = GradingGroup(1)
+    full = exterior.basis_by_degree(signs, n, g, degrees)
+    want = {}
+    for d, monos in full.items():
+        kept = [M for M in monos if sum(weights[i] for i in M) in targets]
+        if kept:
+            want[d] = kept
+    got = exterior.basis_by_degree(signs, n, g, degrees, None, weights, targets)
+    assert got == want
+    # keys in order of first appearance among the listed monomials
+    listed = sorted(M for monos in got.values() for M in monos)
+    assert list(got) == list(dict.fromkeys(g.sum(degrees[i] for i in M) for M in listed))
+    # a reach table kept by the caller for more slots lists the same
+    reach = exterior.weight_reach(signs, weights, n + 2)
+    assert exterior.basis_by_degree(signs, n, g, degrees, {}, weights, targets, reach) == got
