@@ -5,7 +5,10 @@ extension is the algebra L(g) on L x H with bracket
 <(A,X),(B,Y)> = (<A,B>, g(A,B)) for a degree-zero 2-cocycle g.  Second
 homology comes from the boundary maps on exterior powers,
 d2(A^B) = -<A,B> and d3(A^B^C) = -<A,B>^C + eps(b,c)<A,C>^B + A^<B,C>,
-whose composition vanishing is the Jacobi identity.
+whose composition vanishing is the Jacobi identity.  A torus pair (x, chi)
+of (L, K) acts on the monomials of degree D as chi(D) * id, and the chain
+Cartan formula theta_x = d i_x + i_x d holds with i_x(c) = x ^ c; so
+im d3 = ker d2 where chi(D) != 0, and d3 is ranked only at inner weight zero.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ def _d2_columns(L, monos2):
     return [{k: -v for k, v in terms[i][j]} for i, j in monos2]
 
 
-def _d3_columns(L, index2):
-    """(M, column of d3 at M) for each canonical 3-monomial M, in basis
-    order; a column is {pair position: coefficient}, index2 maps each pair
+def _d3_columns(L, index2, monos3):
+    """(M, column of d3 at M) for each canonical 3-monomial M of monos3, in
+    its order; a column is {pair position: coefficient}, index2 maps each pair
     monomial to its position, and integral coefficients are ints.  The sign
     and position of l ^ m come from a table of exterior.canonicalize over
     the ordered pairs, filled once per call."""
@@ -72,7 +75,7 @@ def _d3_columns(L, index2):
             else:
                 del col[key]
 
-    for M in exterior.basis(signs, 3):
+    for M in monos3:
         i, j, k = M
         col = {}
         for l, v in terms[i][j]:
@@ -95,7 +98,8 @@ def boundary3(L):
     """Matrix of d3 : exterior cube -> exterior square."""
     index2 = {m: k for k, m in enumerate(exterior.basis(L.signs, 2))}
     return RationalSparseMatrix.from_columns(
-        [col for _, col in _d3_columns(L, index2)], len(index2))
+        [col for _, col in _d3_columns(L, index2, exterior.basis(L.signs, 3))],
+        len(index2))
 
 
 class H2Result:
@@ -106,12 +110,13 @@ class H2Result:
     im d3 was eliminated, and its pivots fix the complement W of
     universal_covering and with it the exported covering."""
 
-    def __init__(self, dims, cycles, monomials, degrees, boundaries):
+    def __init__(self, dims, cycles, monomials, degrees, boundaries, d2_rank):
         self.dims = dims              # degree -> (z, b, h)
         self.cycles = cycles          # degree -> list of vectors over monomials
         self.monomials = monomials
         self.degrees = degrees        # degree of each monomial
         self.boundaries = boundaries  # pivot -> reduced echelon row of im d3
+        self.d2_rank = d2_rank        # dim im d2 = dim [L, L]
 
     def total(self):
         return sum(t[2] for t in self.dims.values())
@@ -125,12 +130,17 @@ def homology_h2(L):
     and the echelon basis of im d3 over all monomials.
 
     The sectors of L and of the exterior square are the monomial tables
-    L.monomials_by_degree(1) and (2), each list in basis order.  d2 and d3
-    are built straight into sector pieces; a term whose row and column lie
-    in different sectors raises ShapeError.  One elimination of a sector's
-    d3 columns gives its rank and independent image rows, and the
-    boundaries are the unique leading-pivot reduced echelon basis of their
-    span (see H2Result), whatever pivots the elimination chose."""
+    L.monomials_by_degree(1) and (2), each list in basis order.  d2 is built
+    on every sector and d3 on the weight-zero ones, straight into sector
+    pieces; a term whose row and column lie in different sectors raises
+    ShapeError.  A torus pair (x, chi) of CochainComplex(L, trivial(L), 2)
+    acts on the monomials of degree D, which carry the cochains of degree
+    -D, as chi(D) * id, and theta_x = d i_x + i_x d with i_x(c) = x ^ c; so
+    where chi(D) != 0, im d3 = ker d2.  Elsewhere one elimination of the
+    sector's d3 columns, over the triples of the complex's weight-zero walk,
+    gives its rank and independent image rows.  Either way the boundaries
+    are the unique leading-pivot reduced echelon basis of the image (see
+    H2Result), whatever pivots the elimination chose."""
     degs = L.degrees
     sums = L.degree_sums
     table1 = L.monomials_by_degree(1)
@@ -153,9 +163,12 @@ def homology_h2(L):
             if row_degs[r] != D:
                 raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
 
-    # each sector's d3 columns, as integer rows over its local positions
+    cx = CochainComplex(L, trivial(L), 2)
+    weight_zero = {D for D in table2 if cx.vanishing_certificate(L.group.neg(D)) is None}
+    triples = sorted(M for D in weight_zero for M, _ in cx.sector(3, L.group.neg(D))[0])
+    # each weight-zero sector's d3 columns, as integer rows over its positions
     image = {}
-    for c, ((i, j, k), col) in enumerate(_d3_columns(L, index2)):
+    for c, ((i, j, k), col) in enumerate(_d3_columns(L, index2, triples)):
         if col:
             pair = (degs2[index2[(i, j)]], degs[k])
             D = sums.get(pair)
@@ -175,13 +188,18 @@ def homology_h2(L):
     dims = {}
     cycles = {}
     boundaries = {}
+    d2_rank = 0
     # a degree missing from the exterior square has z = b = 0; pieces are
     # popped so that each is freed, with its elimination, once used
     for D in sorted(table2):
         cols2 = [index2[m] for m in table2[D]]
         kernel = rows_kernel(rows2.pop(D), len(cols2))
         z = len(kernel)
-        _, rows = _elim.rref(image.pop(D, []))
+        d2_rank += len(cols2) - z
+        if D in weight_zero:
+            _, rows = _elim.rref(image.pop(D, []))
+        else:
+            rows, kernel = kernel, ()  # im d3 = ker d2: no cycle is new
         b = len(rows)
         if not (z or b):
             continue
@@ -196,7 +214,7 @@ def homology_h2(L):
             if span.add(kv):
                 reps.append({cols2[k]: c for k, c in kv.items()})
         cycles[D] = reps
-    return H2Result(dims, cycles, monos2, degs2, boundaries)
+    return H2Result(dims, cycles, monos2, degs2, boundaries, d2_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +340,10 @@ def universal_covering(L):
     quotient carries a canonical degree-zero 2-cocycle, the derived
     subalgebra of the resulting extension is the covering, and its center
     over L has the graded dimensions of H_2(L)."""
-    if not L.is_perfect():
-        raise NotPerfectError("algebra is not perfect; no covering exists")
     g = L.group
     h2 = homology_h2(L)
+    if h2.d2_rank != L.dim:
+        raise NotPerfectError("algebra is not perfect; no covering exists")
     monos2 = h2.monomials
     image = h2.boundaries
     # the monomials off the pivots of im d3 span a complement W; it keeps

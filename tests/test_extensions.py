@@ -352,6 +352,39 @@ def test_universal_covering_assembles_each_boundary_once(monkeypatch):
     assert calls == {"_d2_columns": 1, "_d3_columns": 1}
 
 
+def test_universal_covering_never_lists_the_full_exterior_cube(monkeypatch):
+    """d3 is walked on the weight-zero triples alone, which _d3_columns gets
+    once, in basis order; no full list or table of level 3 is built."""
+    P = catalog.psl_nn(2)
+    cx = CochainComplex(P, trivial(P), 2)
+    full = exterior.basis(P.signs, 3)
+    weight_zero = [M for M in full if cx.vanishing_certificate(
+        P.group.neg(P.group.sum(P.degrees[i] for i in M))) is None]
+    walked = []
+    d3_columns = extensions._d3_columns
+
+    def recorded(L, index2, monos3):
+        walked.append(list(monos3))
+        return d3_columns(L, index2, monos3)
+
+    def refuse_level_3(owner, name):
+        method = getattr(owner, name)
+
+        def guarded(*args):
+            if args[1] == 3:
+                raise AssertionError("%s listed the whole of level 3" % name)
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, guarded)
+
+    refuse_level_3(exterior, "basis")
+    refuse_level_3(EpsLieAlgebra, "monomials_by_degree")
+    monkeypatch.setattr(extensions, "_d3_columns", recorded)
+    assert universal_covering(P).center_total() == 3
+    assert walked == [weight_zero]
+    assert 0 < len(weight_zero) < len(full)
+
+
 def test_covering_w_reps_are_classes_of_the_w_basis():
     """Lifts x, y of e_i, e_j to the covering bracket to ([e_i, e_j], w_k) in
     L x W when (i, j) is the pair monomial w_reps[k]: the class of
@@ -447,6 +480,17 @@ def test_universal_covering_psl33_is_sl33():
     SL, cols, center = _sl_trace_free_columns(3)
     psi = RationalSparseMatrix.from_columns(cols + [center], SL.dim)
     assert not ext.total.homomorphism_defect(SL, psi)
+
+
+@pytest.mark.slow
+def test_universal_covering_psl44_is_sl44():
+    """H_2(psl(n|n)) is one-dimensional, of degree 0, for n >= 3, so the
+    universal covering of psl(4|4) is sl(4|4), of dimension 63 (Iohara and
+    Koga, Comment. Math. Helv. 76 (2001))."""
+    P = catalog.psl_nn(4)
+    cov = universal_covering(P)
+    assert cov.covering.dim == 63
+    assert cov.center_dims == {P.group.zero(): 1}
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl12", "psl22"])
