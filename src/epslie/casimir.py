@@ -5,8 +5,11 @@ here: an invariant r-linear form phi on the coadjoint module determines the
 operator C_V = sum phi(E'_{i_1},...,E'_{i_r}) rho(E_{i_r})...rho(E_{i_1})
 together with the partial operators C_i (products of r-1 representation
 matrices), and those two are all the vanishing criterion and its homotopy
-operator need.  The homotopy identity is checked one degree sector of the
-cochain complex at a time, in its sector-local positions.
+operator need.  Forms are solved on the monomials of inner weight zero only:
+an inner torus element (gmodule.inner_torus) acts on every other monomial
+as a nonzero scalar, so an invariant form vanishes there.  The homotopy
+identity is checked one degree sector of the cochain complex at a time, in
+its sector-local positions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from math import factorial
 from .cohomology import CochainComplex
 from .exactlin import RationalSparseMatrix, ShapeError, rational, rows_kernel
 from .exterior import arrangements, canonicalize
-from .gmodule import GradedModule, coadjoint, intertwiner_defect, leibniz_rows, power_monomials
+from .gmodule import (
+    GradedModule,
+    coadjoint,
+    inner_torus,
+    intertwiner_defect,
+    leibniz_rows,
+    power_monomials,
+    torus_weight,
+)
 
 
 class CasimirError(ValueError):
@@ -60,9 +71,19 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
     phi is fixed by psi(m) = phi(m) on a basis of monomials m, and is
     invariant exactly when psi . rho(e_i) = 0 for every i, with rho the
     Leibniz action of gmodule.leibniz_rows, whose integer rows are each a
-    positive multiple of that equation; they are eliminated once.  A row
-    meets one degree only, so with the monomials ordered by degree the
-    kernel vectors are homogeneous and come out in degree order.
+    positive multiple of that equation.  A row meets one degree only, so
+    with the monomials ordered by degree the kernel vectors are homogeneous
+    and come out in degree order.
+
+    Only the monomials of inner weight zero are unknowns.  x of a verified
+    pair (x, chi) of gmodule.inner_torus(M) is even of degree 0 and acts on
+    each basis vector of M as chi(deg), so it acts on a monomial m as
+    chi(deg m) * id, and invariance forces psi(m) = 0 where chi(deg m) != 0.
+    The row of e_i at m meets the degree deg m + deg e_i, so only the rows
+    whose source m has weight -chi(deg e_i) touch the unknowns; they are
+    built and eliminated once.  The system is the full one's weight-zero
+    degree blocks, rows in the same order, so the forms are the same.
+    Without a torus every monomial is an unknown.
 
     symmetry "none": the monomials are all ordered r-tuples, and psi = phi.
     "eps_skew" or "eps_symmetric": they are the canonical r-monomials of the
@@ -78,12 +99,24 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
     if symmetry == "none":
         g = M.group
         table = None
-        monos = sorted(itertools.product(range(M.dim), repeat=r),
-                       key=lambda T: g.sum(M.degrees[t] for t in T))
+        degree = {T: g.sum(M.degrees[t] for t in T)
+                  for T in itertools.product(range(M.dim), repeat=r)}
+        monos = sorted(degree, key=degree.get)
+        degrees = [degree[T] for T in monos]
         repeats = [1] * len(monos)
     else:
-        table, monos, _, repeats = power_monomials(M, r, symmetry == "eps_symmetric")
-    rows = [row for _, act in leibniz_rows(M, table, monos, repeats) for row in act]
+        table, monos, degrees, repeats = power_monomials(M, r, symmetry == "eps_symmetric")
+    chis = [chi for _, chi in inner_torus(M)]
+    weight = {d: tuple(torus_weight(chi, d) for chi in chis) for d in set(degrees)}
+    at_weight = {}
+    for m, d, p in zip(monos, degrees, repeats):
+        at_weight.setdefault(weight[d], []).append((m, p))
+    kept = at_weight.get((0,) * len(chis), [])
+    monos = [m for m, _ in kept]
+    repeats = [p for _, p in kept]
+    sources = [[m for m, _ in at_weight.get(tuple(-torus_weight(chi, d) for chi in chis), ())]
+               for d in M.algebra.degrees]
+    rows = [row for _, act in leibniz_rows(M, table, monos, repeats, sources) for row in act]
     out = []
     for kv in rows_kernel(rows, len(monos)):
         if table is None:

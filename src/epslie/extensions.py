@@ -125,7 +125,7 @@ class H2Result:
         return {d: t[2] for d, t in sorted(self.dims.items()) if t[2]}
 
 
-def homology_h2(L):
+def homology_h2(L, cx=None):
     """H_2 = ker d2 / im d3 per degree sector, with cycle representatives
     and the echelon basis of im d3 over all monomials.
 
@@ -140,7 +140,8 @@ def homology_h2(L):
     sector's d3 columns, over the triples of the complex's weight-zero walk,
     gives its rank and independent image rows.  Either way the boundaries
     are the unique leading-pivot reduced echelon basis of the image (see
-    H2Result), whatever pivots the elimination chose."""
+    H2Result), whatever pivots the elimination chose.  cx, when given, is
+    that complex, for a caller that ranks H^2 on it too."""
     degs = L.degrees
     sums = L.degree_sums
     table1 = L.monomials_by_degree(1)
@@ -163,7 +164,7 @@ def homology_h2(L):
             if row_degs[r] != D:
                 raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
 
-    cx = CochainComplex(L, trivial(L), 2)
+    cx = CochainComplex(L, trivial(L), 2) if cx is None else cx
     weight_zero = {D for D in table2 if cx.vanishing_certificate(L.group.neg(D)) is None}
     triples = sorted(M for D in weight_zero for M, _ in cx.sector(3, L.group.neg(D))[0])
     # each weight-zero sector's d3 columns, as integer rows over its positions
@@ -457,11 +458,12 @@ def covering_morphism(cov: CoveringResult, ext: CentralExtension):
 
 
 def h2_pairing_check(L):
-    """dim H_2(L) at degree d equals dim H^2(L, K) at degree -d, per sector."""
+    """dim H_2(L) at degree d equals dim H^2(L, K) at degree -d, per sector;
+    both sides read the torus of one complex."""
     g = L.group
-    h2 = homology_h2(L).graded_dims()
-    triv = trivial(L)
-    coh = CochainComplex(L, triv, 2).cohomology()
+    cx = CochainComplex(L, trivial(L), 2)
+    h2 = homology_h2(L, cx).graded_dims()
+    coh = cx.cohomology()
     cohdims = {d: t[2] for d, t in coh.sector_table(2)}
     flipped = {g.neg(d): n for d, n in cohdims.items()}
     return h2 == flipped

@@ -295,24 +295,25 @@ def power_monomials(V, k, sym):
     return table, monos, degrees, [prod(map(factorial, Counter(m).values())) for m in monos]
 
 
-def leibniz_rows(V, table, monos, weights):
+def leibniz_rows(V, table, monos, weights, sources):
     """Per algebra basis element e_i, (den, rows) for the Leibniz action
-    e_i . m_a = sum_t prefix_t m_a[:t] (e_i . m_a[t]) m_a[t+1:] with
-    prefix_t = prod_{s<t} V.signs[i][m_a[s]]: den > 0 is the common
-    denominator of rho(e_i), and row a holds the integers
-    {b: sum of den * prefix_t * s * v * weights[b]} over the terms, each
-    canonicalized to s m_b.  Each distinct term is canonicalized once.
+    e_i . m = sum_t prefix_t m[:t] (e_i . m[t]) m[t+1:] with
+    prefix_t = prod_{s<t} V.signs[i][m[s]] on the source monomials m of
+    sources[i]: den > 0 is the common denominator of rho(e_i), and the row
+    of m holds the integers {b: sum of den * prefix_t * s * v * weights[b]}
+    over the terms, each canonicalized to s monos[b].  Every term must
+    canonicalize into monos.  Each distinct term is canonicalized once.
     With table None the monomials are the ordered tuples of the full tensor
     power, and each term is its own basis element."""
     pos = {m: b for b, m in enumerate(monos)}
     canon = {}
-    for i in range(V.algebra.dim):
+    for i, src in enumerate(sources):
         cols = V.action[i].columns()
         den = lcm(*[v.denominator for col in cols for v in col.values()])
         acts = [{r: v.numerator * (den // v.denominator) for r, v in col.items()}
                 for col in cols]
         rows = []
-        for m in monos:
+        for m in src:
             row = {}
             prefix = 1
             for t, c in enumerate(m):
@@ -346,7 +347,7 @@ def eps_power(V, k, sym):
     labels = [lab if m[0] == m[-1] else "(%s+…)" % lab for m, lab in zip(monos, labels)]
     mats = [RationalSparseMatrix(len(monos), len(monos), {
         (b, a): Fraction(x, den * repeats[a]) for a, row in enumerate(rows) for b, x in row.items()
-    }) for den, rows in leibniz_rows(V, table, monos, repeats)]
+    }) for den, rows in leibniz_rows(V, table, monos, repeats, [monos] * V.algebra.dim)]
 
     def embedding():
         return RationalSparseMatrix.from_columns([

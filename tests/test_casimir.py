@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from epslie import catalog, cli, gmodule
+from epslie import casimir, catalog, cli, gmodule
 from epslie.casimir import (
     CasimirError,
     CasimirOperator,
@@ -27,9 +27,10 @@ from _sectors import full_sector_positions
 
 
 def _reference_forms(M, r, symmetry):
-    """The full-tuple system for eps-skew/eps-symmetric forms: one unknown
-    per ordered r-tuple, the invariance equations of every tuple, and the
-    (skew)symmetry imposed as extra equations on adjacent swaps."""
+    """The full-tuple system for the forms of a symmetry: one unknown per
+    ordered r-tuple, the invariance equations of every tuple, and for
+    eps-skew/eps-symmetric forms the (skew)symmetry imposed as extra
+    equations on adjacent swaps.  It uses no inner torus."""
     L = M.algebra
     g = M.group
     fac = M.factor
@@ -69,7 +70,7 @@ def _reference_forms(M, r, symmetry):
                         put(("inv", i, T), pos[U], e * c)
                     e *= M.signs[i][tk]
         want = 1 if symmetry == "eps_symmetric" else -1
-        for T in tuples:
+        for T in tuples if symmetry != "none" else ():
             for k in range(r - 1):
                 e = fac.eps(M.degrees[T[k]], M.degrees[T[k + 1]])
                 U = T[:k] + (T[k + 1], T[k]) + T[k + 2 :]
@@ -298,7 +299,8 @@ def test_symmetric_forms_match_the_full_tuple_reference(algebra, rmax):
     L = catalog.get_algebra(algebra)
     for M in (adjoint(L), coadjoint(L)):
         for r in range(1, rmax + 1):
-            for symmetry in ("eps_skew", "eps_symmetric"):
+            # "none" at r <= 2, where quadratic_invariant_forms uses it
+            for symmetry in ("none", "eps_skew", "eps_symmetric")[r > 2:]:
                 got = invariant_multilinear_forms(M, r, symmetry)
                 want = _reference_forms(M, r, symmetry)
                 assert [f.degree for f in got] == [f.degree for f in want], (
@@ -337,6 +339,32 @@ def test_symmetric_form_values_match_the_pinned_ones(algebra):
     with open(os.path.join(GOLDEN, "forms-%s.json" % algebra), encoding="utf-8") as fh:
         want = json.load(fh)
     assert _form_values(catalog.get_algebra(algebra)) == want
+
+
+def test_form_system_keeps_only_inner_weight_zero_unknowns(monkeypatch):
+    """x of an inner torus pair acts on a monomial m as chi(deg m) * id, so
+    only the weight-zero monomials are unknowns and only the rows that meet
+    them are built; an algebra without a torus keeps every monomial."""
+    seen = []
+    original = casimir.rows_kernel
+
+    def recorded(rows, cols):
+        seen.append((len(rows), cols))
+        return original(rows, cols)
+
+    monkeypatch.setattr(casimir, "rows_kernel", recorded)
+    assert invariant_multilinear_forms(adjoint(catalog.sl12()), 4, "eps_skew") == []
+    assert seen == [(264, 34)]  # of 8 * 192 rows over 192 monomials
+    for name in ("osp12", "sl12_z2"):
+        M = adjoint(catalog.get_algebra(name))
+        for r, symmetry in ((2, "none"), (3, "eps_skew"), (3, "eps_symmetric")):
+            if symmetry == "none":
+                monos = M.dim ** r
+            else:
+                monos = len(gmodule.power_monomials(M, r, symmetry == "eps_symmetric")[1])
+            seen.clear()
+            invariant_multilinear_forms(M, r, symmetry)
+            assert seen == [(M.algebra.dim * monos, monos)], (name, r, symmetry)
 
 
 def test_oracle_check_builds_no_eps_power(monkeypatch):

@@ -170,6 +170,18 @@ def test_invariant_forms_command():
     assert "dim 1" in out
 
 
+def test_invariant_forms_psl33_skew_cubic():
+    code, out = run_cli(
+        ["invariant-forms", "--algebra", "psl33", "--arity", "3",
+         "--symmetry", "skew"]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "invariant skew 3-linear forms: dim 1",
+        "form #0 degree (0,0,0,0,0,0), 444 values",
+    ]
+
+
 def test_catalog_list():
     code, out = run_cli(["catalog", "list"])
     assert code == 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epslie import catalog, exterior, extensions
+from epslie import catalog, cohomology, exterior, extensions
 from epslie.algebra import EpsLieAlgebra
 from epslie.cohomology import (
     CochainComplex,
@@ -496,6 +496,19 @@ def test_universal_covering_psl44_is_sl44():
 @pytest.mark.parametrize("name", ["sl2", "sl12", "psl22"])
 def test_h2_pairing(name):
     assert h2_pairing_check(catalog.get_algebra(name))
+
+
+def test_h2_pairing_solves_the_torus_once(monkeypatch):
+    calls = []
+    original = cohomology.inner_torus
+
+    def counted(V):
+        calls.append(V)
+        return original(V)
+
+    monkeypatch.setattr(cohomology, "inner_torus", counted)
+    assert h2_pairing_check(catalog.psl_nn(2))
+    assert len(calls) == 1
 
 
 def test_h2_pairing_ranks_no_vanishing_sector(monkeypatch):
