@@ -24,7 +24,6 @@ from .exterior import arrangements, canonicalize
 from .gmodule import (
     GradedModule,
     coadjoint,
-    inner_torus,
     intertwiner_defect,
     leibniz_rows,
     power_monomials,
@@ -76,8 +75,8 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
     and come out in degree order.
 
     Only the monomials of inner weight zero are unknowns.  x of a verified
-    pair (x, chi) of gmodule.inner_torus(M) is even of degree 0 and acts on
-    each basis vector of M as chi(deg), so it acts on a monomial m as
+    pair (x, chi) of M.torus, which M solves once, is even of degree 0 and
+    acts on each basis vector of M as chi(deg), so it acts on a monomial m as
     chi(deg m) * id, and invariance forces psi(m) = 0 where chi(deg m) != 0.
     The row of e_i at m meets the degree deg m + deg e_i, so only the rows
     whose source m has weight -chi(deg e_i) touch the unknowns; they are
@@ -106,7 +105,7 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
         repeats = [1] * len(monos)
     else:
         table, monos, degrees, repeats = power_monomials(M, r, symmetry == "eps_symmetric")
-    chis = [chi for _, chi in inner_torus(M)]
+    chis = [chi for _, chi in M.torus]
     weight = {d: tuple(torus_weight(chi, d) for chi in chis) for d in set(degrees)}
     at_weight = {}
     for m, d, p in zip(monos, degrees, repeats):

@@ -86,7 +86,7 @@ from .exactlin import (
     vec_clean,
     vec_scale,
 )
-from .gmodule import GradedModule, inner_torus, intertwiner_defect, tensor, torus_weight
+from .gmodule import GradedModule, intertwiner_defect, tensor, torus_weight
 
 
 class CochainError(ValueError):
@@ -567,9 +567,10 @@ class CochainComplex:
 
     @cached_property
     def torus(self):
-        """The verified inner torus pairs (x, chi) of (L, V): a sector whose
-        degree D has chi(D) != 0 for one of them has zero cohomology."""
-        return inner_torus(self.module)
+        """The verified inner torus pairs (x, chi) of (L, V), as the module
+        keeps them: a sector whose degree D has chi(D) != 0 for one of them
+        has zero cohomology."""
+        return self.module.torus
 
     def vanishing_certificate(self, deg):
         """The first torus pair (x, chi) with chi(deg) != 0, or None when deg
@@ -624,15 +625,14 @@ class CochainComplex:
 
         for md, monos in self._monomials(n + 1, weight_zero).items():
             # the module vectors whose row with a monomial of degree md lies
-            # on this side of K, with that row's sector
-            wanted = [(w, keys[(md, d)]) for w, d in enumerate(vdegs) if keys[(md, d)] in rows]
+            # on this side of K, with that row's sector: its block, its row
+            # and column positions, and its key
+            wanted = [(w, ents[key], row_at[key], col_at.get(key, {}), key)
+                      for w, d in enumerate(vdegs) if (key := keys[(md, d)]) in rows]
             if not wanted:
                 continue
             for N in monos:
-                live = {
-                    w: (ents[key], row_at[key][(N, w)], col_at.get(key, {}), key)
-                    for w, key in wanted
-                }
+                live = {w: (blk, at[(N, w)], cat, key) for w, blk, at, cat, key in wanted}
                 for r, idx in enumerate(N):
                     terms = action[idx]
                     if not terms:

@@ -5,15 +5,19 @@ extension is the algebra L(g) on L x H with bracket
 <(A,X),(B,Y)> = (<A,B>, g(A,B)) for a degree-zero 2-cocycle g.  Second
 homology comes from the boundary maps on exterior powers,
 d2(A^B) = -<A,B> and d3(A^B^C) = -<A,B>^C + eps(b,c)<A,C>^B + A^<B,C>,
-whose composition vanishing is the Jacobi identity.  A torus pair (x, chi)
-of (L, K) acts on the monomials of degree D as chi(D) * id, and the chain
-Cartan formula theta_x = d i_x + i_x d holds with i_x(c) = x ^ c; so
-im d3 = ker d2 where chi(D) != 0, and d3 is ranked only at inner weight zero.
+whose composition vanishing is the Jacobi identity.  With trivial
+coefficients they are the transposes of delta^1 and delta^2, so
+homology_h2 reads their sector blocks from CochainComplex(L, trivial(L), 2),
+whose assembly raises ShapeError for an inhomogeneous bracket term;
+boundary2 and boundary3 build the whole matrices from the formulas, as
+references for the tests.  A torus pair (x, chi) of (L, K) acts on the
+monomials of degree D as chi(D) * id, and the chain Cartan formula
+theta_x = d i_x + i_x d holds with i_x(c) = x ^ c; so im d3 = ker d2 where
+chi(D) != 0, and d3 is ranked only at inner weight zero.
 """
 
 from __future__ import annotations
 
-from . import _elim_py as _elim
 from . import exterior
 from .algebra import EpsLieAlgebra, degree_of_vector, graded_subquotient
 from .cohomology import (
@@ -26,9 +30,7 @@ from .cohomology import (
 from .exactlin import (
     ONE,
     RationalSparseMatrix,
-    ShapeError,
     SpanTracker,
-    integral_row,
     rows_kernel,
     vec_axpy,
 )
@@ -47,59 +49,31 @@ class NotPerfectError(ExtensionError):
 # boundary operators and H_2
 
 
-def _d2_columns(L, monos2):
-    """The column of d2 at each pair monomial, as {index: coefficient}."""
-    terms = L.bracket_terms
-    return [{k: -v for k, v in terms[i][j]} for i, j in monos2]
-
-
-def _d3_columns(L, index2, monos3):
-    """(M, column of d3 at M) for each canonical 3-monomial M of monos3, in
-    its order; a column is {pair position: coefficient}, index2 maps each pair
-    monomial to its position, and integral coefficients are ints.  The sign
-    and position of l ^ m come from a table of exterior.canonicalize over
-    the ordered pairs, filled once per call."""
-    signs = L.signs
-    terms = L.bracket_terms
-    # pairs[l][m] = (sign, position) of l ^ m; sign 0 where it vanishes
-    pairs = [[(s, index2[mono] if s else None)
-              for s, mono in (exterior.canonicalize(signs, (l, m)) for m in range(L.dim))]
-             for l in range(L.dim)]
-
-    def put(col, coeff, l, m):
-        s, key = pairs[l][m]
-        if s:
-            v = col.get(key, 0) + s * coeff
-            if v:
-                col[key] = v
-            else:
-                del col[key]
-
-    for M in monos3:
-        i, j, k = M
-        col = {}
-        for l, v in terms[i][j]:
-            put(col, -v, l, k)
-        e = signs[j][k]
-        for l, v in terms[i][k]:
-            put(col, e * v, l, j)
-        for l, v in terms[j][k]:
-            put(col, v, i, l)
-        yield M, col
-
-
 def boundary2(L):
-    """Matrix of d2 : exterior square -> L on canonical pair monomials."""
+    """Matrix of d2 : exterior square -> L on canonical pair monomials,
+    from the formula d2(A^B) = -<A,B>: a reference for the tests."""
+    terms = L.bracket_terms
     return RationalSparseMatrix.from_columns(
-        _d2_columns(L, exterior.basis(L.signs, 2)), L.dim)
+        [{k: -v for k, v in terms[i][j]} for i, j in exterior.basis(L.signs, 2)], L.dim)
 
 
 def boundary3(L):
-    """Matrix of d3 : exterior cube -> exterior square."""
-    index2 = {m: k for k, m in enumerate(exterior.basis(L.signs, 2))}
-    return RationalSparseMatrix.from_columns(
-        [col for _, col in _d3_columns(L, index2, exterior.basis(L.signs, 3))],
-        len(index2))
+    """Matrix of d3 : exterior cube -> exterior square, term by term from
+    the formula of the module docstring: a reference for the tests."""
+    signs = L.signs
+    terms = L.bracket_terms
+    index2 = {m: k for k, m in enumerate(exterior.basis(signs, 2))}
+    cols = []
+    for i, j, k in exterior.basis(signs, 3):
+        col = {}
+        for c, l, m in ([(-v, l, k) for l, v in terms[i][j]]
+                        + [(signs[j][k] * v, l, j) for l, v in terms[i][k]]
+                        + [(v, i, l) for l, v in terms[j][k]]):
+            s, mono = exterior.canonicalize(signs, (l, m))
+            if s:  # the matrix drops the entries that cancel to 0
+                col[index2[mono]] = col.get(index2[mono], 0) + s * c
+        cols.append(col)
+    return RationalSparseMatrix.from_columns(cols, len(index2))
 
 
 class H2Result:
@@ -129,77 +103,43 @@ def homology_h2(L, cx=None):
     """H_2 = ker d2 / im d3 per degree sector, with cycle representatives
     and the echelon basis of im d3 over all monomials.
 
-    The sectors of L and of the exterior square are the monomial tables
-    L.monomials_by_degree(1) and (2), each list in basis order.  d2 is built
-    on every sector and d3 on the weight-zero ones, straight into sector
-    pieces; a term whose row and column lie in different sectors raises
-    ShapeError.  A torus pair (x, chi) of CochainComplex(L, trivial(L), 2)
-    acts on the monomials of degree D, which carry the cochains of degree
-    -D, as chi(D) * id, and theta_x = d i_x + i_x d with i_x(c) = x ^ c; so
-    where chi(D) != 0, im d3 = ker d2.  Elsewhere one elimination of the
-    sector's d3 columns, over the triples of the complex's weight-zero walk,
-    gives its rank and independent image rows.  Either way the boundaries
-    are the unique leading-pivot reduced echelon basis of the image (see
-    H2Result), whatever pivots the elimination chose.  cx, when given, is
-    that complex, for a caller that ranks H^2 on it too."""
-    degs = L.degrees
-    sums = L.degree_sums
-    table1 = L.monomials_by_degree(1)
-    table2 = L.monomials_by_degree(2)
+    d2 and d3 are read from cx = CochainComplex(L, trivial(L), 2): with
+    trivial coefficients they are the transposes of delta^1 and delta^2,
+    and the monomials of degree D carry the cochains of degree -D.  So on
+    the sector D of the exterior square, the rows of d2 are the columns of
+    delta_sector(1, -D), the columns of d3 are the rows of
+    delta_sector(2, -D), and the k-th position is the k-th pair of
+    cx.sector(2, -D).  The complex assembles them, and its _assemble raises
+    ShapeError for a term whose row and column lie in different sectors.
+    A torus pair (x, chi) of cx acts on the monomials of degree D as
+    chi(D) * id, and theta_x = d i_x + i_x d with i_x(c) = x ^ c; so where
+    chi(D) != 0, im d3 = ker d2, and d3 is eliminated only in the
+    inner-weight-zero sectors.  Either way the boundaries are the unique
+    leading-pivot reduced echelon basis of the image (see H2Result),
+    whatever pivots the elimination chose.  cx, when given, is that
+    complex, for a caller that ranks H^2 on it too."""
+    gr = L.group
+    cx = CochainComplex(L, trivial(L), 2) if cx is None else cx
     monos2 = exterior.basis(L.signs, 2)
     index2 = {m: k for k, m in enumerate(monos2)}
     degs2 = [None] * len(monos2)
-    local1 = [0] * len(degs)
-    local2 = [0] * len(monos2)
-    for ms in table1.values():
-        for k, (i,) in enumerate(ms):
-            local1[i] = k
-    for D, ms in table2.items():
-        for k, m in enumerate(ms):
-            p = index2[m]
-            degs2[p], local2[p] = D, k
-
-    def check(row_degs, c, col, D):
-        for r in col:
-            if row_degs[r] != D:
-                raise ShapeError("entry (%d,%d) leaves its degree sector" % (r, c))
-
-    cx = CochainComplex(L, trivial(L), 2) if cx is None else cx
-    weight_zero = {D for D in table2 if cx.vanishing_certificate(L.group.neg(D)) is None}
-    triples = sorted(M for D in weight_zero for M, _ in cx.sector(3, L.group.neg(D))[0])
-    # each weight-zero sector's d3 columns, as integer rows over its positions
-    image = {}
-    for c, ((i, j, k), col) in enumerate(_d3_columns(L, index2, triples)):
-        if col:
-            pair = (degs2[index2[(i, j)]], degs[k])
-            D = sums.get(pair)
-            if D is None:
-                D = sums[pair] = L.group.add(*pair)
-            check(degs2, c, col, D)
-            image.setdefault(D, []).append(
-                integral_row({local2[r]: v for r, v in col.items()})
-            )
-    # each sector's d2 block, as rows over its local positions
-    rows2 = {D: [{} for _ in table1.get(D, ())] for D in table2}
-    for c, col in enumerate(_d2_columns(L, monos2)):
-        D = degs2[c]
-        check(degs, c, col, D)
-        for r, v in col.items():
-            rows2[D][local1[r]][local2[c]] = v
     dims = {}
     cycles = {}
     boundaries = {}
     d2_rank = 0
-    # a degree missing from the exterior square has z = b = 0; pieces are
-    # popped so that each is freed, with its elimination, once used
-    for D in sorted(table2):
-        cols2 = [index2[m] for m in table2[D]]
-        kernel = rows_kernel(rows2.pop(D), len(cols2))
+    # a degree missing from the exterior square has z = b = 0
+    for D in sorted(L.monomials_by_degree(2)):
+        gamma = gr.neg(D)
+        cols2 = [index2[M] for M, _ in cx.sector(2, gamma)[0]]
+        for p in cols2:
+            degs2[p] = D
+        weight_zero = cx.vanishing_certificate(gamma) is None
+        if weight_zero:
+            rows = cx.delta_sector(2, gamma).rref()[1]
+        kernel = rows_kernel(cx.delta_sector(1, gamma).columns(), len(cols2))
         z = len(kernel)
         d2_rank += len(cols2) - z
-        if D in weight_zero:
-            _, rows = _elim.rref(image.pop(D, []))
-        else:
+        if not weight_zero:
             rows, kernel = kernel, ()  # im d3 = ker d2: no cycle is new
         b = len(rows)
         if not (z or b):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm, prod
 
 from .algebra import (
@@ -76,6 +77,12 @@ class GradedModule:
         if callable(self._embedding):
             self._embedding = self._embedding()
         return self._embedding
+
+    @cached_property
+    def torus(self):
+        """inner_torus(self), solved on the first read: the cochain complexes
+        and the invariant forms on this module share it."""
+        return inner_torus(self)
 
     def apply_basis(self, i, vec):
         return self.action[i].apply(vec)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epslie import catalog, cli, fileio
+from epslie import catalog, cli, fileio, gmodule
 from epslie.algebra import EpsLieAlgebra
 from epslie.cli import main
 from test_algebra import B, VP, WM, reference_validate
@@ -69,6 +69,23 @@ def test_cohomology_oracle_check():
     )
     assert code == 0
     assert "DISAGREE" not in out
+
+
+def test_oracle_check_solves_each_torus_once(monkeypatch):
+    """One solve for the trivial module of the complex and one for the
+    adjoint, which the invariant forms of every arity share."""
+    solved = []
+    original = gmodule.inner_torus
+
+    def counted(V):
+        solved.append(V.dim)
+        return original(V)
+
+    monkeypatch.setattr(gmodule, "inner_torus", counted)
+    code, out = run_cli(["cohomology", "--algebra", "sl12", "--module", "trivial",
+                         "--nmax", "4", "--oracle-check"])
+    assert code == 0 and out.count("-> agree") == 4
+    assert solved == [1, 8]
 
 
 def test_covering_output():

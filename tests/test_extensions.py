@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epslie import catalog, cohomology, exterior, extensions
+from epslie import catalog, exterior, gmodule
 from epslie.algebra import EpsLieAlgebra
 from epslie.cohomology import (
     CochainComplex,
@@ -137,18 +137,22 @@ def _inhomogeneous(degrees, brackets):
 
 def test_homology_h2_rejects_an_inhomogeneous_d2():
     # a, b of degree 1 and c of degree 0 with <a, b> = c: d3(a^b^c) = -c^c
-    # vanishes, so the pair column (a, b) of d2 is the first to leave its sector
+    # vanishes, so the row a^b of delta^1, the first pair of the cochain
+    # sector -2, is the first to leave its sector, at the monomial c
     L = _inhomogeneous([1, 1, 0], {(0, 1): {2: ONE}})
-    with pytest.raises(ShapeError, match=r"entry \(2,0\) leaves its degree sector"):
+    with pytest.raises(ShapeError, match=r"entry \(0, \(\(2,\), 0\)\) of sector \(-2,\) "
+                                         r"leaves its degree sector"):
         homology_h2(L)
 
 
 def test_homology_h2_rejects_an_inhomogeneous_d3():
-    # with a fourth index d of degree 0, d3(a^b^d) = -c^d has its row c^d
-    # (pair 5) in sector 0 and its column (triple 1) in sector 2; d3 is
-    # split before d2
+    # with a fourth index d of degree 0, d3(a^b^d) = -c^d: the row a^b^d of
+    # delta^2 (triple 1 of the cochain sector -2) meets the pair c^d of
+    # sector 0; the delta^2 blocks of a degree are assembled before its
+    # delta^1 blocks
     L = _inhomogeneous([1, 1, 0, 0], {(0, 1): {2: ONE}})
-    with pytest.raises(ShapeError, match=r"entry \(5,1\) leaves its degree sector"):
+    with pytest.raises(ShapeError, match=r"entry \(1, \(\(2, 3\), 0\)\) of sector \(-2,\) "
+                                         r"leaves its degree sector"):
         homology_h2(L)
 
 
@@ -332,40 +336,45 @@ def test_universal_covering_psl22():
     assert cov2.center_dims == cov.center_dims
 
 
+def _count_assembly(monkeypatch):
+    """{(level, weight zero?): calls of CochainComplex._assemble}, filled
+    as the patched method is called."""
+    calls = {}
+    assemble = CochainComplex._assemble
+
+    def counted(self, n, weight_zero):
+        calls[(n, weight_zero)] = calls.get((n, weight_zero), 0) + 1
+        return assemble(self, n, weight_zero)
+
+    monkeypatch.setattr(CochainComplex, "_assemble", counted)
+    return calls
+
+
 def test_universal_covering_assembles_each_boundary_once(monkeypatch):
-    """d2 and d3 are assembled by _d2_columns and _d3_columns, which
-    boundary2 and boundary3 only place into a matrix."""
-    calls = {"_d2_columns": 0, "_d3_columns": 0}
-
-    def counted(name):
-        original = getattr(extensions, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(extensions, name, counted(name))
+    """d2 is delta^1 on both sides of K and d3 is delta^2 on the side in K,
+    each assembled once by the trivial cochain complex."""
+    calls = _count_assembly(monkeypatch)
     universal_covering(catalog.psl_nn(2))
-    assert calls == {"_d2_columns": 1, "_d3_columns": 1}
+    assert calls == {(1, True): 1, (1, False): 1, (2, True): 1}
 
 
 def test_universal_covering_never_lists_the_full_exterior_cube(monkeypatch):
-    """d3 is walked on the weight-zero triples alone, which _d3_columns gets
-    once, in basis order; no full list or table of level 3 is built."""
+    """d3 is assembled once, with the weight-zero triples alone as the rows
+    of delta^2; no full list or table of level 3 is built."""
     P = catalog.psl_nn(2)
     cx = CochainComplex(P, trivial(P), 2)
     full = exterior.basis(P.signs, 3)
     weight_zero = [M for M in full if cx.vanishing_certificate(
         P.group.neg(P.group.sum(P.degrees[i] for i in M))) is None]
     walked = []
-    d3_columns = extensions._d3_columns
+    assemble = CochainComplex._assemble
 
-    def recorded(L, index2, monos3):
-        walked.append(list(monos3))
-        return d3_columns(L, index2, monos3)
+    def recorded(self, n, weight_zero):
+        blocks = assemble(self, n, weight_zero)
+        if n == 2:
+            rows = self._layout(3, weight_zero)[0]
+            walked.append((weight_zero, sorted(M for pairs in rows.values() for M, _ in pairs)))
+        return blocks
 
     def refuse_level_3(owner, name):
         method = getattr(owner, name)
@@ -379,9 +388,9 @@ def test_universal_covering_never_lists_the_full_exterior_cube(monkeypatch):
 
     refuse_level_3(exterior, "basis")
     refuse_level_3(EpsLieAlgebra, "monomials_by_degree")
-    monkeypatch.setattr(extensions, "_d3_columns", recorded)
+    monkeypatch.setattr(CochainComplex, "_assemble", recorded)
     assert universal_covering(P).center_total() == 3
-    assert walked == [weight_zero]
+    assert walked == [(True, weight_zero)]
     assert 0 < len(weight_zero) < len(full)
 
 
@@ -500,15 +509,24 @@ def test_h2_pairing(name):
 
 def test_h2_pairing_solves_the_torus_once(monkeypatch):
     calls = []
-    original = cohomology.inner_torus
+    original = gmodule.inner_torus
 
     def counted(V):
         calls.append(V)
         return original(V)
 
-    monkeypatch.setattr(cohomology, "inner_torus", counted)
+    monkeypatch.setattr(gmodule, "inner_torus", counted)
     assert h2_pairing_check(catalog.psl_nn(2))
     assert len(calls) == 1
+
+
+def test_h2_pairing_assembles_each_block_once(monkeypatch):
+    """H_2 and H^2 read the blocks of one complex: H_2 asks for delta^1 on
+    both sides of K and delta^2 in K, H^2 for delta^0..2 in K, and each
+    (level, side) is assembled the first time only."""
+    calls = _count_assembly(monkeypatch)
+    assert h2_pairing_check(catalog.psl_nn(2))
+    assert calls == {(0, True): 1, (1, True): 1, (1, False): 1, (2, True): 1}
 
 
 def test_h2_pairing_ranks_no_vanishing_sector(monkeypatch):

@@ -210,6 +210,23 @@ def test_engine_never_builds_the_full_coboundary():
     assert calls == []
 
 
+def test_engine_never_calls_the_reference_boundaries():
+    """H_2 reads d2 and d3 from the trivial cochain complex, as the
+    transposes of delta^1 and delta^2.  extensions.boundary2 and boundary3
+    build them apart, from the formulas, only as references for the tests;
+    they stay in extensions because the benchmark's tracer wraps those
+    names.  No engine module calls them."""
+    calls = []
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in ("boundary2", "boundary3"):
+                    calls.append("%s:%d" % (name, node.lineno))
+    assert calls == []
+
+
 def _trees(*dirs):
     for d in dirs:
         for dirpath, _, names in os.walk(os.path.join(ROOT, d)):
