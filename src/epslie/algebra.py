@@ -15,11 +15,11 @@ from . import exterior
 from .exactlin import (
     RationalSparseMatrix,
     SpanTracker,
-    rational,
     rows_kernel,
     vec_axpy,
     vec_clean,
     vec_is_zero,
+    vec_rational,
 )
 from .grading import CommutationFactor
 
@@ -141,7 +141,7 @@ class EpsLieAlgebra:
         for (i, j), vec in brackets.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraError("bracket index out of range: (%d,%d)" % (i, j))
-            vec = vec_clean({k: rational(c) for k, c in vec.items()})
+            vec = vec_rational(vec)
             for k in vec:
                 if not 0 <= k < n:
                     raise AlgebraError("bracket term index out of range: %d" % k)

@@ -121,7 +121,7 @@ def invariant_multilinear_forms(M: GradedModule, r, symmetry="none"):
         if table is None:
             values = {monos[b]: c for b, c in kv.items()}
         else:
-            values = {arr: s * c * repeats[b] / factorial(r)
+            values = {arr: Fraction(s * c * repeats[b], factorial(r))
                       for b, c in kv.items() for s, arr in arrangements(table, monos[b])}
         out.append(InvariantForm(M, r, values))
     return out

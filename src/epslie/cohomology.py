@@ -77,7 +77,6 @@ from math import lcm, prod
 from . import exterior
 from .algebra import degree_of_vector, graded_echelon, graded_kernel
 from .exactlin import (
-    ONE,
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
@@ -179,7 +178,7 @@ def cochain_add(g, h):
     vals = {m: dict(v) for m, v in g.values.items()}
     for m, v in h.values.items():
         acc = vals.setdefault(m, {})
-        vec_axpy(acc, ONE, v)
+        vec_axpy(acc, 1, v)
         if not acc:
             del vals[m]
     return make_cochain(g.algebra, g.module, g.level, vals)
@@ -314,7 +313,7 @@ def _theta(L, V, n, avec, gammas):
     fac = L.factor
     rho = V.action_matrix(avec).row_dicts()
     # <A, e_i> in the stored coefficients, and eps(alpha, a_i)
-    brackets = [{k: rational(c) for k, c in L.bracket(avec, {i: ONE}).items()}
+    brackets = [{k: rational(c) for k, c in L.bracket(avec, {i: 1}).items()}
                 for i in range(L.dim)]
     eps = [fac.eps(alpha, d) for d in L.degrees]
     vecs = _vectors_by_degree(V)
@@ -734,7 +733,7 @@ class CochainComplex:
             rank = span.dim
         reps = []
         for k, v in enumerate(kernel):
-            if span.add({k: ONE}):
+            if span.add({k: 1}):
                 g = self.cochain_from_vector(n, v, deg)
                 if not is_cocycle(g):
                     raise CochainError("representative fails the cocycle check")

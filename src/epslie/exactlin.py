@@ -1,14 +1,19 @@
 """Exact rational sparse linear algebra.
 
 The field is Q; nothing here ever rounds.  A stored coefficient (a matrix
-entry, a structure constant, a parsed file value) is normalized once by
-rational(): an int when it is integral, else a Fraction, and never a float.
-Vectors are sparse dicts {index: Fraction}, matrices sparse dicts
-{(row, col): coefficient}.  Rank / kernel / solve run on the one integer
-elimination kernel, ``_elim_py.rref``: each matrix is scaled to integer
-rows and reduced with a deterministic Markowitz pivot rule (shortest row,
-then the sparsest column), found through a row-length heap and a
-column -> row index.  A system solved once (inner tori, the common kernels
+entry, a structure constant, a parsed file value, a vector entry) follows
+rational(): an int when it is integral, else a Fraction with denominator
+> 1, and never a float.  Vectors are sparse dicts {index: coefficient},
+matrices sparse dicts {(row, col): coefficient}.  vec_axpy, vec_scale and
+SpanTracker return entries in that form, so integral work stays in ints;
+rref_kernel, kernel_basis and image_membership still return Fractions.
+A true division is exact by construction: its left operand is ONE or a
+Fraction, never an int, which would make a float of two ints.
+
+Rank / kernel / solve run on the one integer elimination kernel,
+``_elim_py.rref``: each matrix is scaled to integer rows and reduced with a
+deterministic Markowitz pivot rule (shortest row, then the sparsest
+column), found through a row-length heap and a column -> row index.  A system solved once (inner tori, the common kernels
 of algebra.graded_kernel, the d2 sectors of H_2, invariant forms) is kept
 as row dicts and solved by rows_kernel, without building a matrix.  A scalar
 enters through rational() like every stored coefficient.
@@ -23,7 +28,6 @@ from . import _elim_py as _elim
 
 BACKEND = _elim.BACKEND
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -49,20 +53,27 @@ def rational(c):
 def vec_clean(v):
     return {k: x for k, x in v.items() if x}
 
+def vec_rational(v):
+    """The nonzero entries of v, each through rational(), which sees the
+    zeros too: a float entry raises TypeError even when it is 0.0."""
+    return {k: y for k, x in v.items() if (y := rational(x))}
+
 def vec_scale(a, c):
     c = rational(c)
     if not c:
         return {}
-    return {k: c * x for k, x in a.items()}
+    return {k: rational(c * x) for k, x in a.items()}
 
 def vec_axpy(out, c, v):
-    """out += c*v in place (out a plain dict)."""
+    """out += c*v in place (out a plain dict).  Each entry it writes follows
+    rational(): an integral Fraction sum becomes an int, and a sum of ints
+    stays one."""
     if not c:
         return out
     for k, x in v.items():
-        y = out.get(k, ZERO) + c * x
+        y = out.get(k, 0) + c * x
         if y:
-            out[k] = y
+            out[k] = y.numerator if type(y) is Fraction and y.denominator == 1 else y
         else:
             out.pop(k, None)
     return out
@@ -95,7 +106,9 @@ class SpanTracker:
 
     Basis rows have pivot entry 1, are fully reduced against each other,
     and are returned sorted by pivot index, so the basis of a given span is
-    independent of insertion order.
+    independent of insertion order.  Rows, coordinates and remainders hold
+    rational() entries, so a span of integer rows with unit pivots is kept
+    in ints.
     """
 
     def __init__(self, vectors=()):
@@ -113,7 +126,7 @@ class SpanTracker:
         differ from that of a tracker built by add()."""
         span = cls()
         for p, row in zip(piv_cols, piv_rows):
-            span.rows[p] = {c: Fraction(v, row[p]) for c, v in row.items()}
+            span.rows[p] = {c: rational(Fraction(v, row[p])) for c, v in row.items()}
         return span
 
     @property
@@ -124,7 +137,8 @@ class SpanTracker:
         """Coordinates of vec over the basis rows, keyed by pivot, plus the
         irreducible remainder.  Rows are fully reduced, so the coordinate
         at pivot p is the entry of vec at p."""
-        v = vec_clean(vec)
+        v = {k: x.numerator if type(x) is Fraction and x.denominator == 1 else x
+             for k, x in vec.items() if x}
         coords = {}
         for p in sorted(set(v) & set(self.rows)):
             c = v[p]
@@ -144,8 +158,9 @@ class SpanTracker:
         if not v:
             return False
         p = min(v)
-        inv = ONE / v[p]
-        v = {k: inv * x for k, x in v.items()}
+        if v[p] != 1:
+            inv = ONE / v[p]
+            v = {k: rational(inv * x) for k, x in v.items()}
         for q, row in self.rows.items():
             c = row.get(p)
             if c:
@@ -223,7 +238,7 @@ class RationalSparseMatrix:
     # basic queries ---------------------------------------------------------
 
     def get(self, r, c):
-        return self.entries.get((r, c), ZERO)
+        return self.entries.get((r, c), 0)
 
     def is_zero(self):
         return not self.entries
@@ -270,7 +285,7 @@ class RationalSparseMatrix:
             raise ShapeError("add shape mismatch")
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            w = ent.get(k, ZERO) + v
+            w = ent.get(k, 0) + v
             if w:
                 ent[k] = w
             else:
@@ -303,7 +318,7 @@ class RationalSparseMatrix:
         return RationalSparseMatrix(self.rows, other.cols, ent)
 
     def apply(self, vec):
-        """M * v for a sparse column vector {index: Fraction}."""
+        """M * v for a sparse column vector {index: coefficient}."""
         if self._coldex is None:
             cd = {}
             for (r, c), v in self.entries.items():
@@ -350,7 +365,7 @@ class RationalSparseMatrix:
         Works on the kernel of [M | -b], which is independent of the pivot
         order (the sparsity-driven pivoting may well pivot inside the
         appended column)."""
-        b = vec_clean({i: rational(v) for i, v in b.items()})
+        b = vec_rational(b)
         if any(not 0 <= i < self.rows for i in b):
             raise ShapeError("rhs index outside %d rows" % self.rows)
         neg = {i: -v for i, v in b.items()}
@@ -360,7 +375,7 @@ class RationalSparseMatrix:
         if sol is None:
             return None
         scale = sol.pop(aug)
-        x = {j: c / scale for j, c in sol.items() if c}
+        x = {j: Fraction(c, scale) for j, c in sol.items() if c}
         if not vec_eq(self.apply(x), b):
             raise ArithmeticError("solver produced an invalid solution")
         return x

@@ -28,11 +28,12 @@ from .cohomology import (
     make_cochain,
 )
 from .exactlin import (
-    ONE,
     RationalSparseMatrix,
     SpanTracker,
+    rational,
     rows_kernel,
     vec_axpy,
+    vec_rational,
 )
 from .gmodule import GradedModule, trivial
 
@@ -153,7 +154,7 @@ def homology_h2(L, cx=None):
         reps = []
         for kv in kernel:
             if span.add(kv):
-                reps.append({cols2[k]: c for k, c in kv.items()})
+                reps.append({cols2[k]: rational(c) for k, c in kv.items()})
         cycles[D] = reps
     return H2Result(dims, cycles, monos2, degs2, boundaries, d2_rank)
 
@@ -205,10 +206,10 @@ def extension_from_cocycle(L, H: GradedModule, g: Cochain):
     if not rep.ok:
         raise ExtensionError("extension failed validation: %r" % rep)
     inject = RationalSparseMatrix(
-        E.dim, H.dim, {(nl + h, h): ONE for h in range(H.dim)}
+        E.dim, H.dim, {(nl + h, h): 1 for h in range(H.dim)}
     )
     project = RationalSparseMatrix(
-        L.dim, E.dim, {(i, i): ONE for i in range(nl)}
+        L.dim, E.dim, {(i, i): 1 for i in range(nl)}
     )
     return CentralExtension(L, H, g, E, inject, project)
 
@@ -234,7 +235,7 @@ def cocycle_from_section(E, L, project, section):
     for mono in exterior.basis(L.signs, 2):
         i, j = mono
         w = E.bracket(seccols[i], seccols[j])
-        vec_axpy(w, -ONE, section.apply(L.bracket_basis(i, j)))
+        vec_axpy(w, -1, section.apply(L.bracket_basis(i, j)))
         if not w:
             continue
         c = coords(w)
@@ -299,7 +300,7 @@ def universal_covering(L):
     # the class of a monomial in W is its remainder modulo im d3
     vals = {}
     for p, mono in enumerate(monos2):
-        rem = vec_axpy({p: ONE}, -ONE, image.get(p, {}))
+        rem = vec_axpy({p: 1}, -1, image.get(p, {}))
         if rem:
             vals[mono] = {slot[q]: c for q, c in sorted(rem.items())}
     f = make_cochain(L, W, 2, vals)
@@ -311,7 +312,7 @@ def universal_covering(L):
     proj = RationalSparseMatrix.from_columns(
         [{r: val for r, val in v.items() if r < nl} for v in hat_reps], nl)
     # center part: elements of the derived span supported on the W block
-    center_vecs = proj.kernel_basis()
+    center_vecs = [vec_rational(v) for v in proj.kernel_basis()]
     center_dims = {}
     for v in center_vecs:
         d = degree_of_vector(g, Lhat.degrees, v)

@@ -26,7 +26,6 @@ from .algebra import (
     split_components,
 )
 from .exactlin import (
-    ONE,
     RationalSparseMatrix,
     SpanTracker,
     rational,
@@ -282,7 +281,7 @@ def quotient(V, sub_vectors):
             if not span.contains(V.apply_basis(i, b)):
                 raise ModuleError("quotient by a non-invariant subspace")
     reps, deg, coords = graded_subquotient(
-        V.group, V.degrees, [{a: ONE} for a in range(V.dim)], span
+        V.group, V.degrees, [{a: 1} for a in range(V.dim)], span
     )
     labels = ["[%s]" % V.labels[min(r)] for r in reps]
     return GradedModule(V.algebra, labels, deg, _action_on(V, reps, coords))
@@ -383,7 +382,7 @@ def weight_spaces(V, cartan_vectors):
             raise ModuleError("rho(h) is not diagonal on the basis of V")
     spaces = {}
     for a in range(V.dim):
-        spaces.setdefault(tuple(op.get(a, a) for op in ops), []).append({a: ONE})
+        spaces.setdefault(tuple(op.get(a, a) for op in ops), []).append({a: 1})
     return dict(sorted(spaces.items()))
 
 

@@ -140,12 +140,18 @@ class CommutationFactor:
         return -1 if total % 2 else 1
 
     def sign_table(self, left, right):
-        """[[eps(a, b) for b in right] for a in left], with eps evaluated once
-        per pair of distinct reduced degrees."""
+        """[[eps(a, b) for b in right] for a in left].  Only parities count,
+        so a^T B is formed once per distinct reduced left degree a, as the
+        mask of its odd coordinates, and each sign is the parity of that
+        mask and the mask of b; left degrees with one mask share a row."""
         left = [self.group.reduce(a) for a in left]
-        right = [self.group.reduce(b) for b in right]
-        eps = {(a, b): self.eps(a, b) for a in set(left) for b in set(right)}
-        return [[eps[a, b] for b in right] for a in left]
+        cols = list(zip(*self.form))
+        a_mask = {a: _odd_mask(sum(map(operator.mul, a, col)) for col in cols)
+                  for a in set(left)}
+        b_masks = [_odd_mask(self.group.reduce(b)) for b in right]
+        rows = {m: [-1 if (m & bm).bit_count() & 1 else 1 for bm in b_masks]
+                for m in set(a_mask.values())}
+        return [list(rows[a_mask[a]]) for a in left]
 
     def parity(self, a: Degree) -> int:
         """Sign eps(a, a); -1 marks an odd degree."""
@@ -171,6 +177,11 @@ class CommutationFactor:
                 if inv[i] > inv[j]:
                     s *= self.eps(degs[i], degs[j])
         return s
+
+
+def _odd_mask(coords) -> int:
+    """The bits j of the odd coordinates coords[j]."""
+    return sum((x & 1) << j for j, x in enumerate(coords))
 
 
 def super_factor() -> CommutationFactor:

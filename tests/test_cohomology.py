@@ -248,6 +248,19 @@ def test_matrix_and_direct_coboundary_agree(algebra, module):
         assert cochain_eq(total, dg)
 
 
+def test_psl22_adjoint_representatives_hold_no_float():
+    """Every coefficient of a verified representative of H^n(psl(2|2), ad),
+    n <= 3, is an int or a Fraction.  They are kernel_basis vectors, which
+    still hold Fractions even where integral."""
+    L = catalog.get_algebra("psl22")
+    cx = CochainComplex(L, adjoint(L), 3)
+    res = cx.cohomology()
+    coeffs = [type(c) for n in range(4) for deg, _ in res.sector_table(n)
+              for g in cx.representatives(n, deg)
+              for vec in g.values.values() for c in vec.values()]
+    assert coeffs and set(coeffs) <= {int, Fraction}
+
+
 def _delta_by_columns(L, V, n):
     """The unsplit coboundary C^n -> C^{n+1} from the direct formula, over
     the full bases of the two levels: column k is d of basis cochain k."""

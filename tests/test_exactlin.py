@@ -215,6 +215,84 @@ def test_span_tracker_reduce_is_a_full_reduction(added, vec):
     assert RationalSparseMatrix.from_columns(added + [removed], 6).rank() == span
 
 
+def _rational_entries(vec):
+    """Every entry follows rational(): an int, or a Fraction with
+    denominator > 1; never a float or a bool."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in vec.values())
+
+
+def _fraction_axpy(out, c, v):
+    """out + c*v, every term a Fraction."""
+    out = dict(out)
+    for k, x in v.items():
+        out[k] = out.get(k, Fraction(0)) + Fraction(c) * Fraction(x)
+    return {k: x for k, x in out.items() if x}
+
+
+def _fraction_echelon(vectors, ncols):
+    """pivot -> row of the reduced echelon basis of the span, leading
+    pivots, by Gauss-Jordan elimination in Fractions."""
+    m = [[Fraction(v.get(c, 0)) for c in range(ncols)] for v in vectors]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return {min(k for k, x in enumerate(row) if x): {k: x for k, x in enumerate(row) if x}
+            for row in m[:rank]}
+
+
+# ints and Fractions, Fraction(n, 1) among them
+_mixed = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+_mixed_vectors = st.dictionaries(st.integers(0, 5), _mixed, max_size=6)
+
+
+@given(st.lists(st.tuples(_mixed, _mixed_vectors), max_size=4), _mixed, _mixed_vectors)
+def test_vector_operations_return_rational_entries(terms, c, vec):
+    """vec_axpy and vec_scale write ints where integral and Fractions only
+    with denominator > 1, whatever mix of ints and Fractions goes in, and
+    equal the same sums and products taken in Fractions."""
+    acc, want = {}, {}
+    for a, v in terms:
+        vec_axpy(acc, a, v)
+        want = _fraction_axpy(want, a, v)
+        assert _rational_entries(acc) and acc == want
+    for v in (acc, vec):
+        scaled = vec_scale(v, c)
+        assert _rational_entries(scaled)
+        assert vec_clean(scaled) == _fraction_axpy({}, c, v)
+
+
+@given(st.lists(_mixed_vectors, max_size=6), _mixed_vectors)
+def test_span_tracker_returns_rational_entries(added, vec):
+    """Rows, coordinates and remainders of a SpanTracker fed ints and
+    Fractions hold rational() entries and equal the reduced echelon basis
+    and the reduction computed in Fractions."""
+    t = SpanTracker()
+    for v in added:
+        t.add(v)
+    want = _fraction_echelon(added, 6)
+    assert t.rows == want
+    assert all(_rational_entries(row) for row in t.rows.values())
+    coords, rem = t.express(vec)
+    want_coords = {p: Fraction(vec[p]) for p in want if vec.get(p)}
+    want_rem = _fraction_axpy({}, 1, vec)
+    for p, c in want_coords.items():
+        want_rem = _fraction_axpy(want_rem, -c, want[p])
+    assert coords == want_coords and rem == want_rem
+    assert _rational_entries(coords) and _rational_entries(rem)
+    red = t.reduce(vec)
+    assert red == want_rem and _rational_entries(red)
+
+
 def test_split_sectors_matches_direct_slices():
     rng = random.Random(53)
     row_keys = [rng.choice("abc") for _ in range(9)]
@@ -329,6 +407,17 @@ def test_indexed_rref_matches_the_scan_kernel(rows):
     want = _scan_rref(snapshot)
     assert got == want
     assert [list(r) for r in got[1]] == [list(r) for r in want[1]]
+
+
+@given(_int_rows())
+def test_of_rref_returns_rational_entries(rows):
+    """An rref row scaled to 1 at its pivot holds rational() entries, equal
+    to the Fractions entry / pivot."""
+    piv_cols, piv_rows = _elim_py.rref(rows)
+    span = SpanTracker.of_rref(piv_cols, piv_rows)
+    for p, row in zip(piv_cols, piv_rows):
+        assert span.rows[p] == {c: Fraction(v, row[p]) for c, v in row.items()}
+        assert _rational_entries(span.rows[p])
 
 
 @st.composite

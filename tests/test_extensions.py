@@ -491,6 +491,33 @@ def test_universal_covering_psl33_is_sl33():
     assert not ext.total.homomorphism_defect(SL, psi)
 
 
+def _rational_entries(vec):
+    """Every entry follows exactlin.rational(): an int, or a Fraction with
+    denominator > 1; never a float or a bool."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in vec.values())
+
+
+@pytest.mark.slow
+def test_covering_vectors_hold_rational_entries():
+    """The structure constants, representatives and centre of the universal
+    covering of psl(3|3), and the boundaries and cycles of H_2(psl(3|3)),
+    come out of the vector layer with ints where integral."""
+    P = catalog.psl_nn(3)
+    cov = universal_covering(P)
+    h2 = homology_h2(P)
+    groups = {
+        "table": list(cov.covering.table.values()),
+        "hat_reps": cov.hat_reps,
+        "center_vectors": cov.center_vectors,
+        "boundaries": list(h2.boundaries.values()),
+        "cycles": [v for vs in h2.cycles.values() for v in vs],
+    }
+    assert all(groups.values())
+    assert {k: [v for v in vs if not _rational_entries(v)] for k, vs in groups.items()} == {
+        k: [] for k in groups}
+
+
 @pytest.mark.slow
 def test_universal_covering_psl44_is_sl44():
     """H_2(psl(n|n)) is one-dimensional, of degree 0, for n >= 3, so the

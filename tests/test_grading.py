@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from epslie import catalog
 from epslie.algebra import EpsLieAlgebra
@@ -165,10 +165,32 @@ def test_degrees_and_form_entries_must_be_ints():
 
 
 @st.composite
+def _random_factor(draw):
+    """A factor on free and torsion coordinates whose form is symmetric
+    mod 2 but not always symmetric, with off-diagonal entries, and with
+    even (not only zero) rows on the coordinates of odd order."""
+    free = draw(st.integers(0, 2))
+    torsion = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 5]), max_size=3 - free)))
+    group = GradingGroup(free, torsion)
+    n = group.ncoords
+    odd = {free + k for k, t in enumerate(torsion) if t % 2}
+    parity = {}
+    for i in range(n):
+        for j in range(i, n):
+            parity[i, j] = parity[j, i] = 0 if {i, j} & odd else draw(st.integers(0, 1))
+    form = tuple(tuple(parity[i, j] + 2 * draw(st.integers(-1, 1)) for j in range(n))
+                 for i in range(n))
+    return CommutationFactor(group, form)
+
+
+@st.composite
 def _factor_and_degrees(draw):
-    """The factor of a catalog algebra and two lists of unreduced degrees,
-    with repeats, so that equal reduced degrees come from different tuples."""
-    factor = catalog.get_algebra(draw(st.sampled_from(catalog.algebra_names()))).factor
+    """The factor of a catalog algebra or a random factor, and two lists of
+    unreduced degrees, with repeats, so that equal reduced degrees come
+    from different tuples."""
+    catalog_factor = st.sampled_from(catalog.algebra_names()).map(
+        lambda name: catalog.get_algebra(name).factor)
+    factor = draw(st.one_of(catalog_factor, _random_factor()))
     pool = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * factor.group.ncoords),
                          min_size=1, max_size=4))
     side = st.lists(st.sampled_from(pool), max_size=6)
@@ -176,6 +198,9 @@ def _factor_and_degrees(draw):
 
 
 @given(_factor_and_degrees())
+# the Z_2 x Z_2 color form, with no diagonal term
+@example((CommutationFactor(GradingGroup(0, (2, 2)), ((0, 1), (1, 0))),
+          [(1, 0), (0, 1), (1, 1), (3, -2), (0, 0)], [(0, 1), (1, 0), (1, 1), (2, 3)]))
 def test_sign_table_is_eps_entry_by_entry(case):
     factor, left, right = case
     assert factor.sign_table(left, right) == [

@@ -227,6 +227,26 @@ def test_engine_never_calls_the_reference_boundaries():
     assert calls == []
 
 
+def test_every_true_division_is_exact():
+    """The left operand of each / in the engine is ONE or a Fraction(...)
+    call, and no /= is written, so no division of two ints, which yields a
+    float, can arise however the operands are normalised."""
+    def exact(node):
+        return ((isinstance(node, ast.Name) and node.id == "ONE")
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Fraction"))
+
+    bad = []
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                bad.append("%s:%d" % (name, node.lineno))
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and not exact(node.left)):
+                bad.append("%s:%d" % (name, node.lineno))
+    assert bad == []
+
+
 def _trees(*dirs):
     for d in dirs:
         for dirpath, _, names in os.walk(os.path.join(ROOT, d)):
