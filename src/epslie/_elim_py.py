@@ -39,9 +39,7 @@ def _strip_normalize(row):
 
 def _combine(target, tval, pivot_row, pval):
     """Return pval*target - tval*pivot_row, content-normalized."""
-    out = {}
-    for c, v in target.items():
-        out[c] = pval * v
+    out = dict(target) if pval == 1 else {c: pval * v for c, v in target.items()}
     for c, v in pivot_row.items():
         w = out.get(c, 0) - tval * v
         if w:

@@ -198,6 +198,17 @@ class EpsLieAlgebra:
             for i in range(self.dim)
         ]
 
+    @cached_property
+    def bracket_preimages(self):
+        """bracket_preimages[k]: the triples (a, b, c) with a <= b and c != 0
+        the coefficient of e_k in <e_a, e_b>, sorted by (a, b); the brackets
+        that produce e_k, read once per algebra."""
+        out = [[] for _ in range(self.dim)]
+        for (a, b), vec in sorted(self.table.items()):
+            for k, c in vec.items():
+                out[k].append((a, b, c))
+        return out
+
     def monomials_by_degree(self, n):
         """{deg M: [canonical n-monomials M, in basis order]}, from
         exterior.basis_by_degree; built once per algebra and level."""

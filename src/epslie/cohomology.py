@@ -25,11 +25,17 @@ deg v_w - sum_{t>r} a_t, hence
 
 CochainComplex assembles the sector blocks delta_sector(n, deg) directly
 from these products, in the stored coefficients (ints where integral;
-see exactlin.rational).  coboundary() takes the action signs from
-CommutationFactor.eps, so it checks the first sum of the matrix; the
-second sum is _sub_terms in both, which the tests check term by term
-against the formula.  The module action on cochains, theta_A for A of
-degree alpha, maps the sector gamma to the sector gamma + alpha:
+see exactlin.rational), one row monomial N at a time; its second sum is
+_sub_terms.  coboundary() runs the formula the other way: it pushes each
+value g(M) forward to the monomials N that read it, with the action signs
+from CommutationFactor.eps and the brackets that produce an index from
+EpsLieAlgebra.bracket_preimages.  So its cost follows the support of g,
+it lists no sector, and it shares no code with the assembly; the tests
+compare the two column by column.  representatives() checks each
+representative with coboundary() and their independence modulo
+coboundaries with one exact rank per sector.  The module action on
+cochains, theta_A for A of degree alpha, maps the sector gamma to the
+sector gamma + alpha:
 
   (A . g)(A_1..A_n) = A . (g(A_1..A_n))
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
@@ -71,6 +77,7 @@ matrix delta(n) is the sector blocks laid end to end in degree order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from math import lcm, prod
 
@@ -80,6 +87,7 @@ from .exactlin import (
     RationalSparseMatrix,
     ShapeError,
     SpanTracker,
+    kernel_vector,
     rational,
     vec_axpy,
     vec_clean,
@@ -251,38 +259,69 @@ def _sector_monomials(L, V, n, degrees):
 
 
 def coboundary(g):
-    """The cochain d(g): the first sum of the explicit formula with
-    CommutationFactor.eps, the second from _sub_terms as in the assembly.
-    A component of degree gamma is read only on the monomials of its sector."""
-    parts = components(g)
+    """The cochain d(g), pushed forward from the support of g: each value
+    v = g(M) is sent to the (n+1)-monomials N whose formula reads g(M).
+
+    First sum: N is M with an index i inserted, and each slot r of N that
+    holds i reads M, with the term (-1)^r eps(gamma + deg N[:r], a_i)
+    rho(e_i) v, the sign from CommutationFactor.eps.  Second sum: N is M
+    with one copy of an index k replaced by a pair a <= b such that e_k
+    occurs in <e_a, e_b> with coefficient c (EpsLieAlgebra.bracket_preimages),
+    and each r < s with N_r = a and N_s = b reads M, with the coefficient
+    (-1)^s prod_{r<t<s} L.signs[N_t][b] * c times the sign that
+    canonicalizes N[:r] + (k,) + N[r+1:s] + N[s+1:] into M.
+
+    The work follows the support of g; no sector is listed.  Neither sum
+    shares code with the assembly of delta_sector, so each checks the
+    other."""
     L, V = g.algebra, g.module
-    total = zero_cochain(L, V, g.level + 1)
-    fac = L.factor
-    gr = L.group
-    sums = L.degree_sums
-    for gamma, piece in parts.items():
-        vals = {}
-        for N in _sector_monomials(L, V, g.level + 1, [gamma]):
-            acc = {}
-            prefix = gamma
-            for r, idx in enumerate(N):
-                a = L.degrees[idx]
-                gv = piece.values.get(N[:r] + N[r + 1 :])
-                if gv:
-                    e = (-1 if r % 2 else 1) * fac.eps(prefix, a)
-                    vec_axpy(acc, e, V.apply_basis(idx, gv))
-                pair = (prefix, a)
-                prefix = sums.get(pair)
-                if prefix is None:
-                    prefix = sums[pair] = gr.add(*pair)
-            for mono, coeff in _sub_terms(L.signs, L.bracket_terms, N).items():
-                gv = piece.values.get(mono)
-                if gv:
-                    vec_axpy(acc, coeff, gv)
-            if acc:
-                vals[N] = acc
-        total = cochain_add(total, make_cochain(L, V, g.level + 1, vals))
-    return total
+    signs, degs, dim = L.signs, L.degrees, L.dim
+    eps, gr, sums = L.factor.eps, L.group, L.degree_sums
+    preimages = L.bracket_preimages
+
+    def plus(x, y):
+        s = sums.get((x, y))
+        if s is None:
+            s = sums[(x, y)] = gr.add(x, y)
+        return s
+
+    vals = {}
+    for gamma, piece in components(g).items():
+        for M, v in piece.values.items():
+            prefix = [gamma]  # prefix[j] = gamma + deg M[:j]
+            for idx in M:
+                prefix.append(plus(prefix[-1], degs[idx]))
+            for i in range(dim):
+                lo, hi = bisect_left(M, i), bisect_right(M, i)
+                if hi > lo and signs[i][i] == 1:
+                    continue  # an index of parity +1 does not repeat
+                image = V.apply_basis(i, v)
+                if not image:
+                    continue
+                e, pre = 0, prefix[lo]
+                for r in range(lo, hi + 1):
+                    e += (-1 if r % 2 else 1) * eps(pre, degs[i])
+                    pre = plus(pre, degs[i])
+                vec_axpy(vals.setdefault(M[:lo] + (i,) * (hi - lo + 1) + M[hi:], {}), e, image)
+            for k in dict.fromkeys(M):
+                at = M.index(k)
+                rest = M[:at] + M[at + 1 :]
+                for a, b, c in preimages[k]:
+                    # rest repeats no index of parity +1; a and b must not either
+                    if signs[a][a] == 1 and (a == b or a in rest) or (
+                            signs[b][b] == 1 and b in rest):
+                        continue
+                    N = tuple(sorted(rest + (a, b)))
+                    e = 0
+                    for s in range(bisect_left(N, b), bisect_right(N, b)):
+                        for r in range(bisect_left(N, a), min(s, bisect_right(N, a))):
+                            sign = -1 if s % 2 else 1
+                            for t in N[r + 1 : s]:
+                                sign *= signs[t][b]
+                            e += sign * exterior.canonicalize(
+                                signs, N[:r] + (k,) + N[r + 1 : s] + N[s + 1 :])[0]
+                    vec_axpy(vals.setdefault(N, {}), e * c, v)
+    return make_cochain(L, V, g.level + 1, vals)
 
 
 def is_cocycle(g):
@@ -713,35 +752,46 @@ class CochainComplex:
         return z, b
 
     def representatives(self, n, deg):
-        """Verified cocycle representatives spanning H^n in one sector."""
+        """Verified cocycle representatives spanning H^n in one sector.
+
+        The kernel of delta(n) has one vector per free column of its rref,
+        1 there and 0 at the other free columns, and the image of
+        delta(n - 1) lies in that kernel; so spans inside the kernel are
+        compared on the free columns alone.  The free columns that leave the
+        span of the image (one elimination of its columns) are chosen, and
+        only their kernel vectors are built.
+
+        Each representative g must pass is_cocycle, their count must be
+        dim Z - dim B, and rank [delta(n - 1) | g_1 .. g_k] must be
+        rank delta(n - 1) + k: no nonzero combination of them is a
+        coboundary.  That is one elimination per sector."""
         dn = self.delta_sector(n, deg)
-        kernel = dn.kernel_basis()
-        # Kernel vector k is 1 at the k-th free column of dn and 0 at the
-        # others, and the image of delta(n - 1) lies in the kernel, so spans
-        # inside the kernel are compared on the free columns alone.
-        pivots = set(dn.rref()[0])
-        free = {f: k for k, f in enumerate(c for c in range(dn.cols) if c not in pivots)}
-        span = SpanTracker()
-        rank = 0
-        if n > 0:
-            prev = self.delta_sector(n - 1, deg)
-            image = RationalSparseMatrix(prev.cols, len(free), {
-                (c, free[r]): v for (r, c), v in prev.entries.items() if r in free
-            })
-            # the image, from one elimination of its columns
-            span = SpanTracker.of_rref(*image.rref())
-            rank = span.dim
-        reps = []
-        for k, v in enumerate(kernel):
-            if span.add({k: 1}):
-                g = self.cochain_from_vector(n, v, deg)
-                if not is_cocycle(g):
-                    raise CochainError("representative fails the cocycle check")
-                if n > 0 and self.coboundary_witness(g) is not None:
-                    raise CochainError("representative is a coboundary")
-                reps.append(g)
-        if len(reps) != len(kernel) - rank:
+        piv_cols, piv_rows = dn.rref()
+        pivots = set(piv_cols)
+        free = [c for c in range(dn.cols) if c not in pivots]
+        at = {f: k for k, f in enumerate(free)}
+        # delta(-1) is the zero map into C^0
+        prev = self.delta_sector(n - 1, deg) if n > 0 else RationalSparseMatrix(dn.cols, 0)
+        image = RationalSparseMatrix(prev.cols, len(free), {
+            (c, at[r]): v for (r, c), v in prev.entries.items() if r in at
+        })
+        span = SpanTracker.of_rref(*image.rref())
+        rank = span.dim
+        chosen = [f for k, f in enumerate(free) if span.add({k: 1})]
+        if len(chosen) != len(free) - rank:
             raise CochainError("representative count differs from dim Z - dim B")
+        reps = []
+        for f in chosen:
+            g = self.cochain_from_vector(n, kernel_vector(piv_cols, piv_rows, f), deg)
+            if not is_cocycle(g):
+                raise CochainError("representative fails the cocycle check")
+            reps.append(g)
+        stacked = dict(prev.entries)
+        for j, g in enumerate(reps):
+            stacked.update(((r, prev.cols + j), c) for r, c in self.cochain_vector(g).items())
+        if RationalSparseMatrix(prev.rows, prev.cols + len(reps), stacked).rank() != (
+                prev.rank() + len(reps)):
+            raise CochainError("a combination of the representatives is a coboundary")
         return reps
 
     def coboundary_witness(self, g):

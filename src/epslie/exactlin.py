@@ -5,8 +5,9 @@ entry, a structure constant, a parsed file value, a vector entry) follows
 rational(): an int when it is integral, else a Fraction with denominator
 > 1, and never a float.  Vectors are sparse dicts {index: coefficient},
 matrices sparse dicts {(row, col): coefficient}.  vec_axpy, vec_scale and
-SpanTracker return entries in that form, so integral work stays in ints;
-rref_kernel, kernel_basis and image_membership still return Fractions.
+SpanTracker, and the kernel vectors and solutions of rref_kernel,
+kernel_basis, rows_kernel and image_membership hold entries in that form,
+so integral work stays in ints.
 A true division is exact by construction: its left operand is ONE or a
 Fraction, never an int, which would make a float of two ints.
 
@@ -375,24 +376,31 @@ class RationalSparseMatrix:
         if sol is None:
             return None
         scale = sol.pop(aug)
-        x = {j: Fraction(c, scale) for j, c in sol.items() if c}
+        x = {j: rational(Fraction(c, scale)) for j, c in sol.items()}
         if not vec_eq(self.apply(x), b):
             raise ArithmeticError("solver produced an invalid solution")
         return x
 
 
+def kernel_vector(piv_cols, piv_rows, f):
+    """The kernel vector of an rref result at its free column f: 1 at f and
+    -row[f]/row[p] at the pivot p of every row holding f, in rational()
+    form."""
+    v = {f: 1}
+    for p, row in zip(piv_cols, piv_rows):
+        x = row.get(f)
+        if x:
+            v[p] = rational(Fraction(-x, row[p]))
+    return v
+
+
 def rref_kernel(cols, piv_cols, piv_rows):
     """Kernel vectors of an rref result over columns 0..cols-1, one per free
-    column f in increasing order: 1 at f and -row[f]/row[p] at the pivot p
-    of every row holding f."""
+    column in increasing order (kernel_vector)."""
     pivset = set(piv_cols)
     for f in range(cols):
         if f not in pivset:
-            v = {f: ONE}
-            for p, row in zip(piv_cols, piv_rows):
-                if f in row:
-                    v[p] = Fraction(-row[f], row[p])
-            yield v
+            yield kernel_vector(piv_cols, piv_rows, f)
 
 
 def rows_kernel(rows, cols):

@@ -30,10 +30,8 @@ from .cohomology import (
 from .exactlin import (
     RationalSparseMatrix,
     SpanTracker,
-    rational,
     rows_kernel,
     vec_axpy,
-    vec_rational,
 )
 from .gmodule import GradedModule, trivial
 
@@ -154,7 +152,7 @@ def homology_h2(L, cx=None):
         reps = []
         for kv in kernel:
             if span.add(kv):
-                reps.append({cols2[k]: rational(c) for k, c in kv.items()})
+                reps.append({cols2[k]: c for k, c in kv.items()})
         cycles[D] = reps
     return H2Result(dims, cycles, monos2, degs2, boundaries, d2_rank)
 
@@ -312,7 +310,7 @@ def universal_covering(L):
     proj = RationalSparseMatrix.from_columns(
         [{r: val for r, val in v.items() if r < nl} for v in hat_reps], nl)
     # center part: elements of the derived span supported on the W block
-    center_vecs = [vec_rational(v) for v in proj.kernel_basis()]
+    center_vecs = proj.kernel_basis()
     center_dims = {}
     for v in center_vecs:
         d = degree_of_vector(g, Lhat.degrees, v)

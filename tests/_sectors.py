@@ -1,4 +1,5 @@
-"""Reference degree-sector split of a whole matrix, by position lists.
+"""Reference degree-sector split of a whole matrix, by position lists, and
+a reference coboundary that sweeps the monomials of a sector.
 
 The engine lays out the sectors in K from a weight-pruned walk and the
 others from EpsLieAlgebra.monomials_by_degree; tests cut the same blocks
@@ -10,7 +11,8 @@ exterior.basis, so that the engine's sectors are checked against it.
 from bisect import bisect_left
 
 from epslie import exterior
-from epslie.exactlin import RationalSparseMatrix, ShapeError
+from epslie.cohomology import _sector_monomials, _sub_terms, components, make_cochain
+from epslie.exactlin import RationalSparseMatrix, ShapeError, vec_axpy
 
 
 def full_basis(L, V, n):
@@ -72,3 +74,29 @@ def split_sectors(mat, row_positions, col_positions):
         )
         for key in keys
     }
+
+
+def sweep_coboundary(g):
+    """d(g) read monomial by monomial: for each component of degree gamma,
+    every (n+1)-monomial N of the sector gamma, with the first sum of the
+    formula (signs from CommutationFactor.eps) and the second from
+    _sub_terms, the assembly's bracket sum.  coboundary() pushes the same
+    formula forward from the support of g instead."""
+    L, V = g.algebra, g.module
+    fac, gr = L.factor, L.group
+    vals = {}
+    for gamma, piece in components(g).items():
+        for N in _sector_monomials(L, V, g.level + 1, [gamma]):
+            acc = vals.setdefault(N, {})
+            prefix = gamma
+            for r, idx in enumerate(N):
+                gv = piece.values.get(N[:r] + N[r + 1 :])
+                if gv:
+                    e = (-1 if r % 2 else 1) * fac.eps(prefix, L.degrees[idx])
+                    vec_axpy(acc, e, V.apply_basis(idx, gv))
+                prefix = gr.add(prefix, L.degrees[idx])
+            for mono, coeff in _sub_terms(L.signs, L.bracket_terms, N).items():
+                gv = piece.values.get(mono)
+                if gv:
+                    vec_axpy(acc, coeff, gv)
+    return make_cochain(L, V, g.level + 1, vals)

@@ -118,7 +118,7 @@ def test_criterion_04_sl12_first_cohomology():
         g0 = catalog.cocycle_g0(L)
         scale = rep.values[(VP,)][0]
         assert scale != 0
-        diff = cochain_sub(cochain_scale(rep, 1 / scale), g0)
+        diff = cochain_sub(cochain_scale(rep, Fraction(1, scale)), g0)
         if not diff.is_zero():
             w = cx.coboundary_witness(diff)
             assert w is not None

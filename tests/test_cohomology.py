@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -6,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epslie import catalog, exterior
 from epslie.algebra import EpsLieAlgebra
@@ -36,6 +38,7 @@ from epslie.exactlin import (
     ONE,
     RationalSparseMatrix,
     ShapeError,
+    rational,
     vec_axpy,
     vec_eq,
     vec_scale,
@@ -54,7 +57,13 @@ from epslie.gmodule import (
 )
 from epslie.grading import GradingGroup
 
-from _sectors import full_basis, full_sector_positions, pair_degree, split_sectors
+from _sectors import (
+    full_basis,
+    full_sector_positions,
+    pair_degree,
+    split_sectors,
+    sweep_coboundary,
+)
 
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
 
@@ -96,14 +105,20 @@ def test_delta_squared_zero_up_to_level_four(pair):
         assert prod.is_zero()
 
 
-# Above level 5 the bracket sum of _sub_terms has no term-by-term check, so
-# d∘d = 0 is checked per sector block at n = 5 and 6.  sl12 and sl21 have an
-# inner torus, so their sectors lie on both sides of K; osp12 has none.
-@pytest.mark.parametrize("algebra, module, sides", [
+# Above level 5 the bracket sum of _sub_terms has no term-by-term check;
+# the blocks are compared there column by column with the push-forward
+# coboundary (test_delta_sector_equals_the_push_forward_at_levels_five_and_six),
+# and d∘d = 0 is checked per sector block at n = 5 and 6.  sl12 and sl21
+# have an inner torus, so their sectors lie on both sides of K; osp12 has
+# none.
+_HIGH_LEVEL_CASES = [
     ("sl12", "trivial", {True, False}),
     ("osp12", "trivial", {True}),
     ("sl21", "adjoint", {True, False}),
-])
+]
+
+
+@pytest.mark.parametrize("algebra, module, sides", _HIGH_LEVEL_CASES)
 def test_delta_squared_zero_per_sector_at_levels_five_and_six(algebra, module, sides):
     L = catalog.get_algebra(algebra)
     V = trivial(L) if module == "trivial" else adjoint(L)
@@ -119,6 +134,34 @@ def test_delta_squared_zero_per_sector_at_levels_five_and_six(algebra, module, s
             composed += bool(outer.entries and inner.entries)
     assert seen == sides
     assert composed >= 4
+
+
+@pytest.mark.parametrize("algebra, module, sides", _HIGH_LEVEL_CASES)
+def test_delta_sector_equals_the_push_forward_at_levels_five_and_six(algebra, module, sides):
+    """Every block of delta(5) and delta(6), on both sides of K, column by
+    column: column k is coboundary() of the k-th basis cochain of the
+    sector, whose push-forward shares no code with the assembly."""
+    L = catalog.get_algebra(algebra)
+    V = trivial(L) if module == "trivial" else adjoint(L)
+    cx = CochainComplex(L, V, 6)
+    seen = set()
+    nnz = 0
+    for n in (5, 6):
+        for deg in cx.sector_degrees(n):
+            cols = cx.sector(n, deg)[0]
+            rows, at = cx.sector(n + 1, deg)
+            ent = {}
+            for k, (M, w) in enumerate(cols):
+                dg = coboundary(make_cochain(L, V, n, {M: {w: 1}}))
+                for N, vec in dg.values.items():
+                    for w2, c in vec.items():
+                        ent[(at[(N, w2)], k)] = c
+            block = cx.delta_sector(n, deg)
+            assert block == RationalSparseMatrix(len(rows), len(cols), ent), (n, deg)
+            seen.add(cx.vanishing_certificate(deg) is None)
+            nnz += len(ent)
+    assert seen == sides
+    assert nnz
 
 
 def test_delta_preserves_sectors():
@@ -248,17 +291,60 @@ def test_matrix_and_direct_coboundary_agree(algebra, module):
         assert cochain_eq(total, dg)
 
 
+# (algebra, module, highest level drawn); psl22 stops at 3 to keep the
+# sweep's level-5 table out of the suite
+_PUSH_FORWARD_CASES = [
+    ("sl2", "adjoint", 3), ("osp12", "adjoint", 4), ("sl12", "v_half", 4),
+    ("sl12", "adjoint", 4), ("sl12_z2", "v_typical", 4), ("gl11", "coadjoint", 4),
+    ("sl21", "adjoint", 4), ("psl22", "adjoint", 3),
+]
+
+
+@st.composite
+def _catalog_cochains(draw):
+    """A random cochain on a catalog pair: ints and Fractions, odd indices
+    often repeated, and values in several degree sectors."""
+    name, module, top = draw(st.sampled_from(_PUSH_FORWARD_CASES))
+    L = catalog.get_algebra(name)
+    V = catalog.get_module(L, name, module)
+    level = draw(st.integers(0, top))
+    # two odd indices, drawn often, so that runs of one index appear
+    odd = [i for i in range(L.dim) if L.signs[i][i] == -1] or list(range(L.dim))
+    index = st.one_of(st.integers(0, L.dim - 1), st.sampled_from(odd[:2]))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    vals = {}
+    for _ in range(draw(st.integers(1, 5))):
+        sign, M = exterior.canonicalize(L.signs, draw(st.lists(index, min_size=level,
+                                                                max_size=level)))
+        if sign:
+            vals.setdefault(M, {})[draw(st.integers(0, V.dim - 1))] = rational(draw(coeff))
+    return make_cochain(L, V, level, vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_catalog_cochains())
+def test_push_forward_coboundary_equals_the_sector_sweep(g):
+    """coboundary() pushes each value forward from the support of g; the
+    reference reads every monomial of each component's sector.  The two
+    agree, and the push-forward writes rational() entries."""
+    dg = coboundary(g)
+    assert dg.values == sweep_coboundary(g).values
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for vec in dg.values.values() for c in vec.values())
+
+
 def test_psl22_adjoint_representatives_hold_no_float():
     """Every coefficient of a verified representative of H^n(psl(2|2), ad),
-    n <= 3, is an int or a Fraction.  They are kernel_basis vectors, which
-    still hold Fractions even where integral."""
+    n <= 3, follows rational(): an int where integral, else a Fraction with
+    denominator > 1."""
     L = catalog.get_algebra("psl22")
     cx = CochainComplex(L, adjoint(L), 3)
     res = cx.cohomology()
-    coeffs = [type(c) for n in range(4) for deg, _ in res.sector_table(n)
+    coeffs = [c for n in range(4) for deg, _ in res.sector_table(n)
               for g in cx.representatives(n, deg)
               for vec in g.values.values() for c in vec.values()]
-    assert coeffs and set(coeffs) <= {int, Fraction}
+    assert coeffs
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coeffs)
 
 
 def _delta_by_columns(L, V, n):
@@ -309,10 +395,12 @@ def _bracket_sum(L, N):
 
 @pytest.mark.parametrize("name", catalog.algebra_names())
 def test_sub_terms_equal_the_bracket_sum_of_the_formula(name):
-    """_sub_terms is the bracket part of both coboundary() and the assembled
-    blocks, so the two cannot check it against each other.  Levels 3-5 on
-    the small algebras, 3-4 on the others; every 8th monomial of a level
-    with more than 20,000 keeps sl33 and psl33 short."""
+    """_sub_terms is the bracket part of the assembled blocks, term by term
+    against the formula.  coboundary() pushes its bracket sum forward from
+    the support instead, and the blocks are compared with it column by
+    column at levels up to 6.  Levels 3-5 on the small algebras, 3-4 on the
+    others; every 8th monomial of a level with more than 20,000 keeps sl33
+    and psl33 short."""
     L = catalog.get_algebra(name)
     for n in (3, 4, 5) if L.dim < 10 else (3, 4):
         monos = exterior.basis(L.signs, n)
@@ -486,10 +574,12 @@ def test_default_path_never_enumerates_a_full_level(monkeypatch):
     assert calls["EpsLieAlgebra.monomials_by_degree"] == []
     reps = [cx.representatives(n, deg) for n in range(4) for deg, _ in res.sector_table(n)]
     assert len(reps) == 8 and all(reps)
+    # nor does verifying the representatives
+    assert calls["EpsLieAlgebra.monomials_by_degree"] == []
     assert calls["epslie.exterior.basis"] == []
     # only the side of K is laid out: the other side's sectors vanish
     assert layouts and all(weight_zero for _, weight_zero in layouts)
-    # the direct formula builds the table of a level once per algebra
+    # the direct formula pushes forward from the support: it lists no level
     P = EpsLieAlgebra(L.factor, L.labels, L.degrees, L.table)
     rng = random.Random(7)
     # drawn first: random_cochain walks exterior.basis, itself a
@@ -498,7 +588,7 @@ def test_default_path_never_enumerates_a_full_level(monkeypatch):
     count(exterior, "basis_by_degree")
     for g in cochains:
         coboundary(g)
-    assert calls["epslie.exterior.basis_by_degree"] == [2]
+    assert calls["epslie.exterior.basis_by_degree"] == []
 
 
 def test_cohomology_assembles_each_level_once_and_no_full_matrix(monkeypatch):
@@ -1052,6 +1142,30 @@ def test_representatives_are_verified():
     assert len(reps) == 1
     diff = cochain_sub(reps[0], cochain_scale(catalog.cocycle_g0(L), reps[0].values[(VP,)][0]))
     assert cx.coboundary_witness(diff) is not None
+
+
+@pytest.mark.parametrize("fake", ["coboundary", "repeat"])
+def test_representatives_refuse_a_combination_that_is_a_coboundary(monkeypatch, fake):
+    """H^1(gl(1|1), ad) has two classes in the sector 0 and delta^0 has rank
+    1 there.  Cocycles passed off as the kernel vectors of the free columns
+    (a coboundary each time, or the first kernel vector twice) keep the
+    count and the cocycle check, and fail the one rank of
+    [delta^0 | g_1 g_2] per sector."""
+    module = importlib.import_module("epslie.cohomology")
+    L = catalog.get_algebra("gl11")
+    cx = CochainComplex(L, adjoint(L), 1)
+    deg = L.group.zero()
+    assert cx.cohomology().levels[1][deg] == (3, 1, 2)
+    assert len(cx.representatives(1, deg)) == 2
+    if fake == "coboundary":
+        vec = next(col for col in cx.delta_sector(0, deg).columns() if col)
+    else:
+        piv_cols, piv_rows = cx.delta_sector(1, deg).rref()
+        free = min(set(range(cx.delta_sector(1, deg).cols)) - set(piv_cols))
+        vec = module.kernel_vector(piv_cols, piv_rows, free)
+    monkeypatch.setattr(module, "kernel_vector", lambda *args: dict(vec))
+    with pytest.raises(CochainError, match="is a coboundary"):
+        cx.representatives(1, deg)
 
 
 def test_cochain_vector_round_trip_and_degree_check():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from epslie.exactlin import (
     ShapeError,
     SpanTracker,
     rational,
+    rows_kernel,
     vec_axpy,
     vec_clean,
     vec_eq,
@@ -409,6 +411,28 @@ def test_indexed_rref_matches_the_scan_kernel(rows):
     assert [list(r) for r in got[1]] == [list(r) for r in want[1]]
 
 
+_int_row = st.dictionaries(st.integers(0, 7), st.integers(-6, 6).filter(bool), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_row, st.integers(-6, 6).filter(bool), _int_row,
+       st.one_of(st.just(1), st.integers(1, 6)))
+def test_combine_is_the_plain_formula(target, tval, pivot_row, pval):
+    """pval*target - tval*pivot_row with its content removed, as a new dict,
+    in particular for pval == 1, where target is copied, not scaled."""
+    snapshot = dict(target), dict(pivot_row)
+    want = {c: pval * target.get(c, 0) - tval * pivot_row.get(c, 0)
+            for c in list(target) + [c for c in pivot_row if c not in target]}
+    want = {c: v for c, v in want.items() if v}
+    g = 0
+    for v in want.values():
+        g = gcd(g, v)
+    got = _elim_py._combine(target, tval, pivot_row, pval)
+    assert got == {c: v // g for c, v in want.items()}
+    assert list(got) == list(want)
+    assert (target, pivot_row) == snapshot and got is not target
+
+
 @given(_int_rows())
 def test_of_rref_returns_rational_entries(rows):
     """An rref row scaled to 1 at its pivot holds rational() entries, equal
@@ -454,6 +478,19 @@ def test_rank_kernel_and_solve_agree_with_sympy(case):
         assert x is not None and vec_eq(m.apply(x), b)
     else:
         assert x is None
+
+
+@given(_rational_matrix())
+def test_kernel_and_solution_vectors_hold_rational_entries(case):
+    """kernel_basis, rows_kernel and image_membership return rational()
+    entries: the kernel vectors lie in the kernel and the solution solves."""
+    m, b = case
+    kernel = m.kernel_basis()
+    assert kernel == rows_kernel(m.row_dicts(), m.cols)
+    for v in kernel:
+        assert _rational_entries(v) and not m.apply(v)
+    x = m.image_membership(b)
+    assert x is None or (_rational_entries(x) and vec_eq(m.apply(x), b))
 
 
 def test_rref_determinism():

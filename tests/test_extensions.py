@@ -203,9 +203,9 @@ def _sl_trace_free_columns(n):
     cols = []
     for v in preps:
         w = dict(v)
-        vec_axpy(w, -tr(v) / (2 * n), ivec)
+        vec_axpy(w, Fraction(-tr(v), 2 * n), ivec)
         cols.append(w)
-    center = {k: c / (2 * n) for k, c in ivec.items()}
+    center = {k: Fraction(c, 2 * n) for k, c in ivec.items()}
     return SL, cols, center
 
 
@@ -273,10 +273,10 @@ def test_cocycle_from_section():
     gref = catalog.trace_cocycle_psl(n)
     k0 = proj.kernel_basis()[0]
     some = next(iter(k0))
-    beta = k0[some] / ivec[some]
+    beta = Fraction(k0[some], ivec[some])
     # values agree after rescaling by the kernel-basis normalization
     for mono, vec in gref.values.items():
-        assert g2.values.get(mono, {}).get(0, Fraction(0)) * beta == vec[0] / (2 * n)
+        assert g2.values.get(mono, {}).get(0, 0) * beta == Fraction(vec[0], 2 * n)
     assert set(g2.values) == set(gref.values)
 
 

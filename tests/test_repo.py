@@ -227,6 +227,23 @@ def test_engine_never_calls_the_reference_boundaries():
     assert calls == []
 
 
+def test_coboundary_pushes_forward_without_listing_a_sector():
+    """cohomology.coboundary follows the support of its cochain and shares
+    no code with the assembly: it calls neither the assembly's bracket sum
+    _sub_terms nor the sector and level listings."""
+    tree = next(tree for name, tree in _trees(os.path.join("src", "epslie"))
+                if name == "cohomology.py")
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "coboundary")
+    called = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    assert called & {"_sub_terms", "_sector_monomials", "monomials_by_degree"} == set()
+    assert "canonicalize" in called  # the walk above sees the calls
+
+
 def test_every_true_division_is_exact():
     """The left operand of each / in the engine is ONE or a Fraction(...)
     call, and no /= is written, so no division of two ints, which yields a
