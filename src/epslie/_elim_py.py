@@ -3,15 +3,25 @@
 Rows are sparse dicts {column: int} with no stored zeros.  Elimination is
 integer cross-multiplication followed by content removal, which keeps every
 intermediate value exact and controls coefficient growth on the sparse
-+-1-dominated matrices this package produces.
++-1-dominated matrices this package produces.  The two multipliers are
+divided by their gcd first; the row that results is the same once its
+content is removed.
 
 Pivoting is Markowitz-style and fully deterministic: the pivot row is the
 shortest live row, ties broken by row index; its pivot column is the one
 with the smallest (live column count, bit length of the entry, column).
-Two indexes keep each step from rescanning every live row: a lazy heap of
-(row length, row index) finds the pivot row, and a column -> row-index list
-finds the rows holding the pivot column.  Both may hold stale entries,
-which are skipped when read.
+Three structures keep each step from rescanning every row:
+
+- a lazy heap of (row length, row index) finds the pivot row;
+- a column -> row-index list finds the rows holding the pivot column, both
+  the live rows and the rows finished before it, which are cleared there
+  too.  A row is added to a column's list when it gains that column,
+  whether live or finished, so the list may hold a row twice, or a row
+  that has since lost the column or died;
+- the live column counts are updated only at the pivot row's columns:
+  away from them pval*row - tval*prow holds the columns of row.
+
+Stale heap and list entries are skipped when read.
 """
 
 from heapq import heapify, heappop, heappush
@@ -20,17 +30,8 @@ from math import gcd
 BACKEND = "python"
 
 
-def _content(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 def _strip_normalize(row):
-    g = _content(row)
+    g = gcd(*row.values())
     if g > 1:
         for c in row:
             row[c] //= g
@@ -39,6 +40,8 @@ def _strip_normalize(row):
 
 def _combine(target, tval, pivot_row, pval):
     """Return pval*target - tval*pivot_row, content-normalized."""
+    g = gcd(pval, tval)
+    pval, tval = pval // g, tval // g
     out = dict(target) if pval == 1 else {c: pval * v for c, v in target.items()}
     for c, v in pivot_row.items():
         w = out.get(c, 0) - tval * v
@@ -64,31 +67,27 @@ def rref(rows):
         if row:
             work.append(_strip_normalize(row))
     alive = [True] * len(work)
-    col_count = {}
-    # col_rows[c] lists every live row holding column c, perhaps twice, and
-    # perhaps rows that have since lost c or died.
     col_rows = {}
     for i, row in enumerate(work):
         for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
             col_rows.setdefault(c, []).append(i)
+    col_count = {c: len(held) for c, held in col_rows.items()}
     # Every live row has an entry (len(row), i) with its current length.
     heap = [(len(row), i) for i, row in enumerate(work)]
     heapify(heap)
 
-    finished = []  # list of (piv_col, row)
+    finished = []  # (piv_col, row index)
     while heap:
         length, best = heappop(heap)
         prow = work[best]
         if not alive[best] or len(prow) != length:
             continue
         alive[best] = False
-        for c in prow:
-            col_count[c] -= 1
         pcol = None
         pkey = None
         for c, v in prow.items():
-            key = (col_count[c], (v if v > 0 else -v).bit_length(), c)
+            n = col_count[c] = col_count[c] - 1
+            key = (n, (v if v > 0 else -v).bit_length(), c)
             if pkey is None or key < pkey:
                 pkey = key
                 pcol = c
@@ -97,28 +96,45 @@ def rref(rows):
                 prow[c] = -prow[c]
         pval = prow[pcol]
 
-        # After this step no live row holds pcol, and none regains it.
+        # After this step no row but prow holds pcol, and none regains it.
         for i in sorted(set(col_rows.pop(pcol))):
             row = work[i]
-            if not alive[i] or pcol not in row:
+            tval = row.get(pcol)
+            if tval is None or i == best:
                 continue
-            for c in row:
-                col_count[c] -= 1
-            new = _combine(row, row[pcol], prow, pval)
+            if not alive[i]:
+                new = work[i] = _combine(row, tval, prow, pval)
+                for c in prow:
+                    if c in new and c not in row:
+                        col_rows[c].append(i)
+                continue
+            g = gcd(pval, tval)
+            pv, tv = pval // g, tval // g
+            new = dict(row) if pv == 1 else {c: pv * v for c, v in row.items()}
+            for c, v in prow.items():
+                w = new.get(c)
+                if w is None:
+                    new[c] = -tv * v
+                    col_count[c] += 1
+                    col_rows[c].append(i)
+                else:
+                    w -= tv * v
+                    if w:
+                        new[c] = w
+                    else:
+                        del new[c]
+                        col_count[c] -= 1
             work[i] = new
             if new:
-                for c in new:
-                    col_count[c] = col_count.get(c, 0) + 1
-                    if c not in row:
-                        col_rows[c].append(i)
+                g = gcd(*new.values())
+                if g > 1:
+                    for c in new:
+                        new[c] //= g
                 if len(new) != len(row):
                     heappush(heap, (len(new), i))
             else:
                 alive[i] = False
-        for k, (fc, frow) in enumerate(finished):
-            if pcol in frow:
-                finished[k] = (fc, _combine(frow, frow[pcol], prow, pval))
-        finished.append((pcol, prow))
+        finished.append((pcol, best))
 
-    finished.sort(key=lambda t: t[0])
-    return [t[0] for t in finished], [t[1] for t in finished]
+    finished.sort()
+    return [c for c, _ in finished], [work[i] for _, i in finished]

@@ -340,14 +340,29 @@ def test_elimination_preserves_the_row_space():
         assert original.basis() == reduced.basis()
 
 
-def _scan_rref(rows, full=True):
+def _plain_combine(target, tval, pivot_row, pval):
+    """pval*target - tval*pivot_row with its content removed, entries in
+    the order of target and then of pivot_row."""
+    out = {c: pval * target.get(c, 0) - tval * pivot_row.get(c, 0)
+           for c in list(target) + [c for c in pivot_row if c not in target]}
+    return _primitive({c: v for c, v in out.items() if v})
+
+
+def _primitive(row):
+    """row divided by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    return {c: v // g for c, v in row.items()}
+
+
+def _scan_rref(rows):
     """Reference copy of the kernel before it was indexed: each step scans
-    every live row for the pivot row and again for the rows to eliminate."""
-    work = []
-    for r in rows:
-        row = {c: v for c, v in r.items() if v}
-        if row:
-            work.append(_elim_py._strip_normalize(row))
+    every live row for the pivot row and again for the rows to eliminate,
+    recounts the columns of every row it changes, and scans every finished
+    row for the pivot column."""
+    work = [_primitive({c: v for c, v in r.items() if v}) for r in rows]
+    work = [row for row in work if row]
     alive = [True] * len(work)
     col_count = {}
     for row in work:
@@ -372,20 +387,30 @@ def _scan_rref(rows, full=True):
                 continue
             for c in row:
                 col_count[c] -= 1
-            new = _elim_py._combine(row, row[pcol], prow, pval)
+            new = _plain_combine(row, row[pcol], prow, pval)
             work[i] = new
             for c in new:
                 col_count[c] = col_count.get(c, 0) + 1
             if not new:
                 alive[i] = False
                 n_alive -= 1
-        if full:
-            for k, (fc, frow) in enumerate(finished):
-                if pcol in frow:
-                    finished[k] = (fc, _elim_py._combine(frow, frow[pcol], prow, pval))
+        for k, (fc, frow) in enumerate(finished):
+            if pcol in frow:
+                finished[k] = (fc, _plain_combine(frow, frow[pcol], prow, pval))
         finished.append((pcol, prow))
     finished.sort(key=lambda t: t[0])
     return [t[0] for t in finished], [t[1] for t in finished]
+
+
+def _assert_same_rref(rows):
+    """The kernel returns the scan kernel's pivots, rows and entry order,
+    and leaves its input as it was."""
+    snapshot = [dict(r) for r in rows]
+    got = _elim_py.rref(rows)
+    assert rows == snapshot
+    want = _scan_rref(snapshot)
+    assert got == want
+    assert [list(r) for r in got[1]] == [list(r) for r in want[1]]
 
 
 @st.composite
@@ -397,18 +422,56 @@ def _int_rows(draw):
     return draw(st.lists(row, max_size=draw(st.sampled_from([6, 40]))))
 
 
+_A, _B, _C = {0: 1, 1: -1, 2: 2}, {1: 1, 3: -1}, {0: 2, 3: 1, 4: 1}
+
+
+def _sum(*terms):
+    out = {}
+    for k, row in terms:
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + k * v
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(_int_rows())
 # Row 3 loses column 2 against the pivot row 0 and regains it from row 1.
 @example([{1: 2, 2: -1}, {0: 1, 1: -1}, {1: 2, 3: 2}, {0: 2, 1: 2, 2: -1, 3: 1}])
+# Row 0 finishes at column 2; clearing its column 0 against row 1 gives it
+# column 1, where row 2 then pivots and must clear it.
+@example([{0: 2, 2: -1}, {0: -2, 1: -2}, {1: -2, 2: 2}])
+# The pivot entry of row 0 is negative, so the row is negated.
+@example([{0: -1, 1: 2}, {0: 3, 1: 1, 2: 1}, {1: -4, 2: 2}])
+# Above 2**64, with equal column counts, bit length decides: column 1
+# (66 bits) before column 0 (71 bits).
+@example([{0: 2**70 + 1, 1: -(2**65) - 3}, {0: 3, 1: 1, 2: 1}, {2: 2**64, 3: -1}])
+# Tall: repeated and dependent rows of a rank-3 span, most of them dying.
+@example([_A, _B, _A, _sum((2, _A)), _sum((1, _A), (1, _B)), _C, _sum((-1, _C)), _B,
+          _sum((1, _A), (-1, _C)), _sum((3, _B)), _sum((2, _A), (-3, _B), (1, _C)), _C])
 def test_indexed_rref_matches_the_scan_kernel(rows):
     """Same pivots, same rows and the same entry order as the scan kernel."""
-    snapshot = [dict(r) for r in rows]
-    got = _elim_py.rref(rows)
-    assert rows == snapshot  # inputs are not mutated
-    want = _scan_rref(snapshot)
-    assert got == want
-    assert [list(r) for r in got[1]] == [list(r) for r in want[1]]
+    _assert_same_rref(rows)
+
+
+@pytest.mark.parametrize("alg, mod, nmax, largest", [
+    ("psl22", "adjoint", 3, (494, 192)), ("sl12", "trivial", 4, (52, 34)),
+])
+def test_indexed_rref_matches_the_scan_kernel_on_real_blocks(alg, mod, nmax, largest):
+    """Every nonzero K-side block of delta(n), n <= nmax: up to hundreds of
+    rows, so stale heap and column-list entries pile up as they never do
+    on a few columns."""
+    from epslie import catalog
+    from epslie.cohomology import CochainComplex
+
+    L = catalog.get_algebra(alg)
+    cx = CochainComplex(L, catalog.get_module(L, alg, mod), nmax)
+    shapes = []
+    for n in range(nmax + 1):
+        for block in cx._blocks(n, True).values():
+            if block.entries:
+                shapes.append((block.rows, block.cols))
+                _assert_same_rref(block._int_rows())
+    assert max(shapes) == largest
 
 
 _int_row = st.dictionaries(st.integers(0, 7), st.integers(-6, 6).filter(bool), max_size=6)

@@ -244,6 +244,24 @@ def test_coboundary_pushes_forward_without_listing_a_sector():
     assert "canonicalize" in called  # the walk above sees the calls
 
 
+def test_only_exactlin_imports_the_elimination_kernel():
+    """One elimination kernel, reached through exactlin: no other engine
+    module imports _elim_py, so every elimination goes through the one
+    name the benchmark's tracer wraps, exactlin._elim.rref."""
+    importers = []
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_elim_py" for n in names):
+                importers.append(name)
+    assert importers == ["exactlin.py"]
+
+
 def test_every_true_division_is_exact():
     """The left operand of each / in the engine is ONE or a Fraction(...)
     call, and no /= is written, so no division of two ints, which yields a
