@@ -229,7 +229,18 @@ class EpsLieAlgebra:
     # ------------------------------------------------------------------ checks
 
     def validate(self):
-        """Exact check of homogeneity, skew-symmetry and the Jacobi identity."""
+        """Exact check of homogeneity, skew-symmetry and the Jacobi identity.
+
+        Jacobi is checked as the adjoint derivation identity
+            <e_i,<e_j,e_k>> = <<e_i,e_j>,e_k> + eps(i,j) <e_j,<e_i,e_k>>
+        on every (i, j, k >= j).  With homogeneous brackets and
+        <e_a,e_b> = -eps(a,b) <e_b,e_a>, its defect is, up to sign, the
+        eps-Jacobiator, which is eps-alternating: it vanishes on every such
+        triple iff it vanishes on the sorted ones, i <= j <= k.  So the
+        sorted triples are checked first, up to the first failure, and the
+        full listing runs, to report every failing triple, only when that
+        pass fails or a homogeneity or skew-symmetry problem was noted.
+        """
         rep = ValidationReport()
         g = self.group
         for (i, j), vec in sorted(self.table.items()):
@@ -249,8 +260,19 @@ class EpsLieAlgebra:
                     (self.labels[i], self.labels[i]),
                     "even element with nonzero self-bracket",
                 )
-        # Jacobi on every (i, j, k >= j):
-        #   <e_i,<e_j,e_k>> = <<e_i,e_j>,e_k> + eps(i,j) <e_j,<e_i,e_k>>.
+        if rep.problems or next(self._jacobi_failures(sorted_only=True), None):
+            for i, j, k in self._jacobi_failures(sorted_only=False):
+                rep.note(
+                    "jacobi",
+                    (self.labels[i], self.labels[j], self.labels[k]),
+                    "adjoint derivation identity fails",
+                )
+        return rep
+
+    def _jacobi_failures(self, sorted_only):
+        """The triples (i, j, k), k >= j, on which the adjoint derivation
+        identity of validate fails, in order; with sorted_only, only those
+        with j >= i.  A generator, so that a caller may stop at the first."""
         # Only nonzero structure constants are joined: row[a][b] and col[b][a]
         # are the terms of <e_a,e_b>; made[m] holds (j, k, c), j <= k, with c
         # the coefficient of e_m in <e_j,e_k>.
@@ -269,32 +291,31 @@ class EpsLieAlgebra:
                 e = -self.signs[b][a]
                 row[b][a] = col[a][b] = [(m, e * c) for m, c in terms]
         for i in range(n):
+            lo = i if sorted_only else 0  # the least j of a checked triple
             sign = self.signs[i]
             defect = {}  # (j, k, p) -> coefficient of e_p in lhs - rhs
             for m, t in row[i].items():
                 for j, k, c in made[m]:
-                    for p, x in t:
-                        defect[(j, k, p)] = defect.get((j, k, p), 0) + c * x
+                    if j >= lo:
+                        for p, x in t:
+                            defect[(j, k, p)] = defect.get((j, k, p), 0) + c * x
             for j, t in row[i].items():
-                for m, a in t:
-                    for k, u in row[m].items():
-                        if k >= j:
-                            for p, x in u:
-                                defect[(j, k, p)] = defect.get((j, k, p), 0) - a * x
+                if j >= lo:
+                    for m, a in t:
+                        for k, u in row[m].items():
+                            if k >= j:
+                                for p, x in u:
+                                    defect[(j, k, p)] = defect.get((j, k, p), 0) - a * x
             for k, t in row[i].items():
-                for m, a in t:
-                    for j, u in col[m].items():
-                        if j <= k:
-                            s = sign[j] * a
-                            for p, x in u:
-                                defect[(j, k, p)] = defect.get((j, k, p), 0) - s * x
+                if k >= lo:
+                    for m, a in t:
+                        for j, u in col[m].items():
+                            if lo <= j <= k:
+                                s = sign[j] * a
+                                for p, x in u:
+                                    defect[(j, k, p)] = defect.get((j, k, p), 0) - s * x
             for j, k in sorted({(j, k) for (j, k, _), v in defect.items() if v}):
-                rep.note(
-                    "jacobi",
-                    (self.labels[i], self.labels[j], self.labels[k]),
-                    "adjoint derivation identity fails",
-                )
-        return rep
+                yield i, j, k
 
     # -------------------------------------------------------------- structure
 

@@ -12,26 +12,35 @@ r-values and vice versa; it is equivalent to the vanishing of every Q_s.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .grading import Record
 
 
 class WeightError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GlWeight:
-    m: int
-    n: int
-    L: tuple
+def _coordinate(x):
+    """x as an exact Fraction; an int or a Fraction only, never a float, a
+    bool or a string."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise WeightError("weight coordinate %r is not an int or a Fraction" % (x,))
+    return Fraction(x)
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+
+class GlWeight(Record):
+    """A weight of gl(m|n) by its coordinates L on the diagonal Cartan basis,
+    kept as Fractions."""
+
+    __slots__ = ("m", "n", "L")
+
+    def __init__(self, m, n, L):
+        if m < 1 or n < 1:
             raise WeightError("need m, n >= 1")
-        if len(self.L) != self.m + self.n:
-            raise WeightError("weight needs %d coordinates" % (self.m + self.n))
-        object.__setattr__(self, "L", tuple(Fraction(x) for x in self.L))
+        if len(L) != m + n:
+            raise WeightError("weight needs %d coordinates" % (m + n))
+        self._set(m=m, n=n, L=tuple(map(_coordinate, L)))
 
 
 def sigma(m, n, i):
@@ -109,7 +118,7 @@ def enumerate_family(m, n, branch=None, free=()):
             plateau L_{m+1+h} = ... = L_{n+h} = -(m-h).
     The output is verified: dominant, sum zero, all Casimirs vanish.
     """
-    free = [Fraction(x) for x in free]
+    free = [_coordinate(x) for x in free]
     if m == n:
         if len(free) != m:
             raise WeightError("need the %d top coordinates" % m)
@@ -179,8 +188,8 @@ def sl12_highest_weight(b, q):
     """Distinguished-Borel coordinates of the sl(1|2) module labelled (b, q)
     in the odd-simple-root convention (one odd reflection when b != q):
     returns the (m, n) = (1, 2) weight with coordinates (-2b', b'+q', b'-q')."""
-    b = Fraction(b)
-    q = Fraction(q)
+    b = _coordinate(b)
+    q = _coordinate(q)
     if b != q:
         b, q = b - Fraction(1, 2), q - Fraction(1, 2)
     return GlWeight(1, 2, (-2 * b, b + q, b - q))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 Degree = tuple  # integer tuple; length = free_rank + number of torsion coords
 
@@ -26,17 +25,52 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradingGroup:
+class Record:
+    """An immutable value: equal (to a record of its own class only) and
+    hashed by its fields, the names in __slots__, in order.  A constructor
+    sets each field once through _set; assigning a field afterwards raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class GradingGroup(Record):
     """Finitely generated abelian group Z^free_rank x Z_t1 x ... x Z_tk."""
 
-    free_rank: int = 0
-    torsion_orders: tuple = ()
+    __slots__ = ("free_rank", "torsion_orders")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank=0, torsion_orders=()):
+        if free_rank < 0:
             raise GradingError("free_rank must be >= 0")
-        object.__setattr__(self, "torsion_orders", tuple(self.torsion_orders))
+        self._set(free_rank=free_rank, torsion_orders=tuple(torsion_orders))
         if any(t < 2 for t in self.torsion_orders):
             raise GradingError("torsion orders must be >= 2")
 
@@ -95,21 +129,19 @@ def super_group() -> GradingGroup:
     return GradingGroup(0, (2,))
 
 
-@dataclass(frozen=True)
-class CommutationFactor:
+class CommutationFactor(Record):
     """eps(a, b) = (-1)^(a^T B b) with B symmetric mod 2 and even on every
-    coordinate of odd torsion order, so that eps is a bicharacter."""
+    coordinate of odd torsion order, so that eps is a bicharacter.  The form
+    is a tuple of row tuples of ints; None gives the zero form."""
 
-    group: GradingGroup
-    form: tuple = None  # tuple of row tuples, ints
+    __slots__ = ("group", "form")
 
-    def __post_init__(self):
-        n = self.group.ncoords
-        if self.form is None:
-            object.__setattr__(self, "form", tuple((0,) * n for _ in range(n)))
-        else:
-            object.__setattr__(self, "form", tuple(tuple(row) for row in self.form))
-        B = self.form
+    def __init__(self, group, form=None):
+        n = group.ncoords
+        if form is None:
+            form = ((0,) * n for _ in range(n))
+        B = tuple(tuple(row) for row in form)
+        self._set(group=group, form=B)
         if any(type(x) is not int for row in B for x in row):
             raise GradingError("form %r has an entry that is not an int" % (B,))
         if len(B) != n or any(len(row) != n for row in B):

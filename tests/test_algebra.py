@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epslie import catalog, extensions
 from epslie.algebra import (
@@ -160,6 +160,82 @@ def _perturbed_table(draw):
 @given(_perturbed_table())
 def test_validate_matches_the_reference_loop_on_perturbed_tables(A):
     assert A.validate().problems == reference_validate(A).problems
+
+
+def _odd_square(c):
+    """A Lie superalgebra for c = 1: x, y odd; z, u, w even; <x,z> = y,
+    <x,y> = w, <x,x> = 2u, <u,z> = c w.  Any other c breaks Jacobi only on
+    the sorted triple (x, x, z), whose repeated element is odd."""
+    x, y, z, u, w = range(5)
+    table = {(x, z): {y: 1}, (x, y): {w: 1}, (x, x): {u: 2}, (u, z): {w: c}}
+    return EpsLieAlgebra(super_factor(), "xyzuw", [(1,), (1,), (0,), (0,), (0,)], table)
+
+
+def test_odd_square_fails_only_on_a_repeated_odd_element():
+    assert _odd_square(1).validate().ok
+    A = _odd_square(3)
+    assert list(A._jacobi_failures(sorted_only=True)) == [(0, 0, 2)]
+    assert [p[1] for p in A.validate().problems] == [("x", "x", "z"), ("z", "x", "x")]
+
+
+def test_catalog_and_covering_never_run_the_full_jacobi_listing(monkeypatch):
+    """validate lists every (i, j, k >= j) only after the sorted triples or
+    a sign rule failed: building psl(3|3) and psl(2|2) and the covering of
+    psl(2|2) checks each algebra with one sorted pass."""
+    calls = []
+    failures = EpsLieAlgebra._jacobi_failures
+
+    def recorded(self, sorted_only):
+        calls.append((self.dim, sorted_only))
+        return failures(self, sorted_only)
+
+    monkeypatch.setattr(EpsLieAlgebra, "_jacobi_failures", recorded)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    catalog.get_algebra("psl33")
+    extensions.universal_covering(catalog.psl_nn(2))
+    # sl(3|3), psl(3|3), sl(2|2), psl(2|2), then E and the covering
+    assert calls == [(d, True) for d in (35, 34, 15, 14, 31, 17)]
+
+
+@st.composite
+def _recoefficiented_table(draw):
+    """A valid table with one to three of its terms given new coefficients
+    (any rational, zero included).  The brackets stay homogeneous and even
+    self-brackets stay zero, so the sorted triples decide Jacobi."""
+    if draw(st.booleans()):
+        L = catalog.get_algebra(draw(st.sampled_from(_PERTURBED)))
+    else:
+        L = _odd_square(1)
+    table = {key: dict(vec) for key, vec in L.table.items()}
+    terms = sorted((key, k) for key, vec in table.items() for k in vec)
+    for _ in range(draw(st.integers(1, 3))):
+        key, k = draw(st.sampled_from(terms))
+        table[key][k] = draw(_coeff)
+    return EpsLieAlgebra(L.factor, L.labels, L.degrees, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recoefficiented_table())
+@example(_odd_square(2))
+def test_validate_matches_the_reference_loop_on_recoefficiented_tables(A):
+    assert A.validate().problems == reference_validate(A).problems
+
+
+@pytest.mark.parametrize("degrees, table", [
+    # inhomogeneous <a,a>, <a,b> and <b,c>
+    ([(1,), (0,), (1,)], {(0, 0): {2: -1}, (0, 1): {1: 1}, (1, 2): {1: 2}}),
+    # the even self-bracket <a,a> = b
+    ([(0,), (0,), (0,)], {(0, 0): {1: 1}, (0, 2): {0: 1}}),
+])
+def test_validate_lists_every_triple_after_a_sign_rule_fails(degrees, table):
+    """Without homogeneity or skew-symmetry the Jacobi defect need not be
+    eps-alternating: these tables pass on the sorted triples and fail on
+    others, which validate still reports."""
+    A = EpsLieAlgebra(super_factor(), "abc", degrees, table)
+    assert next(A._jacobi_failures(sorted_only=True), None) is None
+    problems = A.validate().problems
+    assert "jacobi" in {kind for kind, _, _ in problems}
+    assert problems == reference_validate(A).problems
 
 
 def test_validate_makes_no_bracket_calls(monkeypatch):

@@ -162,3 +162,28 @@ def test_sl12_translation_sum_zero():
     for b, q in ((H, H), (Fraction(3), H), (0, Fraction(2))):
         w = sl12_highest_weight(b, q)
         assert sum(w.L) == 0
+
+
+def test_weights_are_values():
+    w = GlWeight(2, 1, (3, H, -4))
+    assert w == GlWeight(2, 1, [Fraction(3), H, -4]) and hash(w) == hash(GlWeight(2, 1, (3, H, -4)))
+    assert w != GlWeight(1, 2, (3, H, -4)) and w != (2, 1, w.L) and w != w.L
+    for field in ("m", "n", "L"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, getattr(w, field))
+    assert repr(w) == "GlWeight(m=2, n=1, L=(Fraction(3, 1), Fraction(1, 2), Fraction(-4, 1)))"
+    assert w.L == (3, H, -4) and all(type(x) is Fraction for x in w.L)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", True, None])
+def test_weight_coordinates_are_ints_or_fractions(bad):
+    """A float, a string or a bool is refused as a weight coordinate, never
+    read through Fraction()."""
+    with pytest.raises(WeightError):
+        GlWeight(1, 1, (bad, 0))
+    with pytest.raises(WeightError):
+        sl12_highest_weight(bad, H)
+    with pytest.raises(WeightError):
+        sl12_highest_weight(0, bad)
+    with pytest.raises(WeightError):
+        enumerate_family(1, 1, free=(bad,))

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -206,3 +208,29 @@ def test_sign_table_is_eps_entry_by_entry(case):
     assert factor.sign_table(left, right) == [
         [factor.eps(a, b) for b in right] for a in left
     ]
+
+
+def test_groups_and_factors_are_values():
+    """Equal by value (and then of equal hash), never equal to a tuple or to
+    a record of another class, immutable, and printed field by field."""
+    g = GradingGroup(0, (2,))
+    assert g == GradingGroup(torsion_orders=[2]) and hash(g) == hash(GradingGroup(0, (2,)))
+    assert g != GradingGroup(1, (2,)) and g != (0, (2,)) and g != super_factor()
+    f = super_factor()
+    assert f == CommutationFactor(GradingGroup(0, (2,)), [[1]])
+    assert hash(f) == hash(CommutationFactor(g, ((1,),)))
+    assert f != CommutationFactor(g) and f != (g, ((1,),)) and f != g
+    assert len({g, GradingGroup(0, (2,)), GradingGroup()}) == 2
+    for record, field in ((g, "free_rank"), (g, "torsion_orders"), (f, "form"), (f, "group")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert repr(g) == "GradingGroup(free_rank=0, torsion_orders=(2,))"
+    assert repr(f) == ("CommutationFactor(group=GradingGroup(free_rank=0, torsion_orders=(2,)), "
+                       "form=((1,),))")
+    assert repr(trivial_factor(1)) == (
+        "CommutationFactor(group=GradingGroup(free_rank=1, torsion_orders=()), form=((0,),))")
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f

@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -353,3 +354,16 @@ def test_every_public_engine_name_is_referenced():
                         and node.value.id in aliases):
                     used.add((aliases[node.value.id], node.attr))
     assert sorted("%s.%s" % d for d in defined - used) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Set-up is paid by every process: importing the command line loads
+    neither dataclasses nor inspect, which it pulls in (with ast, dis and
+    tokenize).  -S keeps site hooks from loading modules of their own."""
+    probe = ("import sys; import epslie.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
