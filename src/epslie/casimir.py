@@ -8,8 +8,8 @@ matrices), and those two are all the vanishing criterion and its homotopy
 operator need.  Forms are solved on the monomials of inner weight zero only:
 an inner torus element (gmodule.inner_torus) acts on every other monomial
 as a nonzero scalar, so an invariant form vanishes there.  The homotopy
-identity is checked one degree sector of the cochain complex at a time, in
-its sector-local positions.
+identity is checked one degree sector of the cochain complex at a time, on
+the blocks CochainComplex.sector_map builds from row rules.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cohomology import CochainComplex
-from .exactlin import RationalSparseMatrix, ShapeError, rational, rows_kernel
+from .exactlin import RationalSparseMatrix, rational, rows_kernel
 from .exterior import arrangements, canonicalize
 from .gmodule import (
     GradedModule,
@@ -51,7 +51,7 @@ class InvariantForm:
         self.degree = degs.pop() if degs else g.zero()
 
     def __call__(self, *indices):
-        return self.values.get(tuple(indices), Fraction(0))
+        return self.values.get(tuple(indices), 0)
 
     def is_zero(self):
         return not self.values
@@ -195,59 +195,36 @@ def vanishing_witness(L, V, candidate_forms=None):
     return None
 
 
-def _sector_matrix(cx: CochainComplex, n, deg, m, eta, images):
-    """Matrix of a map from the sector deg of C^n to the sector deg + eta of
-    C^m; images(M, w) yields the terms ((N, w2), coefficient) of the image of
-    the basis cochain (M, w).  A term outside the target sector raises
-    ShapeError, as the assembly of the coboundary blocks does."""
-    pairs = cx.sector(n, deg)[0]
-    target = cx.algebra.group.add(deg, eta)
-    rows, at = cx.sector(m, target)
-    ent = {}
-    for col, (M, w) in enumerate(pairs):
-        for pair, c in images(M, w):
-            row = at.get(pair)
-            if row is None:
-                raise ShapeError("entry %s of column %d leaves the sector %s" % (pair, col, target))
-            ent[(row, col)] = ent.get((row, col), 0) + c
-    return RationalSparseMatrix(len(rows), len(pairs), ent)
-
-
 def homotopy_matrix(C: CasimirOperator, cx: CochainComplex, n, deg):
     """Matrix of the contracting map built from the partial operators,
-    (d_n g)(A_2..A_n) = sum_i eps(eps_i, gamma) C_i . g(E_i, A_2..), from the
-    sector gamma = deg of C^n to the sector gamma + eta of C^{n-1}, with eta
-    the degree of C_V."""
+    (d_n g)(T) = sum_i eps(a_i, gamma) C_i . g(E_i, T), from the sector
+    gamma = deg of C^n to the sector gamma + eta of C^{n-1}, with eta the
+    degree of C_V.  Its row at T reads g at the monomial that (i,) + T
+    canonicalizes to; eps(a_i, gamma) is taken once per index."""
     if n < 1:
         raise CasimirError("homotopy operator needs n >= 1")
     L = cx.algebra
-    V = cx.module
-    partials = [part.columns() for part in C.partials]
+    partials = [part.row_dicts() for part in C.partials]
+    eps = [L.factor.eps(a, deg) for a in L.degrees]
 
-    def images(mono, w):
-        for r, i in enumerate(mono):
-            col = partials[i][w]
-            # a repeated index leaves the same T
-            if not col or (r and mono[r - 1] == i):
-                continue
-            T = mono[:r] + mono[r + 1 :]
-            # (i,) + T canonicalizes to mono; eps(a_i, gamma) for
-            # gamma = deg v_w - deg mono is V.signs[i][w] * prod_{t in mono} L.signs[i][t]
-            sg = canonicalize(L.signs, (i,) + T)[0] * V.signs[i][w]
-            for t in mono:
-                sg *= L.signs[i][t]
-            for w2, c in col.items():
-                yield (T, w2), sg * c
+    def rows(T, w2):
+        for i, part in enumerate(partials):
+            row = part[w2]
+            if row:
+                sg, M = canonicalize(L.signs, (i,) + T)
+                if sg:
+                    for w, c in row.items():
+                        yield (M, w), eps[i] * sg * c
 
-    return _sector_matrix(cx, n, deg, n - 1, C.degree, images)
+    return cx.sector_map(n, deg, n - 1, C.degree, rows)
 
 
 def casimir_cochain_matrix(C: CasimirOperator, cx: CochainComplex, n, deg):
     """Matrix of g -> C_V . g from the sector deg of C^n to the sector
-    deg + eta, with eta the degree of C_V."""
-    op = C.operator.columns()
-    return _sector_matrix(cx, n, deg, n, C.degree,
-                          lambda M, w: (((M, w2), c) for w2, c in op[w].items()))
+    deg + eta, with eta the degree of C_V: the rows of C_V."""
+    op = C.operator.row_dicts()
+    return cx.sector_map(n, deg, n, C.degree,
+                         lambda N, w2: (((N, w), c) for w, c in op[w2].items()))
 
 
 def verify_homotopy_identity(C: CasimirOperator, cx: CochainComplex, n):

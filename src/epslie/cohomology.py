@@ -41,8 +41,8 @@ sector gamma + alpha:
                     - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
                             g(A_1,..,<A,A_r>,..,A_n).
 
-_theta builds its block once; act applies it to each component, and
-invariant_cochains stacks the blocks and solves one sector at a time.
+_theta gives it as a row rule: act reads its rows on the target monomials,
+and invariant_cochains solves the blocks CochainComplex.sector_map makes.
 
 Most sectors are zero by the Cartan formula theta_x = d i_x + i_x d, where
 theta_x is the action of x and i_x the insertion.  It holds unchanged for
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm, prod
 
 from . import exterior
@@ -91,6 +91,7 @@ from .exactlin import (
     rational,
     vec_axpy,
     vec_clean,
+    vec_rational,
     vec_scale,
 )
 from .gmodule import GradedModule, intertwiner_defect, tensor, torus_weight
@@ -124,12 +125,12 @@ class Cochain:
 
 
 def make_cochain(L, V, level, values):
-    """Clean the value table and infer the degree (None when mixed)."""
+    """Store the values through vec_rational and infer the degree (None when mixed)."""
     g = L.group
     vals = {}
     degset = set()
     for mono, vec in values.items():
-        vec = vec_clean(vec)
+        vec = vec_rational(vec)
         if not vec:
             continue
         vals[tuple(mono)] = vec
@@ -138,16 +139,6 @@ def make_cochain(L, V, level, values):
             degset.add(g.sub(V.degrees[w], md))
     degree = degset.pop() if len(degset) == 1 else None
     return Cochain(L, V, level, vals, degree)
-
-
-def _from_pairs(L, V, level, pairs, vec):
-    """The cochain with coefficient vec[k] at the basis cochain pairs[k] = (M, w)."""
-    vals = {}
-    for k, c in vec.items():
-        if c:
-            M, w = pairs[k]
-            vals.setdefault(M, {})[w] = c
-    return make_cochain(L, V, level, vals)
 
 
 def zero_cochain(L, V, level, degree=None):
@@ -242,12 +233,6 @@ def _sub_terms(signs, brackets, N):
     return out
 
 
-def _level_degrees(L, V, n):
-    """The sorted degrees of the sectors of C^n(L, V)."""
-    gr = L.group
-    return sorted({gr.sub(d, md) for md in L.monomials_by_degree(n) for d in set(V.degrees)})
-
-
 def _sector_monomials(L, V, n, degrees):
     """The canonical n-monomials N, in basis order, of the sectors of C^n in
     degrees: deg v_w - deg N is in degrees for some module vector v_w.  They
@@ -340,55 +325,65 @@ def _vectors_by_degree(V):
     return vecs
 
 
-def _theta(L, V, n, avec, gammas):
-    """The matrix of g -> A.g on C^n for a homogeneous algebra vector A of
-    degree alpha, one block per source degree gamma in gammas:
-    {gamma: {(N, w2): {(M, w): coefficient}}}, the rows of the map from the
-    sector gamma to the sector gamma + alpha.  No blocks for A = 0."""
-    gr = L.group
-    alpha = degree_of_vector(gr, L.degrees, avec)
+def _theta(L, V, avec):
+    """(alpha, rows) for g -> A.g, A a homogeneous algebra vector of degree
+    alpha; (None, None) for A = 0.  rows(gamma) is the row rule from the
+    sector gamma to the sector gamma + alpha (see CochainComplex.sector_map);
+    its second sum is eps(alpha, gamma) times a sum built once per N."""
+    alpha = degree_of_vector(L.group, L.degrees, avec)
     if alpha is None:
-        return {}
+        return None, None
     fac = L.factor
     rho = V.action_matrix(avec).row_dicts()
     # <A, e_i> in the stored coefficients, and eps(alpha, a_i)
     brackets = [{k: rational(c) for k, c in L.bracket(avec, {i: 1}).items()}
                 for i in range(L.dim)]
     eps = [fac.eps(alpha, d) for d in L.degrees]
-    vecs = _vectors_by_degree(V)
-    blocks = {}
-    for gamma in gammas:
-        rows = blocks[gamma] = {}
-        target = gr.add(gamma, alpha)
-        for N in _sector_monomials(L, V, n, [target]):
-            # the second sum on N, one coefficient per argument monomial, with
-            # e = eps(alpha, gamma + a_1+..+a_{r-1}) a product of the eps[i]
-            terms = {}
-            e = fac.eps(alpha, gamma)
-            for r, idx in enumerate(N):
-                for k, c in brackets[idx].items():
-                    sg, mono = exterior.canonicalize(L.signs, N[:r] + (k,) + N[r + 1 :])
-                    if sg:
-                        terms[mono] = terms.get(mono, 0) - e * c * sg
-                e *= eps[idx]
-            for w2 in vecs[gr.add(target, gr.sum(L.degrees[i] for i in N))]:
-                row = rows[(N, w2)] = {(N, w): c for w, c in rho[w2].items()}
-                for mono, c in terms.items():
-                    row[(mono, w2)] = row.get((mono, w2), 0) + c
-    return blocks
+
+    @cache
+    def second_sum(N):
+        # one coefficient per argument monomial, with
+        # e = eps(alpha, a_1+..+a_{r-1}) a product of the eps[i]
+        terms, e = {}, 1
+        for r, idx in enumerate(N):
+            for k, c in brackets[idx].items():
+                sg, mono = exterior.canonicalize(L.signs, N[:r] + (k,) + N[r + 1 :])
+                if sg:
+                    terms[mono] = terms.get(mono, 0) - e * c * sg
+            e *= eps[idx]
+        return terms
+
+    def rows(gamma):
+        e = fac.eps(alpha, gamma)
+
+        def row(N, w2):
+            for w, c in rho[w2].items():
+                yield (N, w), c
+            for mono, c in second_sum(N).items():
+                yield (mono, w2), e * c
+        return row
+
+    return alpha, rows
 
 
 def act(avec, g):
-    """Action of a homogeneous algebra vector on a cochain: the theta block
-    of each component applied to it."""
+    """Action of a homogeneous algebra vector on a cochain: the theta rows
+    of each component, read on the monomials of its target sector."""
     L, V = g.algebra, g.module
-    parts = components(g)
+    alpha, rows = _theta(L, V, avec)
+    if alpha is None:
+        return zero_cochain(L, V, g.level)
+    gr = L.group
+    vecs = _vectors_by_degree(V)
     vals = {}  # the target sectors of the components are disjoint
-    for gamma, rows in _theta(L, V, g.level, avec, parts).items():
-        piece = parts[gamma].values
-        for (N, w2), row in rows.items():
-            vals.setdefault(N, {})[w2] = sum(
-                v * piece[M][w] for (M, w), v in row.items() if w in piece.get(M, ()))
+    for gamma, piece in components(g).items():
+        row, values = rows(gamma), piece.values
+        target = gr.add(gamma, alpha)
+        for N in _sector_monomials(L, V, g.level, [target]):
+            out = vals.setdefault(N, {})
+            for w2 in vecs[gr.add(target, gr.sum(L.degrees[i] for i in N))]:
+                out[w2] = sum(c * values[M][w] for (M, w), c in row(N, w2)
+                              if w in values.get(M, ()))
     return make_cochain(L, V, g.level, vals)
 
 
@@ -528,7 +523,9 @@ class CochainComplex:
     def sector_degrees(self, n):
         """The sorted degrees of the sectors of C^n, on both sides of K, from
         the algebra's full table of n-monomials; no layout is built."""
-        return _level_degrees(self.algebra, self.module, n)
+        sub = self.algebra.group.sub
+        return sorted({sub(d, md) for md in self.algebra.monomials_by_degree(n)
+                       for d in set(self.module.degrees)})
 
     @cached_property
     def _weight_walk(self):
@@ -694,6 +691,24 @@ class CochainComplex:
             for key in list(ents)
         }
 
+    def sector_map(self, n, deg, m, eta, rows):
+        """Matrix of a map from the sector deg of C^n to the sector deg + eta
+        of C^m, one row per target pair: rows(N, w2) yields the terms
+        ((M, w), coefficient) of the value at (N, w2) on the basis cochains
+        (M, w).  A term outside the source sector raises ShapeError, as the
+        assembly of the coboundary blocks does."""
+        at = self.sector(n, deg)[1]
+        target = self.algebra.group.add(deg, eta)
+        pairs = self.sector(m, target)[0]
+        ent = {}
+        for r, (N, w2) in enumerate(pairs):
+            for pair, c in rows(N, w2):
+                col = at.get(pair)
+                if col is None:
+                    raise ShapeError("entry %s of row %d leaves the sector %s" % (pair, r, deg))
+                ent[(r, col)] = ent.get((r, col), 0) + c
+        return RationalSparseMatrix(len(pairs), len(at), ent)
+
     def delta(self, n):
         """Full matrix of the coboundary C^n -> C^{n+1}: the sector blocks of
         both sides of K laid end to end in degree order, so that a sector's
@@ -727,7 +742,12 @@ class CochainComplex:
 
     def cochain_from_vector(self, n, vec, deg):
         """Inverse of cochain_vector: a vector over the sector deg of C^n."""
-        return _from_pairs(self.algebra, self.module, n, self.sector(n, deg)[0], vec)
+        pairs = self.sector(n, deg)[0]
+        vals = {}
+        for k, c in vec.items():
+            M, w = pairs[k]
+            vals.setdefault(M, {})[w] = c
+        return make_cochain(self.algebra, self.module, n, vals)
 
     # ----------------------------------------------------------------- results
 
@@ -849,11 +869,10 @@ class CohomologyResult:
             self.levels[n] = level = dict(sorted(ranked.items()))
         return level
 
-    def total(self, n, which=2):
-        """Summed dimension at level n; which selects (z, b, h) = (0, 1, 2).
-        h is 0 on every vanishing sector, so which = 2 ranks none of them."""
-        level = self.levels.get(n, {}) if which == 2 else self.dims(n)
-        return sum(t[which] for t in level.values())
+    def total(self, n):
+        """dim H^n, summed over the ranked sectors: h is 0 on every vanishing
+        sector, so none of them is ranked."""
+        return sum(t[2] for t in self.levels.get(n, {}).values())
 
     def sector_table(self, n):
         return sorted(
@@ -875,20 +894,17 @@ def invariant_cochains(L, V, n, sub_vectors):
     """Basis of {g in C^n : A.g = 0 for all A in the given homogeneous span},
     in the (degree, pivot) echelon basis.  Each sector of C^n is solved
     apart: the common kernel, from graded_kernel, of the theta blocks on it
-    of the echelon basis vectors A of the span."""
+    of the echelon basis vectors A of the span.  C^n is zero for n < 0."""
+    if n < 0:
+        return []
     gr = L.group
-    degs = _level_degrees(L, V, n)
-    thetas = [_theta(L, V, n, avec, degs)
+    cx = CochainComplex(L, V, n)
+    thetas = [_theta(L, V, avec)
               for avec in graded_echelon(gr, L.degrees, [vec_clean(v) for v in sub_vectors])]
-    vecs = _vectors_by_degree(V)
     out = []
-    for gamma in degs:
-        pairs = [(M, w) for M in _sector_monomials(L, V, n, [gamma])
-                 for w in vecs[gr.add(gamma, gr.sum(L.degrees[i] for i in M))]]
-        at = {p: k for k, p in enumerate(pairs)}
-        blocks = [RationalSparseMatrix(len(theta[gamma]), len(pairs), {
-            (r, at[p]): c for r, row in enumerate(theta[gamma].values()) for p, c in row.items()
-        }) for theta in thetas]
-        out.extend(_from_pairs(L, V, n, pairs, vec)
-                   for vec in graded_kernel(gr, [gamma] * len(pairs), blocks))
+    for gamma in cx.sector_degrees(n):
+        blocks = [cx.sector_map(n, gamma, n, alpha, rows(gamma)) for alpha, rows in thetas]
+        size = len(cx.sector(n, gamma)[0])
+        out.extend(cx.cochain_from_vector(n, vec, gamma)
+                   for vec in graded_kernel(gr, [gamma] * size, blocks))
     return out

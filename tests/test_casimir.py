@@ -446,6 +446,10 @@ def test_form_homogeneity_enforced():
     # a float value is not coerced to its binary fraction
     with pytest.raises(TypeError):
         InvariantForm(coadjoint(catalog.sl2()), 2, {(0, 1): 0.1})
+    # off its support a form reads an int 0, as a stored coefficient would
+    off = InvariantForm(co, 1, {(4,): Fraction(2, 2)})
+    assert (off(4), off(3)) == (1, 0)
+    assert (type(off(4)), type(off(3))) == (int, int)
 
 
 def test_non_invariant_form_rejected():

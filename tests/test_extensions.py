@@ -336,6 +336,28 @@ def test_universal_covering_psl22():
     assert cov2.center_dims == cov.center_dims
 
 
+# dim of the centre of the universal covering of each perfect catalog algebra
+_COVERING_CENTRES = {
+    "sl2": 0, "sl3": 0, "osp12": 0, "sl12": 0, "sl12_z2": 0, "sl21": 0,
+    "sl22": 2, "sl33": 0, "psl22": 3, "psl33": 1,
+}
+
+
+def test_covering_centres_cover_the_perfect_catalog_algebras():
+    perfect = [n for n in catalog.algebra_names() if catalog.get_algebra(n).is_perfect()]
+    assert sorted(perfect) == sorted(_COVERING_CENTRES)
+
+
+@pytest.mark.parametrize("name", sorted(_COVERING_CENTRES))
+def test_universal_covering_is_centrally_closed(name):
+    """Garland's characterization: the universal central covering L-hat of a
+    perfect L is perfect and has H_2(L-hat) = 0."""
+    cov = universal_covering(catalog.get_algebra(name))
+    assert cov.center_total() == _COVERING_CENTRES[name]
+    assert cov.covering.is_perfect()
+    assert homology_h2(cov.covering).total() == 0
+
+
 def _count_assembly(monkeypatch):
     """{(level, weight zero?): calls of CochainComplex._assemble}, filled
     as the patched method is called."""

@@ -211,6 +211,28 @@ def test_engine_never_builds_the_full_coboundary():
     assert calls == []
 
 
+def test_one_builder_of_maps_between_sectors():
+    """Sector positions become a matrix in two places only: the one-pass
+    assembly of delta (CochainComplex._assemble) and the row-rule builder
+    CochainComplex.sector_map.  No other engine function both reads a
+    layout (.sector( or ._layout() and constructs a RationalSparseMatrix."""
+    both = []
+    for _, tree in _trees(os.path.join("src", "epslie")):
+        functions = [node for top in tree.body
+                     for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+                     if isinstance(node, ast.FunctionDef)]
+        for fn in functions:
+            called = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(func.attr if isinstance(func, ast.Attribute)
+                               else getattr(func, "id", None))
+            if called & {"sector", "_layout"} and "RationalSparseMatrix" in called:
+                both.append(fn.name)
+    assert sorted(both) == ["_assemble", "sector_map"]
+
+
 def test_engine_never_calls_the_reference_boundaries():
     """H_2 reads d2 and d3 from the trivial cochain complex, as the
     transposes of delta^1 and delta^2.  extensions.boundary2 and boundary3
