@@ -64,6 +64,7 @@ def graded_subquotient(group, degrees, vectors, divisor):
     """
     comp = SpanTracker()
     for v in vectors:
+        v = vec_rational(v)  # rejects a float, even 0.0
         degree_of_vector(group, degrees, v)  # rejects a mixed vector
         comp.add(divisor.reduce(v))
     deg = {p: degree_of_vector(group, degrees, row) for p, row in comp.rows.items()}
@@ -348,8 +349,8 @@ class EpsLieAlgebra:
         parent-coordinate vector representing new basis element a.
         """
         g = self.group
-        sub = graded_echelon(g, self.degrees, [vec_clean(v) for v in sub_vectors])
-        ideal = graded_echelon(g, self.degrees, [vec_clean(v) for v in ideal_vectors])
+        sub = graded_echelon(g, self.degrees, sub_vectors)
+        ideal = graded_echelon(g, self.degrees, ideal_vectors)
         ideal_span = SpanTracker(ideal)
         reps, rep_deg, coords = graded_subquotient(g, self.degrees, sub, ideal_span)
         # dim(sub + ideal) = len(reps) + len(ideal), which is len(sub)

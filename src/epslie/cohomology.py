@@ -25,10 +25,12 @@ deg v_w - sum_{t>r} a_t, hence
 
 CochainComplex assembles the sector blocks delta_sector(n, deg) directly
 from these products, in the stored coefficients (ints where integral;
-see exactlin.rational), one row monomial N at a time; its second sum is
-_sub_terms.  coboundary() runs the formula the other way: it pushes each
-value g(M) forward to the monomials N that read it, with the action signs
-from CommutationFactor.eps and the brackets that produce an index from
+see exactlin.rational): a row rule gives the terms of the row (N, w), its
+second sum from _sub_terms, and CochainComplex.sector_map, the one builder
+of maps between sectors, makes each block from it.  coboundary() runs
+the formula the other way: it pushes each value g(M) forward to the
+monomials N that read it, with the action signs from
+CommutationFactor.eps and the brackets that produce an index from
 EpsLieAlgebra.bracket_preimages.  So its cost follows the support of g,
 it lists no sector, and it shares no code with the assembly; the tests
 compare the two column by column.  representatives() checks each
@@ -78,7 +80,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import lcm, prod
 
 from . import exterior
@@ -90,7 +92,6 @@ from .exactlin import (
     kernel_vector,
     rational,
     vec_axpy,
-    vec_clean,
     vec_rational,
     vec_scale,
 )
@@ -287,7 +288,9 @@ def coboundary(g):
                 for r in range(lo, hi + 1):
                     e += (-1 if r % 2 else 1) * eps(pre, degs[i])
                     pre = plus(pre, degs[i])
-                vec_axpy(vals.setdefault(M[:lo] + (i,) * (hi - lo + 1) + M[hi:], {}), e, image)
+                N = M[:lo] + (i,) * (hi - lo + 1) + M[hi:]
+                if not vec_axpy(vals.setdefault(N, {}), e, image):
+                    del vals[N]  # the terms at N cancel
             for k in dict.fromkeys(M):
                 at = M.index(k)
                 rest = M[:at] + M[at + 1 :]
@@ -305,7 +308,8 @@ def coboundary(g):
                                 sign *= signs[t][b]
                             e += sign * exterior.canonicalize(
                                 signs, N[:r] + (k,) + N[r + 1 : s] + N[s + 1 :])[0]
-                    vec_axpy(vals.setdefault(N, {}), e * c, v)
+                    if not vec_axpy(vals.setdefault(N, {}), e * c, v):
+                        del vals[N]
     return make_cochain(L, V, g.level + 1, vals)
 
 
@@ -505,7 +509,8 @@ class CochainComplex:
         self.algebra = L
         self.module = V
         self.n_max = n_max
-        # (monomial degree, module degree) -> sector key, shared by all levels
+        # (monomial degree, module degree) -> sector key, shared by all
+        # levels; only _layout reads it
         self._sector_keys = {}
         # (n, weight zero?) -> _layout(n, weight zero?)
         self._layouts = {}
@@ -513,12 +518,14 @@ class CochainComplex:
         # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
         self._certificates = {}  # degree -> vanishing_certificate(degree)
-        # action[i]: (w2, w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry, with
-        # the coefficients as the matrices store them
-        self._action = [
-            [(w2, w, c * V.signs[i][w]) for (w2, w), c in mat.entries.items()]
-            for i, mat in enumerate(V.action)
-        ]
+        # action[i][w2]: (w, rho(e_i)[w2, w] * eps(a_i, v_w)) per entry of
+        # row w2, with the coefficients as the matrices store them
+        self._action = []
+        for i, mat in enumerate(V.action):
+            by_row = {}
+            for (w2, w), c in mat.entries.items():
+                by_row.setdefault(w2, []).append((w, c * V.signs[i][w]))
+            self._action.append(by_row)
 
     def sector_degrees(self, n):
         """The sorted degrees of the sectors of C^n, on both sides of K, from
@@ -630,73 +637,40 @@ class CochainComplex:
         return self._delta_blocks[key]
 
     def _assemble(self, n, weight_zero):
-        """The sector blocks of delta(n) on one side of K, in one pass over
-        the level-(n+1) monomials with a row there: each term goes to its
-        sector's block at the local positions of the layouts.
+        """The sector blocks of delta(n) on one side of K, each from the row
+        rule of the coboundary through sector_map.  The rows of one
+        monomial N lie in one sector per module degree, so _sub_terms(N) is
+        kept for the side when the module has more than one vector."""
+        signs, action = self.algebra.signs, self._action
+        sub = partial(_sub_terms, signs, self.algebra.bracket_terms)
+        if self.module.dim > 1:
+            sub = cache(sub)
 
-        A term whose column is missing from its row's sector raises
-        ShapeError."""
-        rows, row_at = self._layout(n + 1, weight_zero)
-        cols, col_at = self._layout(n, weight_zero)
-        signs = self.algebra.signs
-        action = self._action
-        brackets = self.algebra.bracket_terms
-        ents = {key: {} for key in sorted(set(rows) | set(cols))}
-        vdegs = self.module.degrees
-        keys = self._sector_keys  # the layouts put every key of both levels here
-
-        def add(row, col, v):
-            blk, r, at, key = row
-            c = at.get(col)
-            if c is None:
-                raise ShapeError(
-                    "entry (%d, %s) of sector %s leaves its degree sector" % (r, col, key)
-                )
-            v += blk.get((r, c), 0)
-            if v:
-                blk[(r, c)] = v
-            else:
-                blk.pop((r, c), None)
-
-        for md, monos in self._monomials(n + 1, weight_zero).items():
-            # the module vectors whose row with a monomial of degree md lies
-            # on this side of K, with that row's sector: its block, its row
-            # and column positions, and its key
-            wanted = [(w, ents[key], row_at[key], col_at.get(key, {}), key)
-                      for w, d in enumerate(vdegs) if (key := keys[(md, d)]) in rows]
-            if not wanted:
-                continue
-            for N in monos:
-                live = {w: (blk, at[(N, w)], cat, key) for w, blk, at, cat, key in wanted}
-                for r, idx in enumerate(N):
-                    terms = action[idx]
-                    if not terms:
-                        continue
+        def row(N, w2):
+            for r, idx in enumerate(N):
+                terms = action[idx].get(w2)
+                if terms:
                     M = N[:r] + N[r + 1 :]
                     # (-1)^r prod_{t>r} eps(a_t, a_r); eps(a_r, v_w) is in the term
                     rsign = -1 if r % 2 else 1
                     for t in N[r + 1 :]:
                         rsign *= signs[t][idx]
-                    for w2, w, c in terms:
-                        row = live.get(w2)
-                        if row is not None:
-                            add(row, (M, w), rsign * c)
-                for mono, c in _sub_terms(signs, brackets, N).items():
-                    for w, row in live.items():
-                        add(row, (mono, w), c)
-        return {
-            key: RationalSparseMatrix(
-                len(rows.get(key, ())), len(cols.get(key, ())), ents.pop(key)
-            )
-            for key in list(ents)
-        }
+                    for w, c in terms:
+                        yield (M, w), rsign * c
+            for mono, c in sub(N).items():
+                yield (mono, w2), c
+
+        zero = self.algebra.group.zero()
+        degrees = set(self._layout(n, weight_zero)[0]) | set(self._layout(n + 1, weight_zero)[0])
+        return {deg: self.sector_map(n, deg, n + 1, zero, row) for deg in sorted(degrees)}
 
     def sector_map(self, n, deg, m, eta, rows):
         """Matrix of a map from the sector deg of C^n to the sector deg + eta
         of C^m, one row per target pair: rows(N, w2) yields the terms
         ((M, w), coefficient) of the value at (N, w2) on the basis cochains
-        (M, w).  A term outside the source sector raises ShapeError, as the
-        assembly of the coboundary blocks does."""
+        (M, w).  The blocks of delta, theta_A, C_V and the contracting
+        homotopy are all built here.  A term outside the source sector
+        raises ShapeError."""
         at = self.sector(n, deg)[1]
         target = self.algebra.group.add(deg, eta)
         pairs = self.sector(m, target)[0]
@@ -705,7 +679,8 @@ class CochainComplex:
             for pair, c in rows(N, w2):
                 col = at.get(pair)
                 if col is None:
-                    raise ShapeError("entry %s of row %d leaves the sector %s" % (pair, r, deg))
+                    raise ShapeError(
+                        "entry (%d, %s) of sector %s leaves its degree sector" % (r, pair, deg))
                 ent[(r, col)] = ent.get((r, col), 0) + c
         return RationalSparseMatrix(len(pairs), len(at), ent)
 
@@ -899,8 +874,7 @@ def invariant_cochains(L, V, n, sub_vectors):
         return []
     gr = L.group
     cx = CochainComplex(L, V, n)
-    thetas = [_theta(L, V, avec)
-              for avec in graded_echelon(gr, L.degrees, [vec_clean(v) for v in sub_vectors])]
+    thetas = [_theta(L, V, avec) for avec in graded_echelon(gr, L.degrees, sub_vectors)]
     out = []
     for gamma in cx.sector_degrees(n):
         blocks = [cx.sector_map(n, gamma, n, alpha, rows(gamma)) for alpha, rows in thetas]

@@ -108,7 +108,7 @@ def homology_h2(L, cx=None):
     the sector D of the exterior square, the rows of d2 are the columns of
     delta_sector(1, -D), the columns of d3 are the rows of
     delta_sector(2, -D), and the k-th position is the k-th pair of
-    cx.sector(2, -D).  The complex assembles them, and its _assemble raises
+    cx.sector(2, -D).  The complex assembles them, and its sector_map raises
     ShapeError for a term whose row and column lie in different sectors.
     A torus pair (x, chi) of cx acts on the monomials of degree D as
     chi(D) * id, and theta_x = d i_x + i_x d with i_x(c) = x ^ c; so where

@@ -274,7 +274,7 @@ def submodule_generated(V, vectors):
 
 def quotient(V, sub_vectors):
     """Quotient by an invariant homogeneous subspace."""
-    sub = graded_echelon(V.group, V.degrees, [vec_clean(v) for v in sub_vectors])
+    sub = graded_echelon(V.group, V.degrees, sub_vectors)
     span = SpanTracker(sub)
     for i in range(V.algebra.dim):
         for b in sub:

@@ -276,7 +276,7 @@ def test_homotopy_matrix_rejects_a_term_that_leaves_its_sector():
     flat = gmodule.GradedModule(L, V.labels, [L.group.zero()] * V.dim, V.action)
     cas = casimir_operator(L, quadratic_invariant_forms(L)[0], flat)
     cx = CochainComplex(L, flat, 1)
-    with pytest.raises(ShapeError, match="leaves the sector"):
+    with pytest.raises(ShapeError, match="leaves its degree sector"):
         for deg in cx.sector_degrees(1):
             homotopy_matrix(cas, cx, 1, deg)
 

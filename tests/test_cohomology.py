@@ -622,6 +622,50 @@ def test_assembly_rejects_a_term_that_leaves_its_sector():
         cx.delta_sector(0, L.group.zero())
 
 
+def test_coboundary_hands_make_cochain_no_cancelled_value(monkeypatch):
+    """coboundary drops an accumulator once its terms cancel, so every value
+    it hands make_cochain is nonzero; on d(dg) = 0 it hands an empty
+    cochain, although the terms reach many monomials."""
+    module = importlib.import_module("epslie.cohomology")
+    L = catalog.sl12()
+    V = catalog.module_v_half(L)
+    g = random_cochain(random.Random(29), L, V, 1)
+    dg = coboundary(g)
+    assert not dg.is_zero()
+    make, seen = module.make_cochain, []
+
+    def recorded(L, V, level, values):
+        seen.append(values)
+        return make(L, V, level, values)
+
+    monkeypatch.setattr(module, "make_cochain", recorded)
+    assert coboundary(g).values == dg.values
+    assert coboundary(dg).is_zero()
+    assert len(seen) == 2 and all(seen[0].values()) and seen[1] == {}
+
+
+@pytest.mark.parametrize("module", ["adjoint", "trivial"])
+@pytest.mark.parametrize("weight_zero", [True, False], ids=["in K", "outside K"])
+def test_assembly_sums_the_brackets_once_per_row_monomial(monkeypatch, module, weight_zero):
+    """One side's assembly of delta(2) on psl(2|2) calls _sub_terms exactly
+    once per level-3 monomial with a row there: with more than one module
+    vector the rows of a monomial share its bracket sum, and with one
+    vector no monomial has two rows."""
+    cohomology = importlib.import_module("epslie.cohomology")
+    L = catalog.psl_nn(2)
+    cx = CochainComplex(L, adjoint(L) if module == "adjoint" else trivial(L), 2)
+    sub, calls = cohomology._sub_terms, []
+
+    def counted(signs, brackets, N):
+        calls.append(N)
+        return sub(signs, brackets, N)
+
+    monkeypatch.setattr(cohomology, "_sub_terms", counted)
+    cx._assemble(2, weight_zero)
+    rows = {N for pairs in cx._layout(3, weight_zero)[0].values() for N, _ in pairs}
+    assert rows and sorted(calls) == sorted(rows)
+
+
 # ---------------------------------------------------------- module structure
 
 

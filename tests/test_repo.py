@@ -212,10 +212,10 @@ def test_engine_never_builds_the_full_coboundary():
 
 
 def test_one_builder_of_maps_between_sectors():
-    """Sector positions become a matrix in two places only: the one-pass
-    assembly of delta (CochainComplex._assemble) and the row-rule builder
-    CochainComplex.sector_map.  No other engine function both reads a
-    layout (.sector( or ._layout() and constructs a RationalSparseMatrix."""
+    """Sector positions become a matrix in one place only, the row-rule
+    builder CochainComplex.sector_map, which builds the blocks of delta as
+    well.  No other engine function both reads a layout (.sector( or
+    ._layout() and constructs a RationalSparseMatrix."""
     both = []
     for _, tree in _trees(os.path.join("src", "epslie")):
         functions = [node for top in tree.body
@@ -230,7 +230,7 @@ def test_one_builder_of_maps_between_sectors():
                                else getattr(func, "id", None))
             if called & {"sector", "_layout"} and "RationalSparseMatrix" in called:
                 both.append(fn.name)
-    assert sorted(both) == ["_assemble", "sector_map"]
+    assert both == ["sector_map"]
 
 
 def test_engine_never_calls_the_reference_boundaries():

@@ -135,6 +135,25 @@ def test_subquotient_names_each_fault(sub, ideal, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bad", [1.0, 0.0])
+def test_span_entry_points_refuse_a_float(bad):
+    """Every spanning vector goes through vec_rational once, in
+    graded_subquotient: a float entry raises TypeError, even 0.0, from
+    graded_echelon and from each caller that spans a subspace."""
+    L = catalog.sl2()
+    V8 = catalog.module_v8(catalog.sl12())
+    calls = [
+        lambda: graded_echelon(L.group, L.degrees, [{1: bad}]),
+        lambda: L.subquotient([{1: bad}]),
+        lambda: L.subquotient([E, H, F], [{1: bad}]),
+        lambda: quotient(V8, [{k: bad} for k in range(1, 8)]),
+        lambda: invariant_cochains(L, trivial(L), 1, [{1: bad}]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 def _quotient(mod, labels):
     return quotient(mod, [{mod.labels.index(lab): ONE} for lab in labels])
 
