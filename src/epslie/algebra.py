@@ -1,15 +1,17 @@
 """Color Lie algebras / Lie superalgebras with exact structure constants.
 
 An algebra is a homogeneous basis (labels + degrees over a commutation
-factor) together with sparse rational structure constants.  Only the upper
-triangle (i <= j) is stored; the other triangle is produced through the
-skew-symmetry rule <A,B> = -eps(a,b) <B,A>, so skew-symmetry holds by
-construction once the input is consistent.
+factor) together with sparse rational structure constants.  The given
+upper triangle (i <= j) is kept as `table`.  The brackets are read from one
+sparse table of both triangles, built with the algebra: the skew-symmetry
+rule <A,B> = -eps(a,b) <B,A> writes each stored bracket's mirror there once,
+so skew-symmetry holds by construction once the input is consistent.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from types import MappingProxyType
 
 from . import exterior
 from .exactlin import (
@@ -17,11 +19,11 @@ from .exactlin import (
     SpanTracker,
     rows_kernel,
     vec_axpy,
-    vec_clean,
-    vec_is_zero,
     vec_rational,
 )
 from .grading import CommutationFactor
+
+_NO_TERMS = MappingProxyType({})  # the bracket of a pair with no entry, shared: read-only
 
 
 class AlgebraError(ValueError):
@@ -66,13 +68,13 @@ def graded_subquotient(group, degrees, vectors, divisor):
     for v in vectors:
         v = vec_rational(v)  # rejects a float, even 0.0
         degree_of_vector(group, degrees, v)  # rejects a mixed vector
-        comp.add(divisor.reduce(v))
+        comp.add(divisor.reduce(v) if divisor.rows else v)
     deg = {p: degree_of_vector(group, degrees, row) for p, row in comp.rows.items()}
     pivots = sorted(comp.rows, key=lambda p: (deg[p], p))
     slot = {p: a for a, p in enumerate(pivots)}
 
     def coords(vec):
-        c, rem = comp.express(divisor.reduce(vec))
+        c, rem = comp.express(divisor.reduce(vec) if divisor.rows else vec)
         if rem:
             return None
         return {slot[p]: x for p, x in c.items()}
@@ -139,6 +141,8 @@ class EpsLieAlgebra:
         self.signs = factor.sign_table(self.degrees, self.degrees)
         n = len(self.labels)
         table = {}
+        # rows[i][j]: the nonzero <e_i, e_j>, from either triangle
+        rows = [{} for _ in range(n)]
         for (i, j), vec in brackets.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraError("bracket index out of range: (%d,%d)" % (i, j))
@@ -146,19 +150,21 @@ class EpsLieAlgebra:
             for k in vec:
                 if not 0 <= k < n:
                     raise AlgebraError("bracket term index out of range: %d" % k)
-            if i <= j:
-                key, val = (i, j), vec
-            else:
-                e = self.signs[i][j]
-                key, val = (j, i), {k: -e * c for k, c in vec.items()}
+            e = self.signs[i][j]
+            mirror = {k: -e * c for k, c in vec.items()}  # <e_j, e_i>
+            key, val = ((i, j), vec) if i <= j else ((j, i), mirror)
             if key in table:
                 if table[key] != val:
                     raise AlgebraError(
                         "inconsistent skew pair for %s,%s" % (self.labels[i], self.labels[j])
                     )
-            else:
-                table[key] = val
+                continue
+            table[key] = val
+            if vec:
+                rows[j][i] = mirror
+                rows[i][j] = vec  # on the diagonal, the bracket as given
         self.table = table
+        self._brackets = rows
         # (degree, degree) -> their sum; level -> monomials_by_degree(level)
         self.degree_sums = {}
         self._monomial_tables = {}
@@ -171,13 +177,8 @@ class EpsLieAlgebra:
         return self.signs[i][i]
 
     def bracket_basis(self, i, j):
-        if i <= j:
-            return self.table.get((i, j), {})
-        vec = self.table.get((j, i))
-        if not vec:
-            return {}
-        e = self.signs[i][j]
-        return {k: -e * c for k, c in vec.items()}
+        """<e_i, e_j> as {k: nonzero coeff}, the table's own entry: read only."""
+        return self._brackets[i].get(j, _NO_TERMS)
 
     def bracket(self, x, y):
         out = {}
@@ -193,11 +194,12 @@ class EpsLieAlgebra:
     @cached_property
     def bracket_terms(self):
         """bracket_terms[i][j]: the terms (k, c) of <e_i, e_j> as stored in the
-        table (c an int when integral); built once per algebra."""
-        return [
-            [tuple(self.bracket_basis(i, j).items()) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        table (c an int when integral), a dense view built once per algebra.
+        The coboundary assembly (_sub_terms) indexes it in its innermost
+        loop, where a tuple is walked faster than the table's dicts are
+        looked up; reading the dicts there measured slower."""
+        return [[tuple(row.get(j, _NO_TERMS).items()) for j in range(self.dim)]
+                for row in self._brackets]
 
     @cached_property
     def bracket_preimages(self):
@@ -220,12 +222,9 @@ class EpsLieAlgebra:
         return self._monomial_tables[n]
 
     def ad_matrix(self, i):
-        """Matrix of <e_i, .> in the basis, as {(row, col): coeff}."""
-        ent = {}
-        for j in range(self.dim):
-            for k, c in self.bracket_basis(i, j).items():
-                ent[(k, j)] = c
-        return ent
+        """Matrix of <e_i, .> in the basis, as {(row, col): coeff} by column."""
+        row = self._brackets[i]
+        return {(k, j): c for j in sorted(row) for k, c in row[j].items()}
 
     # ------------------------------------------------------------------ checks
 
@@ -254,8 +253,8 @@ class EpsLieAlgebra:
                         "component %s has degree %s, expected %s"
                         % (self.labels[k], self.degrees[k], want),
                     )
-        for i in range(self.dim):
-            if self.parity(i) == 1 and not vec_is_zero(self.bracket_basis(i, i)):
+        for i, row in enumerate(self._brackets):
+            if self.parity(i) == 1 and i in row:
                 rep.note(
                     "skew-symmetry",
                     (self.labels[i], self.labels[i]),
@@ -273,47 +272,37 @@ class EpsLieAlgebra:
     def _jacobi_failures(self, sorted_only):
         """The triples (i, j, k), k >= j, on which the adjoint derivation
         identity of validate fails, in order; with sorted_only, only those
-        with j >= i.  A generator, so that a caller may stop at the first."""
-        # Only nonzero structure constants are joined: row[a][b] and col[b][a]
-        # are the terms of <e_a,e_b>; made[m] holds (j, k, c), j <= k, with c
-        # the coefficient of e_m in <e_j,e_k>.
-        n = self.dim
-        row = [{} for _ in range(n)]
-        col = [{} for _ in range(n)]
-        made = [[] for _ in range(n)]
-        for (a, b), vec in self.table.items():
-            terms = list(vec.items())
-            if not terms:
-                continue
-            row[a][b] = col[b][a] = terms
-            for m, c in terms:
-                made[m].append((a, b, c))
-            if a != b:
-                e = -self.signs[b][a]
-                row[b][a] = col[a][b] = [(m, e * c) for m, c in terms]
-        for i in range(n):
+        with j >= i.  A generator, so that a caller may stop at the first.
+
+        Only nonzero structure constants are joined, read from the table of
+        both triangles: row[a][b] is <e_a,e_b>, the column entries
+        <e_j,e_m> are row[j][m] for the j in row[m] (the same support, by
+        skew-symmetry), and bracket_preimages[m] lists the brackets
+        <e_j,e_k>, j <= k, that produce e_m."""
+        row, made = self._brackets, self.bracket_preimages
+        for i in range(self.dim):
             lo = i if sorted_only else 0  # the least j of a checked triple
             sign = self.signs[i]
             defect = {}  # (j, k, p) -> coefficient of e_p in lhs - rhs
             for m, t in row[i].items():
                 for j, k, c in made[m]:
                     if j >= lo:
-                        for p, x in t:
+                        for p, x in t.items():
                             defect[(j, k, p)] = defect.get((j, k, p), 0) + c * x
             for j, t in row[i].items():
                 if j >= lo:
-                    for m, a in t:
+                    for m, a in t.items():
                         for k, u in row[m].items():
                             if k >= j:
-                                for p, x in u:
+                                for p, x in u.items():
                                     defect[(j, k, p)] = defect.get((j, k, p), 0) - a * x
             for k, t in row[i].items():
                 if k >= lo:
-                    for m, a in t:
-                        for j, u in col[m].items():
+                    for m, a in t.items():
+                        for j in row[m]:
                             if lo <= j <= k:
                                 s = sign[j] * a
-                                for p, x in u:
+                                for p, x in row[j][m].items():
                                     defect[(j, k, p)] = defect.get((j, k, p), 0) - s * x
             for j, k in sorted({(j, k) for (j, k, _), v in defect.items() if v}):
                 yield i, j, k
@@ -321,13 +310,8 @@ class EpsLieAlgebra:
     # -------------------------------------------------------------- structure
 
     def derived_subalgebra(self):
-        vecs = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                v = self.bracket_basis(i, j)
-                if v:
-                    vecs.append(v)
-        return graded_echelon(self.group, self.degrees, vecs)
+        return graded_echelon(self.group, self.degrees,
+                              [vec for _, vec in sorted(self.table.items())])
 
     def is_perfect(self):
         return len(self.derived_subalgebra()) == self.dim
@@ -387,11 +371,5 @@ class EpsLieAlgebra:
         of this algebra's basis, as vectors over other's basis) fails
         phi<x,y> = <phi x, phi y>; empty list means homomorphism."""
         cols = matrix.columns()
-        bad = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                img = matrix.apply(self.bracket_basis(i, j))
-                direct = other.bracket(cols[i], cols[j])
-                if vec_clean(img) != vec_clean(direct):
-                    bad.append((i, j))
-        return bad
+        return [(i, j) for i in range(self.dim) for j in range(i, self.dim)
+                if matrix.apply(self.bracket_basis(i, j)) != other.bracket(cols[i], cols[j])]

@@ -216,14 +216,14 @@ def homotopy_matrix(C: CasimirOperator, cx: CochainComplex, n, deg):
                     for w, c in row.items():
                         yield (M, w), eps[i] * sg * c
 
-    return cx.sector_map(n, deg, n - 1, C.degree, rows)
+    return cx.sector_map(n, deg, n - 1, L.group.add(deg, C.degree), rows)
 
 
 def casimir_cochain_matrix(C: CasimirOperator, cx: CochainComplex, n, deg):
     """Matrix of g -> C_V . g from the sector deg of C^n to the sector
     deg + eta, with eta the degree of C_V: the rows of C_V."""
     op = C.operator.row_dicts()
-    return cx.sector_map(n, deg, n, C.degree,
+    return cx.sector_map(n, deg, n, cx.algebra.group.add(deg, C.degree),
                          lambda N, w2: (((N, w), c) for w, c in op[w2].items()))
 
 

@@ -514,7 +514,6 @@ class CochainComplex:
         self._sector_keys = {}
         # (n, weight zero?) -> _layout(n, weight zero?)
         self._layouts = {}
-        self._k_tables = {}  # n -> the K-side table of _monomials(n, True)
         # (n, weight zero?) -> the blocks of delta(n) on that side of K
         self._delta_blocks = {}
         self._certificates = {}  # degree -> vanishing_certificate(degree)
@@ -565,16 +564,13 @@ class CochainComplex:
         """{deg M: [n-monomials M, in basis order]} for the layout of one side
         of K.  The side in K of a level up to n_max + 1 lists only the
         monomials whose weight is that of some module vector, from one
-        weight-pruned walk per level; otherwise it is the algebra's table."""
+        weight-pruned walk per level (_layout keeps its result); otherwise
+        it is the algebra's table."""
         walk = self._weight_walk if weight_zero and n <= self.n_max + 1 else None
         if walk is None:
             return self.algebra.monomials_by_degree(n)
-        if n not in self._k_tables:
-            L = self.algebra
-            self._k_tables[n] = exterior.basis_by_degree(
-                L.signs, n, L.group, L.degrees, L.degree_sums, *walk
-            )
-        return self._k_tables[n]
+        L = self.algebra
+        return exterior.basis_by_degree(L.signs, n, L.group, L.degrees, L.degree_sums, *walk)
 
     def _layout(self, n, weight_zero):
         """({deg: [(M, w), ...]}, {deg: {(M, w): index in the sector}}) for the
@@ -660,19 +656,17 @@ class CochainComplex:
             for mono, c in sub(N).items():
                 yield (mono, w2), c
 
-        zero = self.algebra.group.zero()
         degrees = set(self._layout(n, weight_zero)[0]) | set(self._layout(n + 1, weight_zero)[0])
-        return {deg: self.sector_map(n, deg, n + 1, zero, row) for deg in sorted(degrees)}
+        return {deg: self.sector_map(n, deg, n + 1, deg, row) for deg in sorted(degrees)}
 
-    def sector_map(self, n, deg, m, eta, rows):
-        """Matrix of a map from the sector deg of C^n to the sector deg + eta
+    def sector_map(self, n, deg, m, target, rows):
+        """Matrix of a map from the sector deg of C^n to the sector target
         of C^m, one row per target pair: rows(N, w2) yields the terms
         ((M, w), coefficient) of the value at (N, w2) on the basis cochains
         (M, w).  The blocks of delta, theta_A, C_V and the contracting
         homotopy are all built here.  A term outside the source sector
         raises ShapeError."""
         at = self.sector(n, deg)[1]
-        target = self.algebra.group.add(deg, eta)
         pairs = self.sector(m, target)[0]
         ent = {}
         for r, (N, w2) in enumerate(pairs):
@@ -877,7 +871,8 @@ def invariant_cochains(L, V, n, sub_vectors):
     thetas = [_theta(L, V, avec) for avec in graded_echelon(gr, L.degrees, sub_vectors)]
     out = []
     for gamma in cx.sector_degrees(n):
-        blocks = [cx.sector_map(n, gamma, n, alpha, rows(gamma)) for alpha, rows in thetas]
+        blocks = [cx.sector_map(n, gamma, n, gr.add(gamma, alpha), rows(gamma))
+                  for alpha, rows in thetas]
         size = len(cx.sector(n, gamma)[0])
         out.extend(cx.cochain_from_vector(n, vec, gamma)
                    for vec in graded_kernel(gr, [gamma] * size, blocks))

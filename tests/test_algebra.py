@@ -424,3 +424,59 @@ def test_graded_subquotient_coordinates_rebuild_modulo_the_span(case):
         for a, x in c.items():
             vec_axpy(rest, -x, basis[a])
         assert SpanTracker(divided).contains(rest)
+
+
+def _lower_triangle(L):
+    """L.table given as <e_j, e_i> = -eps(j, i) <e_i, e_j> below the
+    diagonal, with eps from the commutation factor, not the sign table."""
+    eps = L.factor.eps
+    return {(j, i): {k: -eps(L.degrees[j], L.degrees[i]) * c for k, c in vec.items()}
+            if i != j else vec for (i, j), vec in L.table.items()}
+
+
+@pytest.mark.parametrize("name", ["sl12", "sl12_z2", "osp12", "psl22", "gl21"])
+def test_an_algebra_given_by_its_lower_triangle_is_the_same(name):
+    L = catalog.get_algebra(name)
+    for table in (_lower_triangle(L), {**L.table, **_lower_triangle(L)}):
+        A = EpsLieAlgebra(L.factor, L.labels, L.degrees, table)
+        assert A.table == L.table
+        for i in range(L.dim):
+            for j in range(L.dim):
+                assert A.bracket_basis(i, j) == L.bracket_basis(i, j)
+
+
+def test_a_pair_given_both_ways_with_the_wrong_sign_is_rejected():
+    L = catalog.sl12()
+    for i, j in ((QP, QM), (VP, WP)):  # even x even, odd x odd
+        e = L.factor.eps(L.degrees[j], L.degrees[i])
+        table = dict(L.table)
+        table[(j, i)] = {k: -e * c for k, c in L.table[(i, j)].items()}
+        assert EpsLieAlgebra(L.factor, L.labels, L.degrees, table).table == L.table
+        table[(j, i)] = {k: e * c for k, c in L.table[(i, j)].items()}
+        with pytest.raises(AlgebraError, match="inconsistent skew pair"):
+            EpsLieAlgebra(L.factor, L.labels, L.degrees, table)
+
+
+@pytest.mark.parametrize("name", catalog.algebra_names() + ["psl22-covering"])
+def test_every_bracket_view_reads_the_one_table(name):
+    """bracket_basis obeys <e_j,e_i> = -eps(i,j) <e_i,e_j>; bracket_terms,
+    ad_matrix and bracket_preimages agree with it and with table."""
+    if name == "psl22-covering":
+        L = extensions.universal_covering(catalog.psl_nn(2)).covering
+    else:
+        L = catalog.get_algebra(name)
+    eps, n = L.factor.eps, L.dim
+    for i in range(n):
+        for j in range(n):
+            e = eps(L.degrees[i], L.degrees[j])
+            vec = L.bracket_basis(i, j)
+            assert L.bracket_basis(j, i) == {k: -e * c for k, c in vec.items()}
+            assert L.bracket_terms[i][j] == tuple(vec.items())
+        ad = L.ad_matrix(i)
+        assert ad == {(k, j): c for j in range(n)
+                      for k, c in L.bracket({i: ONE}, {j: ONE}).items()}
+        assert [j for _, j in ad] == sorted(j for _, j in ad)
+    made = {(a, b, k): c for k, triples in enumerate(L.bracket_preimages)
+            for a, b, c in triples}
+    assert made == {(a, b, k): c for (a, b), vec in L.table.items() for k, c in vec.items()}
+    assert all(ts == sorted(ts, key=lambda t: t[:2]) for ts in L.bracket_preimages)

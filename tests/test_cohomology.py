@@ -1154,6 +1154,29 @@ def test_cochain_operators_take_no_walk_of_a_whole_level(monkeypatch, name):
     assert out if isinstance(out, list) else not out.is_zero()
 
 
+@pytest.mark.parametrize("name, module", [("psl22", adjoint), ("psl33", trivial)])
+def test_assembling_delta_adds_no_degrees(monkeypatch, name, module):
+    """sector_map is given the degree of its target sector, and each block of
+    delta maps a sector to the sector of the same degree: once the layouts
+    are built, assembling delta makes no GradingGroup.add call."""
+    L = catalog.get_algebra(name)
+    cx = CochainComplex(L, module(L), 2)
+    for n in (1, 2):
+        for side in (True, False):
+            cx._layout(n, side)
+    calls = []
+    add = GradingGroup.add
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return add(self, a, b)
+
+    monkeypatch.setattr(GradingGroup, "add", counted)
+    blocks = {**cx._blocks(1, True), **cx._blocks(1, False)}
+    assert blocks
+    assert calls == []
+
+
 @pytest.mark.parametrize("name, module", [("psl22", adjoint), ("sl12", catalog.module_v_half)])
 def test_theta_block_of_the_complex_equals_act(name, module):
     """The theta rows that invariant_cochains turns into a block with
@@ -1170,9 +1193,10 @@ def test_theta_block_of_the_complex_equals_act(name, module):
             avec = {rng.randrange(L.dim): Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2]))}
             alpha, rows = _theta(L, V, avec)
             for gamma, piece in components(g).items():
-                block = cx.sector_map(level, gamma, level, alpha, rows(gamma))
+                target = L.group.add(gamma, alpha)
+                block = cx.sector_map(level, gamma, level, target, rows(gamma))
                 image = block.apply(cx.cochain_vector(piece))
-                got = cx.cochain_from_vector(level, image, L.group.add(gamma, alpha))
+                got = cx.cochain_from_vector(level, image, target)
                 assert cochain_eq(got, act(avec, piece))
                 checked += not got.is_zero()
     assert checked

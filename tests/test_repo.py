@@ -233,6 +233,27 @@ def test_one_builder_of_maps_between_sectors():
     assert both == ["sector_map"]
 
 
+def test_brackets_are_mirrored_once():
+    """The skew rule <A,B> = -eps(a,b) <B,A> is applied in one place, when
+    EpsLieAlgebra builds its table of both triangles, which every bracket
+    read looks up.  The given upper triangle, .table, is read only where the
+    stored pairs themselves are wanted: to index and check them, to span
+    the derived subalgebra, to export them and to regrade them."""
+    readers = []
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        functions = [node for top in tree.body
+                     for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+                     if isinstance(node, ast.FunctionDef)]
+        for fn in functions:
+            if any(isinstance(node, ast.Attribute) and node.attr == "table"
+                   and isinstance(node.ctx, ast.Load) for node in ast.walk(fn)):
+                readers.append("%s.%s" % (name[:-3], fn.name))
+    assert sorted(readers) == [
+        "algebra.bracket_preimages", "algebra.derived_subalgebra", "algebra.validate",
+        "fileio.algebra_to_dict", "gmodule.regrade_algebra",
+    ]
+
+
 def test_engine_never_calls_the_reference_boundaries():
     """H_2 reads d2 and d3 from the trivial cochain complex, as the
     transposes of delta^1 and delta^2.  extensions.boundary2 and boundary3

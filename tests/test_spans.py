@@ -25,6 +25,7 @@ from epslie.gmodule import (
     quotient,
     shift,
     submodule_generated,
+    submodule_span,
     trivial,
     twist,
 )
@@ -260,3 +261,29 @@ def test_invariant_cochains_equal_the_equation_reference(name, module, n, vector
     got = invariant_cochains(L, V, n, vectors(L))
     want = _spans.invariant_cochains(L, V, n, vectors(L))
     assert _cochain_span(L, V, n, got) == _cochain_span(L, V, n, want)
+
+
+def test_spans_reduce_by_no_empty_divisor(monkeypatch):
+    """graded_subquotient passes by a divisor with no rows: spanning the
+    derived subalgebra of psl(3|3) (203 nonzero brackets) or a submodule,
+    no vector is reduced by a tracker that is empty and never grows."""
+    express, add = SpanTracker.express, SpanTracker.add
+    empty, grown = [], []  # the trackers of each call, kept alive for id()
+
+    def recorded_express(self, vec):
+        if not self.rows:
+            empty.append(self)
+        return express(self, vec)
+
+    def recorded_add(self, vec):
+        grown.append(self)
+        return add(self, vec)
+
+    monkeypatch.setattr(SpanTracker, "express", recorded_express)
+    monkeypatch.setattr(SpanTracker, "add", recorded_add)
+    L = catalog.get_algebra("psl33")
+    assert len(L.derived_subalgebra()) == L.dim
+    V = adjoint(catalog.psl_nn(2))
+    assert submodule_span(V, [{a: ONE} for a in range(V.dim)]).dim == V.dim
+    assert empty
+    assert {id(t) for t in empty} <= {id(t) for t in grown}
