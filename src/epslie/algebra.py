@@ -30,13 +30,13 @@ class AlgebraError(ValueError):
     pass
 
 
-def degree_of_vector(group, degrees, vec):
+def degree_of_vector(degrees, vec):
     """Common degree of a homogeneous vector; None for zero, error if mixed."""
     deg = None
     for i, c in vec.items():
         if not c:
             continue
-        d = group.reduce(degrees[i])
+        d = degrees[i]
         if deg is None:
             deg = d
         elif deg != d:
@@ -44,16 +44,16 @@ def degree_of_vector(group, degrees, vec):
     return deg
 
 
-def split_components(group, degrees, vec):
+def split_components(degrees, vec):
     """Homogeneous components of a vector, keyed by degree."""
     parts = {}
     for i, c in vec.items():
         if c:
-            parts.setdefault(group.reduce(degrees[i]), {})[i] = c
+            parts.setdefault(degrees[i], {})[i] = c
     return parts
 
 
-def graded_subquotient(group, degrees, vectors, divisor):
+def graded_subquotient(degrees, vectors, divisor):
     """The one routine that turns spanning vectors into an ordered basis:
     the span of homogeneous vectors modulo the span held by the SpanTracker
     divisor (an empty tracker for a plain subspace).
@@ -67,9 +67,9 @@ def graded_subquotient(group, degrees, vectors, divisor):
     comp = SpanTracker()
     for v in vectors:
         v = vec_rational(v)  # rejects a float, even 0.0
-        degree_of_vector(group, degrees, v)  # rejects a mixed vector
+        degree_of_vector(degrees, v)  # rejects a mixed vector
         comp.add(divisor.reduce(v) if divisor.rows else v)
-    deg = {p: degree_of_vector(group, degrees, row) for p, row in comp.rows.items()}
+    deg = {p: degree_of_vector(degrees, row) for p, row in comp.rows.items()}
     pivots = sorted(comp.rows, key=lambda p: (deg[p], p))
     slot = {p: a for a, p in enumerate(pivots)}
 
@@ -82,14 +82,14 @@ def graded_subquotient(group, degrees, vectors, divisor):
     return [dict(comp.rows[p]) for p in pivots], [deg[p] for p in pivots], coords
 
 
-def graded_echelon(group, degrees, vectors):
+def graded_echelon(degrees, vectors):
     """Echelon basis of a span of homogeneous vectors, ordered by (degree,
     pivot).  Vectors of different degrees have disjoint supports, so its rows
     are those of one echelon basis per degree."""
-    return graded_subquotient(group, degrees, vectors, SpanTracker())[0]
+    return graded_subquotient(degrees, vectors, SpanTracker())[0]
 
 
-def graded_kernel(group, degrees, operators):
+def graded_kernel(degrees, operators):
     """Echelon basis of the common kernel of homogeneous operators, matrices
     whose columns are the basis; no operators give the whole space.
 
@@ -99,13 +99,13 @@ def graded_kernel(group, degrees, operators):
     AlgebraError."""
     cols = {}  # degree -> its columns, in basis order
     for k, d in enumerate(degrees):
-        cols.setdefault(group.reduce(d), []).append(k)
+        cols.setdefault(d, []).append(k)
     at = {k: j for ks in cols.values() for j, k in enumerate(ks)}
     rows = {d: [] for d in cols}
     for row in (row for m in operators for row in m.row_dicts() if row):
-        rows[degree_of_vector(group, degrees, row)].append({at[k]: c for k, c in row.items()})
-    return graded_echelon(group, degrees, [{ks[j]: c for j, c in v.items()} for d, ks in
-                                           cols.items() for v in rows_kernel(rows[d], len(ks))])
+        rows[degree_of_vector(degrees, row)].append({at[k]: c for k, c in row.items()})
+    return graded_echelon(degrees, [{ks[j]: c for j, c in v.items()} for d, ks in
+                                    cols.items() for v in rows_kernel(rows[d], len(ks))])
 
 
 class ValidationReport:
@@ -246,7 +246,7 @@ class EpsLieAlgebra:
         for (i, j), vec in sorted(self.table.items()):
             want = g.add(self.degrees[i], self.degrees[j])
             for k, c in vec.items():
-                if g.reduce(self.degrees[k]) != want:
+                if self.degrees[k] != want:
                     rep.note(
                         "homogeneity",
                         (self.labels[i], self.labels[j]),
@@ -310,8 +310,7 @@ class EpsLieAlgebra:
     # -------------------------------------------------------------- structure
 
     def derived_subalgebra(self):
-        return graded_echelon(self.group, self.degrees,
-                              [vec for _, vec in sorted(self.table.items())])
+        return graded_echelon(self.degrees, [vec for _, vec in sorted(self.table.items())])
 
     def is_perfect(self):
         return len(self.derived_subalgebra()) == self.dim
@@ -320,7 +319,7 @@ class EpsLieAlgebra:
         """Echelon basis of {x : <e_i, x> = 0 for all i}."""
         n = self.dim
         ads = [RationalSparseMatrix(n, n, self.ad_matrix(i)) for i in range(n)]
-        return graded_kernel(self.group, self.degrees, ads)
+        return graded_kernel(self.degrees, ads)
 
     # ------------------------------------------------------------ subquotients
 
@@ -332,11 +331,10 @@ class EpsLieAlgebra:
         Returns (algebra, representatives) where representatives[a] is the
         parent-coordinate vector representing new basis element a.
         """
-        g = self.group
-        sub = graded_echelon(g, self.degrees, sub_vectors)
-        ideal = graded_echelon(g, self.degrees, ideal_vectors)
+        sub = graded_echelon(self.degrees, sub_vectors)
+        ideal = graded_echelon(self.degrees, ideal_vectors)
         ideal_span = SpanTracker(ideal)
-        reps, rep_deg, coords = graded_subquotient(g, self.degrees, sub, ideal_span)
+        reps, rep_deg, coords = graded_subquotient(self.degrees, sub, ideal_span)
         # dim(sub + ideal) = len(reps) + len(ideal), which is len(sub)
         # exactly when the ideal lies in sub
         if len(reps) + len(ideal) != len(sub):

@@ -17,7 +17,7 @@ import functools
 from fractions import Fraction
 
 from .algebra import EpsLieAlgebra
-from .exactlin import ONE, RationalSparseMatrix
+from .exactlin import ONE, RationalSparseMatrix, rational
 from .cohomology import make_cochain
 from .gmodule import (
     GradedModule,
@@ -528,8 +528,8 @@ def _to_gl_coords(vec_in_sl, slreps):
 def typicality_sl12(b, q):
     """('typical'|'atypical', dimension) for the simple module labelled (b,q);
     dimension requires 2q a positive integer or b = q = 0."""
-    b = Fraction(b)
-    q = Fraction(q)
+    b = rational(b)
+    q = rational(q)
     atypical = b == q or b == -q
     if b == 0 and q == 0:
         return "atypical", 1

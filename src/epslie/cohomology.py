@@ -334,7 +334,7 @@ def _theta(L, V, avec):
     alpha; (None, None) for A = 0.  rows(gamma) is the row rule from the
     sector gamma to the sector gamma + alpha (see CochainComplex.sector_map);
     its second sum is eps(alpha, gamma) times a sum built once per N."""
-    alpha = degree_of_vector(L.group, L.degrees, avec)
+    alpha = degree_of_vector(L.degrees, avec)
     if alpha is None:
         return None, None
     fac = L.factor
@@ -399,7 +399,7 @@ def insertion(g, avec):
     if g.level <= 0:
         return zero_cochain(L, V, g.level - 1)
     gr = L.group
-    alphas = {gr.reduce(L.degrees[i]) for i, c in avec.items() if c}
+    alphas = {L.degrees[i] for i, c in avec.items() if c}
     targets = {gr.add(gamma, a) for gamma in components(g) for a in alphas}
     vals = {}
     for T in _sector_monomials(L, V, g.level - 1, targets):
@@ -478,8 +478,8 @@ def pull_back(omega, Lsub, g):
         raise CochainError("pull-back requires a shared commutation factor")
     cols = omega.columns()
     for j in range(Lsub.dim):
-        d = degree_of_vector(L.group, L.degrees, cols[j])
-        if d is not None and d != L.group.reduce(Lsub.degrees[j]):
+        d = degree_of_vector(L.degrees, cols[j])
+        if d is not None and d != Lsub.degrees[j]:
             raise CochainError("homomorphism does not preserve degrees")
     if Lsub.homomorphism_defect(L, omega):
         raise CochainError("omega is not an algebra homomorphism")
@@ -868,12 +868,12 @@ def invariant_cochains(L, V, n, sub_vectors):
         return []
     gr = L.group
     cx = CochainComplex(L, V, n)
-    thetas = [_theta(L, V, avec) for avec in graded_echelon(gr, L.degrees, sub_vectors)]
+    thetas = [_theta(L, V, avec) for avec in graded_echelon(L.degrees, sub_vectors)]
     out = []
     for gamma in cx.sector_degrees(n):
         blocks = [cx.sector_map(n, gamma, n, gr.add(gamma, alpha), rows(gamma))
                   for alpha, rows in thetas]
         size = len(cx.sector(n, gamma)[0])
         out.extend(cx.cochain_from_vector(n, vec, gamma)
-                   for vec in graded_kernel(gr, [gamma] * size, blocks))
+                   for vec in graded_kernel([gamma] * size, blocks))
     return out

@@ -119,7 +119,7 @@ def homology_h2(L, cx=None):
     complex, for a caller that ranks H^2 on it too."""
     gr = L.group
     cx = CochainComplex(L, trivial(L), 2) if cx is None else cx
-    monos2 = exterior.basis(L.signs, 2)
+    monos2 = sorted(M for ms in L.monomials_by_degree(2).values() for M in ms)
     index2 = {m: k for k, m in enumerate(monos2)}
     degs2 = [None] * len(monos2)
     dims = {}
@@ -222,12 +222,10 @@ def cocycle_from_section(E, L, project, section):
         raise ExtensionError("not a section of the projection")
     seccols = section.columns()
     for j, col in enumerate(seccols):
-        d = degree_of_vector(E.group, E.degrees, col)
-        if d is not None and d != E.group.reduce(L.degrees[j]):
+        d = degree_of_vector(E.degrees, col)
+        if d is not None and d != L.degrees[j]:
             raise ExtensionError("section is not homogeneous of degree zero")
-    basis, hdegs, coords = graded_subquotient(
-        E.group, E.degrees, project.kernel_basis(), SpanTracker()
-    )
+    basis, hdegs, coords = graded_subquotient(E.degrees, project.kernel_basis(), SpanTracker())
     H = trivial(L, degrees=hdegs, labels=["k%d" % k for k in range(len(basis))])
     vals = {}
     for mono in exterior.basis(L.signs, 2):
@@ -280,7 +278,6 @@ def universal_covering(L):
     quotient carries a canonical degree-zero 2-cocycle, the derived
     subalgebra of the resulting extension is the covering, and its center
     over L has the graded dimensions of H_2(L)."""
-    g = L.group
     h2 = homology_h2(L)
     if h2.d2_rank != L.dim:
         raise NotPerfectError("algebra is not perfect; no covering exists")
@@ -313,7 +310,7 @@ def universal_covering(L):
     center_vecs = proj.kernel_basis()
     center_dims = {}
     for v in center_vecs:
-        d = degree_of_vector(g, Lhat.degrees, v)
+        d = degree_of_vector(Lhat.degrees, v)
         center_dims[d] = center_dims.get(d, 0) + 1
     center_dims = dict(sorted(center_dims.items()))
     if proj.rank() != nl:

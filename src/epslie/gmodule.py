@@ -32,6 +32,7 @@ from .exactlin import (
     rows_kernel,
     vec_axpy,
     vec_clean,
+    vec_rational,
 )
 from . import exterior
 
@@ -100,7 +101,7 @@ class GradedModule:
         for i, m in enumerate(self.action):
             for (r, c), v in m.entries.items():
                 want = g.add(L.degrees[i], self.degrees[c])
-                if g.reduce(self.degrees[r]) != want:
+                if self.degrees[r] != want:
                     rep.note(
                         "homogeneity",
                         (L.labels[i], self.labels[c]),
@@ -209,7 +210,7 @@ def shift(V, sigma):
     """Gradation shift: a vector of degree d gets degree d - sigma; the
     action is unchanged."""
     g = V.group
-    sigma = g.reduce(sigma)
+    sigma = g.degree(sigma)
     degrees = [g.sub(d, sigma) for d in V.degrees]
     return GradedModule(V.algebra, list(V.labels), degrees, list(V.action))
 
@@ -227,7 +228,7 @@ def twist(V, omega_matrix):
 
 def invariants_subspace(V):
     """Echelon basis of the simultaneous kernel of the action (= H^0)."""
-    return graded_kernel(V.group, V.degrees, V.action)
+    return graded_kernel(V.degrees, V.action)
 
 
 def _action_on(V, basis, coords):
@@ -245,7 +246,7 @@ def _action_on(V, basis, coords):
 def submodule_span(V, vectors):
     """Submodule on an invariant homogeneous span; raises when the span is
     not invariant.  Basis is the deterministic graded echelon of the span."""
-    basis, deg, coords = graded_subquotient(V.group, V.degrees, vectors, SpanTracker())
+    basis, deg, coords = graded_subquotient(V.degrees, vectors, SpanTracker())
     mats = _action_on(V, basis, coords)
     labels = []
     for b in basis:
@@ -260,7 +261,7 @@ def submodule_generated(V, vectors):
     tracker = SpanTracker()
     work = []
     for v in vectors:
-        for comp in split_components(V.group, V.degrees, vec_clean(v)).values():
+        for comp in split_components(V.degrees, vec_rational(v)).values():
             if tracker.add(comp):
                 work.append(comp)
     while work:
@@ -274,15 +275,13 @@ def submodule_generated(V, vectors):
 
 def quotient(V, sub_vectors):
     """Quotient by an invariant homogeneous subspace."""
-    sub = graded_echelon(V.group, V.degrees, sub_vectors)
+    sub = graded_echelon(V.degrees, sub_vectors)
     span = SpanTracker(sub)
     for i in range(V.algebra.dim):
         for b in sub:
             if not span.contains(V.apply_basis(i, b)):
                 raise ModuleError("quotient by a non-invariant subspace")
-    reps, deg, coords = graded_subquotient(
-        V.group, V.degrees, [{a: 1} for a in range(V.dim)], span
-    )
+    reps, deg, coords = graded_subquotient(V.degrees, [{a: 1} for a in range(V.dim)], span)
     labels = ["[%s]" % V.labels[min(r)] for r in reps]
     return GradedModule(V.algebra, labels, deg, _action_on(V, reps, coords))
 
@@ -475,7 +474,7 @@ def intertwiner_space(V, W, phi_degree):
     if V.algebra is not W.algebra:
         raise ModuleError("tensor factors live over different algebras")
     g = V.group
-    phi = g.reduce(phi_degree)
+    phi = g.degree(phi_degree)
     dv = V.dim
     cols = [(a, c) for a, da in enumerate(W.degrees) for c, dc in enumerate(V.degrees)
             if g.sub(da, dc) == phi]
@@ -491,7 +490,7 @@ def intertwiner_space(V, W, phi_degree):
                 ent[(a * dv + c2, j)] = ent.get((a * dv + c2, j), 0) + e * x
         ops.append(RationalSparseMatrix(W.dim * dv, len(cols), ent))
     return [RationalSparseMatrix(W.dim, dv, {cols[j]: c for j, c in vec.items()})
-            for vec in graded_kernel(g, [phi] * len(cols), ops)]
+            for vec in graded_kernel([phi] * len(cols), ops)]
 
 
 def intertwiner_defect(F, V, W, phi):

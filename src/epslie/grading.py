@@ -1,11 +1,14 @@
 """Grading groups, degrees, commutation factors and sign tables.
 
-Degrees are plain integer tuples; a GradingGroup knows how to add and
-normalize them (torsion coordinates are reduced eagerly, so degrees are
-hashable dict keys and compare deterministically).  A CommutationFactor
+Degrees are plain integer tuples.  A degree is reduced (torsion coordinates
+taken mod their orders) once, where it enters, by GradingGroup.degree, and by
+the group's add/sub/neg/sum after that; every other module uses the stored
+degrees as they are, as hashable dict keys.  A CommutationFactor
 carries an integer bilinear form B, read mod 2, with
 eps(a, b) = (-1)^(a^T B b); this covers the super, consistently Z-graded
-and Z_2^n color cases, all of which take values in {+1, -1}.
+and Z_2^n color cases, all of which take values in {+1, -1}.  The form is
+checked to make eps a bicharacter, so eps ignores the representative of a
+degree and neither eps nor sign_table reduces one.
 
 eps is a bicharacter, so the sign between sums of basis degrees is the
 product of the signs between the summands.  Algebras and modules therefore
@@ -82,8 +85,9 @@ class GradingGroup(Record):
         return (0,) * self.ncoords
 
     def degree(self, coords) -> Degree:
-        """A degree given to an algebra or module, reduced; a coordinate that
-        is not an int (a bool, a float) is rejected, never truncated."""
+        """A degree given to an algebra, a module or a construction, reduced;
+        a coordinate that is not an int (a bool, a float) is rejected, never
+        truncated."""
         if any(type(x) is not int for x in coords):
             raise GradingError("degree %r has a coordinate that is not an int" % (coords,))
         return self.reduce(coords)
@@ -159,9 +163,9 @@ class CommutationFactor(Record):
                 )
 
     def eps(self, a: Degree, b: Degree) -> int:
-        a = self.group.reduce(a)
-        b = self.group.reduce(b)
         B = self.form
+        if len(a) != len(B) or len(b) != len(B):
+            raise GradingError("degrees %r and %r need %d coordinates" % (a, b, len(B)))
         total = 0
         for i, ai in enumerate(a):
             if ai:
@@ -173,14 +177,14 @@ class CommutationFactor(Record):
 
     def sign_table(self, left, right):
         """[[eps(a, b) for b in right] for a in left].  Only parities count,
-        so a^T B is formed once per distinct reduced left degree a, as the
-        mask of its odd coordinates, and each sign is the parity of that
-        mask and the mask of b; left degrees with one mask share a row."""
-        left = [self.group.reduce(a) for a in left]
+        so a^T B is formed once per distinct left degree a, as the mask of
+        its odd coordinates, and each sign is the parity of that mask and the
+        mask of b; left degrees with one mask share a row.  B has an even
+        column on each coordinate of odd order, where parity is not reduced."""
         cols = list(zip(*self.form))
         a_mask = {a: _odd_mask(sum(map(operator.mul, a, col)) for col in cols)
                   for a in set(left)}
-        b_masks = [_odd_mask(self.group.reduce(b)) for b in right]
+        b_masks = [_odd_mask(b) for b in right]
         rows = {m: [-1 if (m & bm).bit_count() & 1 else 1 for bm in b_masks]
                 for m in set(a_mask.values())}
         return [list(rows[a_mask[a]]) for a in left]

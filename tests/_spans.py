@@ -25,14 +25,14 @@ from epslie.exactlin import (
 from _sectors import full_basis
 
 
-def graded_echelon(group, degrees, vectors):
+def graded_echelon(degrees, vectors):
     """Echelon basis of a span of homogeneous vectors: one SpanTracker per
     degree, their bases joined in degree order."""
     trackers = {}
     for v in vectors:
         if vec_is_zero(v):
             continue
-        d = degree_of_vector(group, degrees, v)
+        d = degree_of_vector(degrees, v)
         trackers.setdefault(d, SpanTracker()).add(v)
     out = []
     for d in sorted(trackers):
@@ -53,8 +53,8 @@ def center(L):
     mat = RationalSparseMatrix(len(rowdex), L.dim, ent)
     vecs = []
     for v in mat.kernel_basis():
-        vecs.extend(split_components(L.group, L.degrees, v).values())
-    return graded_echelon(L.group, L.degrees, vecs)
+        vecs.extend(split_components(L.degrees, v).values())
+    return graded_echelon(L.degrees, vecs)
 
 
 def intertwiner_space(V, W, phi_degree):
@@ -96,7 +96,7 @@ def act(avec, g):
     (A.g)(A_1..A_n) = A.g(A_1..A_n) - sum_r eps(alpha, gamma + a_1+..+a_{r-1})
     g(A_1,..,<A,A_r>,..,A_n)."""
     L, V = g.algebra, g.module
-    alpha = degree_of_vector(L.group, L.degrees, avec)
+    alpha = degree_of_vector(L.degrees, avec)
     vals = {}
     for gamma, piece in components(g).items():
         for N in exterior.basis(L.signs, g.level):
@@ -119,7 +119,7 @@ def invariant_cochains(L, V, n, sub_vectors):
     over the basis cochains of C^n."""
     basis = full_basis(L, V, n)
     rows = {}  # (t, monomial, w) -> {column: coefficient}
-    vecs = graded_echelon(L.group, L.degrees, [vec_clean(v) for v in sub_vectors])
+    vecs = graded_echelon(L.degrees, [vec_clean(v) for v in sub_vectors])
     for t, avec in enumerate(vecs):
         for col, (M, w) in enumerate(basis):
             deg = L.group.sub(V.degrees[w], L.group.sum(L.degrees[i] for i in M))

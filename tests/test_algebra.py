@@ -19,7 +19,7 @@ from epslie.exactlin import (
     vec_clean,
     vec_is_zero,
 )
-from epslie.grading import GradingGroup, super_factor, trivial_factor
+from epslie.grading import super_factor, trivial_factor
 
 # catalog index map for sl(1|2): Q+ Q- Q3 B V+ V- W+ W-
 QP, QM, Q3, B, VP, VM, WP, WM = range(8)
@@ -354,9 +354,9 @@ def test_subquotient_rejects_non_subalgebra_modulo_an_ideal():
 
 def test_degree_of_vector():
     L = catalog.sl12()
-    assert degree_of_vector(L.group, L.degrees, {VP: ONE, VM: ONE}) == (1,)
+    assert degree_of_vector(L.degrees, {VP: ONE, VM: ONE}) == (1,)
     with pytest.raises(AlgebraError):
-        degree_of_vector(L.group, L.degrees, {VP: ONE, WP: ONE})
+        degree_of_vector(L.degrees, {VP: ONE, WP: ONE})
 
 
 def test_derived_is_ideal():
@@ -410,10 +410,9 @@ def _graded_case(draw):
 @given(_graded_case())
 def test_graded_subquotient_coordinates_rebuild_modulo_the_span(case):
     degrees, vectors, divided, vec = case
-    g = GradingGroup(1, ())
-    basis, degs, coords = graded_subquotient(g, degrees, vectors, SpanTracker(divided))
+    basis, degs, coords = graded_subquotient(degrees, vectors, SpanTracker(divided))
     assert len(basis) == SpanTracker(vectors + divided).dim - SpanTracker(divided).dim
-    assert degs == [degree_of_vector(g, degrees, b) for b in basis]
+    assert degs == [degree_of_vector(degrees, b) for b in basis]
     assert [(d, min(b)) for d, b in zip(degs, basis)] == sorted(
         (d, min(b)) for d, b in zip(degs, basis)
     )

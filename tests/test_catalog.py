@@ -163,6 +163,9 @@ def test_typicality_labels():
     assert catalog.typicality_sl12(0, 0) == ("atypical", 1)
     with pytest.raises(ValueError):
         catalog.typicality_sl12(1, Fraction(1, 3))
+    for b, q in ((0.5, 0.5), (0, 1.0), ("1/2", H)):  # refused, not coerced
+        with pytest.raises(TypeError):
+            catalog.typicality_sl12(b, q)
 
 
 def test_adjoint_is_the_typical_q1_module():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from epslie import catalog
 from epslie.algebra import EpsLieAlgebra
-from epslie.gmodule import trivial
+from epslie.gmodule import intertwiner_space, shift, trivial
 from epslie.grading import (
     CommutationFactor,
     GradingGroup,
@@ -88,6 +88,33 @@ def test_accepted_forms_are_exactly_the_symmetric_bicharacters(torsion):
                 CommutationFactor(g, form)
 
 
+@pytest.mark.parametrize("torsion", [(2, 2), (3,), (2, 3), (3, 3), (4, 3)])
+def test_signs_ignore_the_representative(torsion):
+    """eps, parity and sign_table reduce no degree: on every accepted form,
+    an unreduced representative a + t e_i gives the signs of a, since the
+    form makes eps a bicharacter.  A wrong coordinate count still raises."""
+    g = GradingGroup(0, torsion)
+    els = g.elements()
+    n = len(torsion)
+    for entries in itertools.product((0, 1), repeat=n * n):
+        try:
+            f = CommutationFactor(g, tuple(entries[i * n:(i + 1) * n] for i in range(n)))
+        except GradingError:
+            continue
+        want = [[f.eps(a, b) for b in els] for a in els]
+        for i, t in enumerate(torsion):
+            lifted = [a[:i] + (a[i] + t,) + a[i + 1:] for a in els]
+            assert [[f.eps(a, b) for b in els] for a in lifted] == want
+            assert [[f.eps(a, b) for b in lifted] for a in els] == want
+            assert [f.parity(a) for a in lifted] == [f.parity(a) for a in els]
+            for left, right in ((lifted, lifted), (lifted, els), (els, lifted), (els, els)):
+                assert f.sign_table(left, right) == want
+        with pytest.raises(GradingError):
+            f.eps(els[0] + (0,), els[0])
+        with pytest.raises(GradingError):
+            f.eps(els[0], els[0][1:])
+
+
 @pytest.mark.parametrize(
     "factor",
     [
@@ -150,7 +177,8 @@ def test_degree_shape_errors():
 
 def test_degrees_and_form_entries_must_be_ints():
     """A degree coordinate or form entry that is not an int is refused where
-    a factor, algebra or module is built, never truncated."""
+    a factor, algebra or module is built, and where shift or
+    intertwiner_space takes a degree from its caller, never truncated."""
     g = GradingGroup(1)
     for bad in (1.7, 0.5, True):
         with pytest.raises(GradingError):
@@ -158,12 +186,19 @@ def test_degrees_and_form_entries_must_be_ints():
     f = CommutationFactor(g, ((1,),))
     assert EpsLieAlgebra(f, ["a"], [[3]], {}).degrees == [(3,)]
     L = EpsLieAlgebra(f, ["a"], [(0,)], {})
-    for bad in ((0.9,), (True,), (1.0,)):
+    V = trivial(L)
+    for bad in ((0.9,), (True,), (1.0,), (0.0,)):
         with pytest.raises(GradingError):
             EpsLieAlgebra(f, ["a"], [bad], {})
         with pytest.raises(GradingError):
             trivial(L, degrees=[bad])
+        with pytest.raises(GradingError):
+            shift(V, bad)
+        with pytest.raises(GradingError):
+            intertwiner_space(V, V, bad)
     assert trivial(L, degrees=[(2,)]).degrees == [(2,)]
+    assert shift(V, (2,)).degrees == [(-2,)]
+    assert len(intertwiner_space(V, V, (0,))) == 1
 
 
 @st.composite

@@ -254,6 +254,26 @@ def test_brackets_are_mirrored_once():
     ]
 
 
+def test_only_grading_reduces_a_degree():
+    """A degree is reduced where it enters, by GradingGroup.degree, and by
+    the group's arithmetic after that; every other reader uses the stored
+    degrees as they are.  Outside grading, .reduce( is a SpanTracker's
+    reduction of a vector by its span: the divisor of graded_subquotient
+    and SpanTracker's own calls."""
+    calls = []
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        if name == "grading.py":
+            continue
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else ""
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "reduce"):
+                    calls.append((name[:-3], owner, ast.unparse(node.func.value)))
+    assert sorted(set(calls)) == [("algebra", "", "divisor"),
+                                  ("exactlin", "SpanTracker", "self")]
+
+
 def test_engine_never_calls_the_reference_boundaries():
     """H_2 reads d2 and d3 from the trivial cochain complex, as the
     transposes of delta^1 and delta^2.  extensions.boundary2 and boundary3

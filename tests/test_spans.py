@@ -29,7 +29,7 @@ from epslie.gmodule import (
     trivial,
     twist,
 )
-from epslie.grading import GradingGroup, super_factor
+from epslie.grading import super_factor
 
 def _zero_dim_algebra():
     return EpsLieAlgebra(super_factor(), [], [], {})
@@ -68,7 +68,7 @@ def _vectors_over_catalog_degrees(draw):
 
 def _echelon_or_error(fn, L, vectors):
     try:
-        return fn(L.group, L.degrees, vectors)
+        return fn(L.degrees, vectors)
     except AlgebraError:
         return AlgebraError
 
@@ -86,7 +86,7 @@ def test_a_mixed_vector_raises_in_both():
     vectors = [{1: ONE}, {0: ONE, 2: ONE}]
     for fn in (graded_echelon, _spans.graded_echelon):
         with pytest.raises(AlgebraError):
-            fn(L.group, L.degrees, vectors)
+            fn(L.degrees, vectors)
 
 
 @pytest.mark.parametrize("name", catalog.algebra_names() + ["zero-dimensional"])
@@ -103,7 +103,7 @@ def test_graded_kernel_refuses_a_row_that_mixes_degrees():
     degree has no block for that row, so it is refused, not split."""
     op = RationalSparseMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
     with pytest.raises(AlgebraError):
-        graded_kernel(GradingGroup(1), [(0,), (1,)], [op])
+        graded_kernel([(0,), (1,)], [op])
 
 
 def test_zero_dimensional_algebra_fixes_every_vector():
@@ -144,11 +144,12 @@ def test_span_entry_points_refuse_a_float(bad):
     L = catalog.sl2()
     V8 = catalog.module_v8(catalog.sl12())
     calls = [
-        lambda: graded_echelon(L.group, L.degrees, [{1: bad}]),
+        lambda: graded_echelon(L.degrees, [{1: bad}]),
         lambda: L.subquotient([{1: bad}]),
         lambda: L.subquotient([E, H, F], [{1: bad}]),
         lambda: quotient(V8, [{k: bad} for k in range(1, 8)]),
         lambda: invariant_cochains(L, trivial(L), 1, [{1: bad}]),
+        lambda: submodule_generated(V8, [{0: bad, 1: ONE}]),
     ]
     for call in calls:
         with pytest.raises(TypeError):
