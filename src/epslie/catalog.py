@@ -14,11 +14,12 @@ square of the adjoint) are built by gmodule.eps_power, the rest by tables.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 from .algebra import EpsLieAlgebra
-from .exactlin import ONE, RationalSparseMatrix, rational
-from .cohomology import make_cochain
+from .exactlin import ONE, RationalSparseMatrix, rational, vec_axpy
+from .cohomology import cochain_add, make_cochain
 from .gmodule import (
     GradedModule,
     adjoint,
@@ -33,17 +34,8 @@ from .grading import (
     super_factor,
     super_z_factor,
 )
-from . import exterior
 
 HALF = Fraction(1, 2)
-
-_CACHE = {}
-
-
-def _cached(key, builder):
-    if key not in _CACHE:
-        _CACHE[key] = builder()
-    return _CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -57,67 +49,48 @@ def root_graded_factor(m, n):
     return CommutationFactor(GradingGroup(total, ()), form)
 
 
+@functools.cache
 def gl(m, n):
     """gl(m|n) on the elementary matrices, root-lattice graded."""
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("need m, n >= 0 with m + n >= 1")
-
-    def build():
-        total = m + n
-        fac = root_graded_factor(m, n)
-        labels = []
-        degrees = []
-        for i in range(total):
-            for j in range(total):
-                labels.append("E%d%d" % (i + 1, j + 1))
-                deg = [0] * total
-                deg[i] += 1
-                deg[j] -= 1
-                degrees.append(tuple(deg))
-        dex = lambda i, j: i * total + j
-
-        brackets = {}
-        for i in range(total):
-            for j in range(total):
-                a = dex(i, j)
-                for k in range(total):
-                    for l in range(total):
-                        b = dex(k, l)
-                        if a > b:
-                            continue
-                        vec = {}
-                        if j == k:
-                            vec[dex(i, l)] = vec.get(dex(i, l), 0) + 1
-                        if l == i:
-                            e = fac.eps(degrees[a], degrees[b])
-                            vec[dex(k, j)] = vec.get(dex(k, j), 0) - e
-                        vec = {x: c for x, c in vec.items() if c}
-                        if vec:
-                            brackets[(a, b)] = vec
-        return EpsLieAlgebra(fac, labels, degrees, brackets)
-
-    return _cached(("gl", m, n), build)
+    total = m + n
+    fac = root_graded_factor(m, n)
+    labels = ["E%d%d" % (i + 1, j + 1) for i in range(total) for j in range(total)]
+    # E_ij has degree u_i - u_j
+    degrees = [tuple((r == i) - (r == j) for r in range(total))
+               for i in range(total) for j in range(total)]
+    brackets = {}
+    # [E_ij, E_kl] = delta_jk E_il - eps delta_li E_kj on the pairs a <= b
+    for a, b in itertools.combinations_with_replacement(range(total * total), 2):
+        (i, j), (k, l) = divmod(a, total), divmod(b, total)
+        vec = {i * total + l: 1} if j == k else {}
+        if l == i:
+            x = k * total + j
+            vec[x] = vec.get(x, 0) - fac.eps(degrees[a], degrees[b])
+        vec = {x: c for x, c in vec.items() if c}
+        if vec:
+            brackets[(a, b)] = vec
+    return EpsLieAlgebra(fac, labels, degrees, brackets)
 
 
+@functools.cache
 def _sl_data(m, n):
-    def build():
-        G = gl(m, n)
-        total = m + n
-        sig = [1] * m + [-1] * n
-        vecs = []
-        for i in range(total):
-            for j in range(total):
-                if i != j:
-                    vecs.append({i * total + j: ONE})
-        for a in range(total - 1):
-            # supertrace-free diagonal: E_aa - E_{a+1,a+1}, or the sum at the
-            # block junction
-            c = 1 if sig[a] == sig[a + 1] else -1
-            vecs.append({a * total + a: ONE, (a + 1) * total + (a + 1): -c})
-        L, reps = G.subquotient(vecs)
-        return L, reps, G
-
-    return _cached(("sl-data", m, n), build)
+    G = gl(m, n)
+    total = m + n
+    sig = [1] * m + [-1] * n
+    vecs = []
+    for i in range(total):
+        for j in range(total):
+            if i != j:
+                vecs.append({i * total + j: ONE})
+    for a in range(total - 1):
+        # supertrace-free diagonal: E_aa - E_{a+1,a+1}, or the sum at the
+        # block junction
+        c = 1 if sig[a] == sig[a + 1] else -1
+        vecs.append({a * total + a: ONE, (a + 1) * total + (a + 1): -c})
+    L, reps = G.subquotient(vecs)
+    return L, reps, G
 
 
 def sl(m, n):
@@ -139,14 +112,12 @@ def identity_vector_sl(m, n):
     return sol
 
 
+@functools.cache
 def _psl_data(n):
-    def build():
-        L, reps, G = _sl_data(n, n)
-        ivec = identity_vector_sl(n, n)
-        P, preps = L.subquotient([{a: ONE} for a in range(L.dim)], [ivec])
-        return P, preps, L
-
-    return _cached(("psl-data", n), build)
+    L, reps, G = _sl_data(n, n)
+    ivec = identity_vector_sl(n, n)
+    P, preps = L.subquotient([{a: ONE} for a in range(L.dim)], [ivec])
+    return P, preps, L
 
 
 def psl_nn(n):
@@ -159,29 +130,25 @@ def sl_plain(k):
     """Plain sl(k) with the root-lattice grading (epsilon identically 1)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    return _cached(("sl-plain", k), lambda: _sl_data(k, 0)[0])
+    return _sl_data(k, 0)[0]
 
 
+@functools.cache
 def sl2():
     """sl(2) on (e, h, f) with a one-dimensional weight grading."""
-
-    def build():
-        fac = CommutationFactor(GradingGroup(1, ()), ((0,),))
-        labels = ["e", "h", "f"]
-        degrees = [(2,), (0,), (-2,)]
-        brackets = {
-            (0, 2): {1: 1},
-            (0, 1): {0: -2},
-            (1, 2): {2: -2},
-        }
-        return EpsLieAlgebra(fac, labels, degrees, brackets)
-
-    return _cached(("sl2",), build)
+    fac = CommutationFactor(GradingGroup(1, ()), ((0,),))
+    labels = ["e", "h", "f"]
+    degrees = [(2,), (0,), (-2,)]
+    brackets = {
+        (0, 2): {1: 1},
+        (0, 1): {0: -2},
+        (1, 2): {2: -2},
+    }
+    return EpsLieAlgebra(fac, labels, degrees, brackets)
 
 
 def sl3():
-    L = sl_plain(3)
-    return L
+    return sl_plain(3)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +205,19 @@ def sl12(grading="Z"):
     """sl(1|2) on (Q+, Q-, Q3, B, V+, V-, W+, W-); grading "Z" or "Z2"."""
     if grading not in ("Z", "Z2"):
         raise ValueError("grading must be 'Z' or 'Z2'")
+    return _sl12(grading)
 
-    def build():
-        brackets = _sl12_structure()
-        if grading == "Z":
-            fac = super_z_factor()
-            degrees = [(0,)] * 4 + [(1,), (1,), (-1,), (-1,)]
-        else:
-            fac = super_factor()
-            degrees = [(0,)] * 4 + [(1,)] * 4
-        return EpsLieAlgebra(fac, list(_SL12_LABELS), degrees, brackets)
 
-    return _cached(("sl12", grading), build)
+@functools.cache
+def _sl12(grading):
+    brackets = _sl12_structure()
+    if grading == "Z":
+        fac = super_z_factor()
+        degrees = [(0,)] * 4 + [(1,), (1,), (-1,), (-1,)]
+    else:
+        fac = super_factor()
+        degrees = [(0,)] * 4 + [(1,)] * 4
+    return EpsLieAlgebra(fac, list(_SL12_LABELS), degrees, brackets)
 
 
 def omega_matrix(L):
@@ -279,17 +247,14 @@ def x_vectors():
     return [{4: HALF, 6: -HALF}, {5: HALF, 7: -HALF}]
 
 
+@functools.cache
 def osp12_in_sl12():
     """(G, spanning vectors): the osp(1|2) subalgebra of the Z2-graded
     catalog sl(1|2)."""
-
-    def build():
-        L = sl12("Z2")
-        vecs = osp12_vectors()
-        G, reps = L.subquotient(vecs)
-        return G, vecs
-
-    return _cached(("osp12",), build)
+    L = sl12("Z2")
+    vecs = osp12_vectors()
+    G, reps = L.subquotient(vecs)
+    return G, vecs
 
 
 def osp12():
@@ -319,105 +284,90 @@ def _module_from_table(L, labels, zdegrees, table):
     return GradedModule(L, labels, degrees, mats)
 
 
+@functools.cache
 def module_v_half(L):
     """The three-dimensional module on (e+, e-, e0)."""
-
-    def build():
-        table = {
-            0: {"e-": [("e+", 1)]},                    # Q+
-            1: {"e+": [("e-", 1)]},                    # Q-
-            2: {"e+": [("e+", HALF)], "e-": [("e-", -HALF)]},
-            3: {"e+": [("e+", HALF)], "e-": [("e-", HALF)], "e0": [("e0", 1)]},
-            4: {"e-": [("e0", -1)]},                   # V+
-            5: {"e+": [("e0", 1)]},                    # V-
-            6: {"e0": [("e+", -1)]},                   # W+
-            7: {"e0": [("e-", -1)]},                   # W-
-        }
-        return _module_from_table(
-            L, ["e+", "e-", "e0"], [1, 1, 2], table
-        )
-
-    return _cached(("v_half", id(L)), build)
+    table = {
+        0: {"e-": [("e+", 1)]},                    # Q+
+        1: {"e+": [("e-", 1)]},                    # Q-
+        2: {"e+": [("e+", HALF)], "e-": [("e-", -HALF)]},
+        3: {"e+": [("e+", HALF)], "e-": [("e-", HALF)], "e0": [("e0", 1)]},
+        4: {"e-": [("e0", -1)]},                   # V+
+        5: {"e+": [("e0", 1)]},                    # V-
+        6: {"e0": [("e+", -1)]},                   # W+
+        7: {"e0": [("e-", -1)]},                   # W-
+    }
+    return _module_from_table(L, ["e+", "e-", "e0"], [1, 1, 2], table)
 
 
+@functools.cache
 def module_typical_v0_half(L):
     """The four-dimensional typical module with highest weight (0, 1/2)."""
-
-    def build():
-        table = {
-            0: {"v1": [("v0", 1)]},                    # Q+
-            1: {"v0": [("v1", 1)]},                    # Q-
-            2: {"v0": [("v0", HALF)], "v1": [("v1", -HALF)]},
-            3: {"v+": [("v+", HALF)], "v-": [("v-", -HALF)]},
-            4: {"v-": [("v0", -HALF)], "v1": [("v+", -1)]},   # V+
-            5: {"v0": [("v+", 1)], "v-": [("v1", -HALF)]},    # V-
-            6: {"v+": [("v0", -HALF)], "v1": [("v-", -1)]},   # W+
-            7: {"v0": [("v-", 1)], "v+": [("v1", -HALF)]},    # W-
-        }
-        return _module_from_table(
-            L, ["v0", "v+", "v-", "v1"], [0, 1, -1, 0], table
-        )
-
-    return _cached(("v0half", id(L)), build)
+    table = {
+        0: {"v1": [("v0", 1)]},                    # Q+
+        1: {"v0": [("v1", 1)]},                    # Q-
+        2: {"v0": [("v0", HALF)], "v1": [("v1", -HALF)]},
+        3: {"v+": [("v+", HALF)], "v-": [("v-", -HALF)]},
+        4: {"v-": [("v0", -HALF)], "v1": [("v+", -1)]},   # V+
+        5: {"v0": [("v+", 1)], "v-": [("v1", -HALF)]},    # V-
+        6: {"v+": [("v0", -HALF)], "v1": [("v-", -1)]},   # W+
+        7: {"v0": [("v-", 1)], "v+": [("v1", -HALF)]},    # W-
+    }
+    return _module_from_table(L, ["v0", "v+", "v-", "v1"], [0, 1, -1, 0], table)
 
 
+@functools.cache
 def module_v8(L):
     """The eight-dimensional indecomposable module on (t, s, v, w, v±, w±)."""
-
-    def build():
-        table = {
-            0: {"v-": [("v+", 1)], "w-": [("w+", 1)]},     # Q+
-            1: {"v+": [("v-", 1)], "w+": [("w-", 1)]},     # Q-
-            2: {
-                "v+": [("v+", HALF)], "v-": [("v-", -HALF)],
-                "w+": [("w+", HALF)], "w-": [("w-", -HALF)],
-            },
-            3: {
-                "v": [("v", 1)], "w": [("w", -1)],
-                "v+": [("v+", HALF)], "v-": [("v-", HALF)],
-                "w+": [("w+", -HALF)], "w-": [("w-", -HALF)],
-            },
-            4: {"t": [("v+", 1)], "v-": [("v", 1)], "w": [("w+", 1)],
-                "w-": [("s", 1)]},                        # V+
-            5: {"t": [("v-", 1)], "v+": [("v", -1)], "w": [("w-", 1)],
-                "w+": [("s", -1)]},                       # V-
-            6: {"t": [("w+", 1)], "w-": [("w", 1)], "v": [("v+", 1)],
-                "v-": [("s", 1)]},                        # W+
-            7: {"t": [("w-", 1)], "w+": [("w", -1)], "v": [("v-", 1)],
-                "v+": [("s", -1)]},                       # W-
-        }
-        return _module_from_table(
-            L,
-            ["t", "s", "v", "w", "v+", "v-", "w+", "w-"],
-            [0, 0, 2, -2, 1, 1, -1, -1],
-            table,
-        )
-
-    return _cached(("v8", id(L)), build)
+    table = {
+        0: {"v-": [("v+", 1)], "w-": [("w+", 1)]},     # Q+
+        1: {"v+": [("v-", 1)], "w+": [("w-", 1)]},     # Q-
+        2: {
+            "v+": [("v+", HALF)], "v-": [("v-", -HALF)],
+            "w+": [("w+", HALF)], "w-": [("w-", -HALF)],
+        },
+        3: {
+            "v": [("v", 1)], "w": [("w", -1)],
+            "v+": [("v+", HALF)], "v-": [("v-", HALF)],
+            "w+": [("w+", -HALF)], "w-": [("w-", -HALF)],
+        },
+        4: {"t": [("v+", 1)], "v-": [("v", 1)], "w": [("w+", 1)],
+            "w-": [("s", 1)]},                        # V+
+        5: {"t": [("v-", 1)], "v+": [("v", -1)], "w": [("w-", 1)],
+            "w+": [("s", -1)]},                       # V-
+        6: {"t": [("w+", 1)], "w-": [("w", 1)], "v": [("v+", 1)],
+            "v-": [("s", 1)]},                        # W+
+        7: {"t": [("w-", 1)], "w+": [("w", -1)], "v": [("v-", 1)],
+            "v+": [("s", -1)]},                       # W-
+    }
+    return _module_from_table(
+        L,
+        ["t", "s", "v", "w", "v+", "v-", "w+", "w-"],
+        [0, 0, 2, -2, 1, 1, -1, -1],
+        table,
+    )
 
 
+@functools.cache
 def module_v8_family(L):
     """{name: module} for V1, V4, V4bar, V7, V8 (submodules of V8)."""
-
-    def build():
-        V8 = module_v8(L)
-        unit = lambda k: {k: ONE}
-        fam = {"v8": V8}
-        fam["v1"] = submodule_span(V8, [unit(1)])
-        fam["v4"] = submodule_span(V8, [unit(1), unit(2), unit(4), unit(5)])
-        fam["v4bar"] = submodule_span(V8, [unit(1), unit(3), unit(6), unit(7)])
-        fam["v7"] = submodule_span(
-            V8, [unit(1), unit(2), unit(3), unit(4), unit(5), unit(6), unit(7)]
-        )
-        return fam
-
-    return _cached(("v8-family", id(L)), build)
+    V8 = module_v8(L)
+    unit = lambda k: {k: ONE}
+    fam = {"v8": V8}
+    fam["v1"] = submodule_span(V8, [unit(1)])
+    fam["v4"] = submodule_span(V8, [unit(1), unit(2), unit(4), unit(5)])
+    fam["v4bar"] = submodule_span(V8, [unit(1), unit(3), unit(6), unit(7)])
+    fam["v7"] = submodule_span(
+        V8, [unit(1), unit(2), unit(3), unit(4), unit(5), unit(6), unit(7)]
+    )
+    return fam
 
 
+@functools.cache
 def module_wn(L, k):
     """The k-th eps-skew power of the (e+, e-, e0) module; as a graded
     module this is the simple atypical module with q = k/2."""
-    return _cached(("wn", id(L), k), lambda: eps_power(module_v_half(L), k, sym=False))
+    return eps_power(module_v_half(L), k, sym=False)
 
 
 def module_vq(L, q2):
@@ -430,8 +380,9 @@ def module_vq(L, q2):
     return module_wn(L, q2)
 
 
+@functools.cache
 def module_ts2(L):
-    return _cached(("ts2", id(L)), lambda: eps_power(adjoint(L), 2, sym=True))
+    return eps_power(adjoint(L), 2, sym=True)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +403,6 @@ def cocycle_g2(L):
 
 def cocycle_g_v_half(L):
     """g = g0 + g2 (inhomogeneous in the Z-grading)."""
-    from .cohomology import cochain_add
-
     return cochain_add(cocycle_g0(L), cocycle_g2(L))
 
 
@@ -503,7 +452,7 @@ def trace_cocycle_psl(n):
     K = trivial(P)
     vals = {}
     # plain matrix trace of the bracket of the gl-representatives
-    for mono in exterior.basis(P.signs, 2):
+    for mono in sorted(M for ms in P.monomials_by_degree(2).values() for M in ms):
         a, b = mono
         ga = _to_gl_coords(preps[a], slreps)
         gb = _to_gl_coords(preps[b], slreps)
@@ -518,8 +467,6 @@ def trace_cocycle_psl(n):
 
 def _to_gl_coords(vec_in_sl, slreps):
     out = {}
-    from .exactlin import vec_axpy
-
     for i, c in vec_in_sl.items():
         vec_axpy(out, c, slreps[i])
     return out
@@ -552,7 +499,8 @@ _SL12_MODULES = {
     **_BASE_MODULES,
     "v_half": module_v_half,
     "v_typical": module_typical_v0_half,
-    **{"w%d" % k: functools.partial(module_wn, k=k) for k in range(1, 5)},
+    # k positionally, so that the registry shares module_wn's cache with module_vq
+    **{"w%d" % k: (lambda L, k=k: module_wn(L, k)) for k in range(1, 5)},
     **{name: _v8_member(name) for name in ("v8", "v7", "v4", "v4bar", "v1")},
     "ts2": module_ts2,
 }

@@ -411,27 +411,27 @@ def insertion(g, avec):
 
 
 def _cup_value(g, h, args):
-    """Shuffle-sum value of the product on an arbitrary index tuple."""
+    """Shuffle-sum value of the product on an arbitrary index tuple: the
+    term of the slots split into (left, right) carries the canonicalize sign
+    of reordering args into left + right."""
     L = g.algebra
-    fac = L.factor
-    gr = L.group
-    m, n = g.level, h.level
     eta = h.degree
-    degs = [L.degrees[i] for i in args]
     wdim = h.module.dim
     total = {}
-    for perm, psign in exterior.shuffles(m, n):
-        epsn = fac.eps_n(perm, degs)
-        left = tuple(args[p] for p in perm[:m])
-        right = tuple(args[p] for p in perm[m:])
+    sign = exterior.canonicalize(L.signs, args)[0]
+    if not sign:
+        return total
+    for slots in itertools.combinations(range(len(args)), g.level):
+        left = tuple(args[p] for p in slots)
+        right = tuple(x for p, x in enumerate(args) if p not in slots)
         gv = evaluate(g, left)
         if not gv:
             continue
         hv = evaluate(h, right)
         if not hv:
             continue
-        e = fac.eps(eta, gr.sum(L.degrees[i] for i in left))
-        coeff = psign * epsn * e
+        e = L.factor.eps(eta, L.group.sum(L.degrees[i] for i in left))
+        coeff = sign * exterior.canonicalize(L.signs, left + right)[0] * e
         for a, ca in gv.items():
             vec_axpy(total, coeff * ca, {a * wdim + b: cb for b, cb in hv.items()})
     return total

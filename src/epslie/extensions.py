@@ -228,7 +228,7 @@ def cocycle_from_section(E, L, project, section):
     basis, hdegs, coords = graded_subquotient(E.degrees, project.kernel_basis(), SpanTracker())
     H = trivial(L, degrees=hdegs, labels=["k%d" % k for k in range(len(basis))])
     vals = {}
-    for mono in exterior.basis(L.signs, 2):
+    for mono in sorted(M for ms in L.monomials_by_degree(2).values() for M in ms):
         i, j = mono
         w = E.bracket(seccols[i], seccols[j])
         vec_axpy(w, -1, section.apply(L.bracket_basis(i, j)))

@@ -19,8 +19,6 @@ orderings of a monomial with their signs.
 
 from __future__ import annotations
 
-import itertools
-
 from .grading import GradingGroup
 
 Monomial = tuple  # weakly increasing indices
@@ -159,19 +157,8 @@ def super_dimension(p, q, n):
     return sum(comb(p, r) * comb(q + n - r - 1, n - r) for r in range(0, n + 1))
 
 
-def shuffles(m, n):
-    """Permutations of {0..m+n-1} increasing on the first m and last n slots,
-    as (perm, sign) pairs; perm[i] is the source slot feeding slot i."""
-    total = m + n
-    out = []
-    for left in itertools.combinations(range(total), m):
-        right = tuple(i for i in range(total) if i not in left)
-        perm = left + right
-        out.append((perm, permutation_sign(perm)))
-    return out
-
-
 def permutation_sign(perm):
+    """(-1)^(inversions of perm): a reference for the tests."""
     inv = 0
     n = len(perm)
     for a in range(n):

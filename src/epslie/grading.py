@@ -200,6 +200,8 @@ class CommutationFactor(Record):
         eps(degs[i], degs[j]) over pairs i < j whose order is inverted by
         the inverse permutation.  Satisfies
         eps_n(p∘q; degs) = eps_n(p; degs) * eps_n(q; degs∘p).
+        A reference for the tests: the engine signs a reordering with
+        exterior.canonicalize.
         """
         n = len(perm)
         if len(degs) != n:

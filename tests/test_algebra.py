@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -190,7 +191,8 @@ def test_catalog_and_covering_never_run_the_full_jacobi_listing(monkeypatch):
         return failures(self, sorted_only)
 
     monkeypatch.setattr(EpsLieAlgebra, "_jacobi_failures", recorded)
-    monkeypatch.setattr(catalog, "_CACHE", {})
+    for name in ("gl", "_sl_data", "_psl_data"):  # a fresh cache for this test only
+        monkeypatch.setattr(catalog, name, functools.cache(getattr(catalog, name).__wrapped__))
     catalog.get_algebra("psl33")
     extensions.universal_covering(catalog.psl_nn(2))
     # sl(3|3), psl(3|3), sl(2|2), psl(2|2), then E and the covering

@@ -41,6 +41,27 @@ def test_every_catalog_module_validates():
             assert V.validate().ok, (aname, mname)
 
 
+def test_each_catalog_builder_returns_one_object():
+    """The builders are memoized: a repeated call returns the first call's
+    object, whatever form the call takes.  trivial, adjoint and coadjoint
+    are gmodule's builders for any algebra and are built afresh."""
+    assert catalog.sl12() is catalog.sl12("Z") is catalog.get_algebra("sl12")
+    assert catalog.sl12("Z2") is catalog.get_algebra("sl12_z2")
+    assert catalog.osp12() is catalog.osp12_in_sl12()[0] is catalog.get_algebra("osp12")
+    assert catalog.sl3() is catalog.sl_plain(3) is catalog.get_algebra("sl3")
+    assert catalog.psl_nn(2) is catalog.get_algebra("psl22")
+    for aname in catalog.algebra_names():
+        L = catalog.get_algebra(aname)
+        assert catalog.get_algebra(aname) is L
+        for mname in catalog.module_names(aname):
+            if mname not in ("trivial", "adjoint", "coadjoint"):
+                assert catalog.get_module(L, aname, mname) is catalog.get_module(L, aname, mname)
+    L = catalog.sl12()
+    assert catalog.get_module(L, "sl12", "w2") is catalog.module_wn(L, 2) is catalog.module_vq(L, 2)
+    assert catalog.get_module(L, "sl12", "v8") is catalog.module_v8(L)
+    assert catalog.get_module(L, "sl12", "v_half") is catalog.module_vq(L, 1)
+
+
 def test_gl_dimension_and_sl_center():
     assert catalog.gl(2, 1).dim == 9
     assert catalog.gl(2, 2).dim == 16

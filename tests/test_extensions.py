@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -321,15 +322,16 @@ def test_universal_covering_requires_perfect():
         universal_covering(catalog.gl(1, 1))
 
 
-def test_universal_covering_psl22():
+def test_universal_covering_psl22(monkeypatch):
     P = catalog.psl_nn(2)
     cov = universal_covering(P)
     assert cov.covering.dim == 17
     assert cov.center_total() == 3
     assert cov.covering.is_perfect()
     assert cov.h2_dims == homology_h2(P).graded_dims()
-    # determinism
-    catalog._CACHE.pop(("psl-data", 2), None)
+    # determinism, on a psl(2|2) built afresh
+    for name in ("gl", "_sl_data", "_psl_data"):
+        monkeypatch.setattr(catalog, name, functools.cache(getattr(catalog, name).__wrapped__))
     P2 = catalog.psl_nn(2)
     cov2 = universal_covering(P2)
     assert cov2.covering.table == cov.covering.table

@@ -430,3 +430,48 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, check=False, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]"]
+
+
+def _calls_by_function(tree):
+    """(function name, call node) for each call inside a module-level
+    function or a method."""
+    for top in tree.body:
+        for fn in (top.body if isinstance(top, ast.ClassDef) else [top]):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        yield fn.name, node
+
+
+def test_only_the_reference_boundaries_walk_an_exterior_power_again():
+    """Every engine reader takes its monomials from the algebra's one table
+    per level, monomials_by_degree; exterior.basis walks the monomial tree
+    again, and only the test references boundary2 and boundary3 call it."""
+    callers = set()
+    for name, tree in _trees(os.path.join("src", "epslie")):
+        for fn, node in _calls_by_function(tree):
+            if ast.unparse(node.func) in ("exterior.basis", "basis"):
+                callers.add("%s.%s" % (name[:-3], fn))
+    assert sorted(callers) == ["extensions.boundary2", "extensions.boundary3"]
+
+
+def test_engine_never_keys_on_an_object_id():
+    """An id() can be reused once its object is freed, so no engine function
+    calls id(): the catalog's builders are memoized on their arguments by
+    functools.cache, which holds the algebra itself."""
+    calls = ["%s.%s" % (name[:-3], fn)
+             for name, tree in _trees(os.path.join("src", "epslie"))
+             for fn, node in _calls_by_function(tree)
+             if isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == []
+
+
+def test_canonicalize_is_the_one_reordering_sign_rule():
+    """The engine signs a reordering of slots with exterior.canonicalize
+    only; permutation_sign and CommutationFactor.eps_n are references that
+    the tests compare it against."""
+    calls = ["%s.%s" % (name[:-3], fn)
+             for name, tree in _trees(os.path.join("src", "epslie"))
+             for fn, node in _calls_by_function(tree)
+             if ast.unparse(node.func).split(".")[-1] in ("eps_n", "permutation_sign")]
+    assert calls == []
