@@ -7,17 +7,19 @@ intermediate value exact and controls coefficient growth on the sparse
 divided by their gcd first; the row that results is the same once its
 content is removed.
 
+The elimination runs forward only: a finished pivot row is never changed
+again, so it keeps the pivots of the rows finished after it.
+
 Pivoting is Markowitz-style and fully deterministic: the pivot row is the
 shortest live row, ties broken by row index; its pivot column is the one
 with the smallest (live column count, bit length of the entry, column).
 Three structures keep each step from rescanning every row:
 
 - a lazy heap of (row length, row index) finds the pivot row;
-- a column -> row-index list finds the rows holding the pivot column, both
-  the live rows and the rows finished before it, which are cleared there
-  too.  A row is added to a column's list when it gains that column,
-  whether live or finished, so the list may hold a row twice, or a row
-  that has since lost the column or died;
+- a column -> row-index list finds the live rows holding the pivot column.
+  A live row is added to a column's list when it gains that column, so the
+  list may hold a row twice, or a row that has since lost the column,
+  died or finished;
 - the live column counts are updated only at the pivot row's columns:
   away from them pval*row - tval*prow holds the columns of row.
 
@@ -38,28 +40,15 @@ def _strip_normalize(row):
     return row
 
 
-def _combine(target, tval, pivot_row, pval):
-    """Return pval*target - tval*pivot_row, content-normalized."""
-    g = gcd(pval, tval)
-    pval, tval = pval // g, tval // g
-    out = dict(target) if pval == 1 else {c: pval * v for c, v in target.items()}
-    for c, v in pivot_row.items():
-        w = out.get(c, 0) - tval * v
-        if w:
-            out[c] = w
-        else:
-            out.pop(c, None)
-    return _strip_normalize(out)
-
-
 def rref(rows):
-    """Reduced row echelon form over Q with integer rows.
+    """Row echelon form over Q with integer rows, by forward elimination.
 
     rows: list of {col: int}.  Input dicts are not mutated.
-    Returns (piv_cols, piv_rows), sorted by pivot column.  Each returned row
-    has gcd 1, a positive entry at its pivot column, and zeros at every other
-    pivot column: each new pivot row is also eliminated from the rows
-    finished before it.
+    Returns (piv_cols, piv_rows) in elimination order.  Each returned row
+    has gcd 1, a positive entry at its pivot column, and zeros at the pivots
+    of the rows before it; it may hold the pivots of the rows after it.
+    The rows are not reduced against each other, but the name rref stays:
+    perfbench's tracer wraps exactlin._elim.rref.
     """
     work = []
     for r in rows:
@@ -76,7 +65,7 @@ def rref(rows):
     heap = [(len(row), i) for i, row in enumerate(work)]
     heapify(heap)
 
-    finished = []  # (piv_col, row index)
+    piv_cols, piv_rows = [], []
     while heap:
         length, best = heappop(heap)
         prow = work[best]
@@ -96,17 +85,11 @@ def rref(rows):
                 prow[c] = -prow[c]
         pval = prow[pcol]
 
-        # After this step no row but prow holds pcol, and none regains it.
+        # After this step no live row holds pcol, and none regains it.
         for i in sorted(set(col_rows.pop(pcol))):
             row = work[i]
             tval = row.get(pcol)
-            if tval is None or i == best:
-                continue
-            if not alive[i]:
-                new = work[i] = _combine(row, tval, prow, pval)
-                for c in prow:
-                    if c in new and c not in row:
-                        col_rows[c].append(i)
+            if tval is None or not alive[i]:
                 continue
             g = gcd(pval, tval)
             pv, tv = pval // g, tval // g
@@ -134,7 +117,7 @@ def rref(rows):
                     heappush(heap, (len(new), i))
             else:
                 alive[i] = False
-        finished.append((pcol, best))
+        piv_cols.append(pcol)
+        piv_rows.append(prow)
 
-    finished.sort()
-    return [c for c, _ in finished], [work[i] for _, i in finished]
+    return piv_cols, piv_rows

@@ -743,19 +743,20 @@ class CochainComplex:
     def representatives(self, n, deg):
         """Verified cocycle representatives spanning H^n in one sector.
 
-        The kernel of delta(n) has one vector per free column of its rref,
-        1 there and 0 at the other free columns, and the image of
-        delta(n - 1) lies in that kernel; so spans inside the kernel are
+        The kernel of delta(n) has one vector per free column of its
+        echelon form, 1 there and 0 at the other free columns, and the image
+        of delta(n - 1) lies in that kernel; so spans inside the kernel are
         compared on the free columns alone.  The free columns that leave the
-        span of the image (one elimination of its columns) are chosen, and
-        only their kernel vectors are built.
+        span of the image (a SpanTracker of the echelon rows of its columns)
+        are chosen, and only their kernel vectors are built, each solved
+        from the echelon rows of delta(n).
 
         Each representative g must pass is_cocycle, their count must be
         dim Z - dim B, and rank [delta(n - 1) | g_1 .. g_k] must be
         rank delta(n - 1) + k: no nonzero combination of them is a
         coboundary.  That is one elimination per sector."""
         dn = self.delta_sector(n, deg)
-        piv_cols, piv_rows = dn.rref()
+        piv_cols, piv_rows = dn.echelon()
         pivots = set(piv_cols)
         free = [c for c in range(dn.cols) if c not in pivots]
         at = {f: k for k, f in enumerate(free)}
@@ -764,7 +765,7 @@ class CochainComplex:
         image = RationalSparseMatrix(prev.cols, len(free), {
             (c, at[r]): v for (r, c), v in prev.entries.items() if r in at
         })
-        span = SpanTracker.of_rref(*image.rref())
+        span = SpanTracker(image.echelon()[1])
         rank = span.dim
         chosen = [f for k, f in enumerate(free) if span.add({k: 1})]
         if len(chosen) != len(free) - rank:

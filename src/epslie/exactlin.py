@@ -12,11 +12,14 @@ A true division is exact by construction: its left operand is ONE or a
 Fraction, never an int, which would make a float of two ints.
 
 Rank / kernel / solve run on the one integer elimination kernel,
-``_elim_py.rref``: each matrix is scaled to integer rows and reduced with a
-deterministic Markowitz pivot rule (shortest row, then the sparsest
-column), found through a row-length heap and a column -> row index.  A system solved once (inner tori, the common kernels
-of algebra.graded_kernel, the d2 sectors of H_2, invariant forms) is kept
-as row dicts and solved by rows_kernel, without building a matrix.  A scalar
+``_elim_py.rref``: each matrix is scaled to integer rows and brought to
+echelon form by forward elimination with a deterministic Markowitz pivot
+rule (shortest row, then the sparsest column), found through a row-length
+heap and a column -> row index.  A rank is the count of echelon rows, a
+span of them goes through SpanTracker, and kernel_vector solves them.
+A system solved once (inner tori, the common kernels of
+algebra.graded_kernel, the d2 sectors of H_2, invariant forms) is kept as
+row dicts and solved by rows_kernel, without building a matrix.  A scalar
 enters through rational() like every stored coefficient.
 """
 
@@ -117,19 +120,6 @@ class SpanTracker:
         for v in vectors:
             self.add(v)
 
-    @classmethod
-    def of_rref(cls, piv_cols, piv_rows):
-        """Tracker of the span of an rref result's rows, each scaled to 1 at
-        its pivot.
-
-        Such a row is zero at every other pivot, which is all express() and
-        add() rely on.  Its pivot need not be its first index, so basis() may
-        differ from that of a tracker built by add()."""
-        span = cls()
-        for p, row in zip(piv_cols, piv_rows):
-            span.rows[p] = {c: rational(Fraction(v, row[p])) for c, v in row.items()}
-        return span
-
     @property
     def dim(self):
         return len(self.rows)
@@ -198,7 +188,7 @@ class RationalSparseMatrix:
                 v = rational(v)
                 if v:
                     self.entries[(r, c)] = v
-        self._rref = None
+        self._echelon = None
         self._coldex = None
 
     # construction helpers -------------------------------------------------
@@ -347,17 +337,18 @@ class RationalSparseMatrix:
                     rows[r][self.cols] = v
         return [integral_row(row) for row in rows]
 
-    def rref(self):
-        if self._rref is None:
-            self._rref = _elim.rref(self._int_rows())
-        return self._rref
+    def echelon(self):
+        """(piv_cols, piv_rows) of _elim.rref on the integer-scaled rows."""
+        if self._echelon is None:
+            self._echelon = _elim.rref(self._int_rows())
+        return self._echelon
 
     def rank(self):
-        return len(self.rref()[0])
+        return len(self.echelon()[0])
 
     def kernel_basis(self):
         """Basis of the right null space {x : Mx = 0}, sorted by free column."""
-        return list(rref_kernel(self.cols, *self.rref()))
+        return list(rref_kernel(self.cols, *self.echelon()))
 
     def image_membership(self, b):
         """Solve Mx = b; returns a solution vector or None when b is not in
@@ -383,20 +374,25 @@ class RationalSparseMatrix:
 
 
 def kernel_vector(piv_cols, piv_rows, f):
-    """The kernel vector of an rref result at its free column f: 1 at f and
-    -row[f]/row[p] at the pivot p of every row holding f, in rational()
-    form."""
+    """The kernel vector of an echelon result at its free column f: 1 at f,
+    0 at the other free columns, in rational() form.  Besides free columns
+    a row holds only its pivot and the later rows' pivots, so the rows are
+    solved last first, each against the entries solved so far."""
     v = {f: 1}
-    for p, row in zip(piv_cols, piv_rows):
-        x = row.get(f)
-        if x:
-            v[p] = rational(Fraction(-x, row[p]))
+    for p, row in zip(reversed(piv_cols), reversed(piv_rows)):
+        s = 0
+        for c, x in v.items():
+            y = row.get(c)
+            if y:
+                s += y * x
+        if s:
+            v[p] = rational(Fraction(-s, row[p]))
     return v
 
 
 def rref_kernel(cols, piv_cols, piv_rows):
-    """Kernel vectors of an rref result over columns 0..cols-1, one per free
-    column in increasing order (kernel_vector)."""
+    """Kernel vectors of an echelon result over columns 0..cols-1, one per
+    free column in increasing order (kernel_vector)."""
     pivset = set(piv_cols)
     for f in range(cols):
         if f not in pivset:
@@ -407,4 +403,3 @@ def rows_kernel(rows, cols):
     """Basis of {x : row . x = 0 for every row} for sparse rows of ints and
     Fractions over columns 0..cols-1, sorted by free column."""
     return list(rref_kernel(cols, *_elim.rref([integral_row(r) for r in rows])))
-

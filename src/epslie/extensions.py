@@ -134,7 +134,7 @@ def homology_h2(L, cx=None):
             degs2[p] = D
         weight_zero = cx.vanishing_certificate(gamma) is None
         if weight_zero:
-            rows = cx.delta_sector(2, gamma).rref()[1]
+            rows = cx.delta_sector(2, gamma).echelon()[1]
         kernel = rows_kernel(cx.delta_sector(1, gamma).columns(), len(cols2))
         z = len(kernel)
         d2_rank += len(cols2) - z
@@ -359,7 +359,7 @@ def covering_from_h2_basis(L, cocycles):
         span = spans.get(gr_.degree)
         if span is None:
             block = cx.delta_sector(1, gr_.degree).transpose()
-            span = spans[gr_.degree] = SpanTracker.of_rref(*block.rref())
+            span = spans[gr_.degree] = SpanTracker(block.echelon()[1])
         if not span.add(cx.cochain_vector(gr_)):
             raise ExtensionError("cohomology classes are not independent")
     H = trivial(

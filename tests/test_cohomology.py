@@ -1259,7 +1259,7 @@ def test_representatives_refuse_a_combination_that_is_a_coboundary(monkeypatch, 
     if fake == "coboundary":
         vec = next(col for col in cx.delta_sector(0, deg).columns() if col)
     else:
-        piv_cols, piv_rows = cx.delta_sector(1, deg).rref()
+        piv_cols, piv_rows = cx.delta_sector(1, deg).echelon()
         free = min(set(range(cx.delta_sector(1, deg).cols)) - set(piv_cols))
         vec = module.kernel_vector(piv_cols, piv_rows, free)
     monkeypatch.setattr(module, "kernel_vector", lambda *args: dict(vec))

@@ -326,6 +326,20 @@ def test_only_exactlin_imports_the_elimination_kernel():
     assert importers == ["exactlin.py"]
 
 
+def test_the_elimination_kernel_only_eliminates_forward():
+    """_elim_py defines rref and its row normalizer and nothing else: no
+    back-substitution into finished rows.  No engine code names of_rref,
+    which rescaled rows that are no longer reduced."""
+    trees = dict(_trees(os.path.join("src", "epslie")))
+    defined = [node.name for node in trees["_elim_py.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert defined == ["_strip_normalize", "rref"]
+    named = [name for name, tree in trees.items() for node in ast.walk(tree)
+             if "of_rref" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))]
+    assert named == []
+
+
 def test_every_true_division_is_exact():
     """The left operand of each / in the engine is ONE or a Fraction(...)
     call, and no /= is written, so no division of two ints, which yields a
