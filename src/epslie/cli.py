@@ -2,7 +2,8 @@
 
 Every number printed comes from the exact engine; identical inputs produce
 byte-identical output.  Exit codes: 0 ok, 2 parse error or bad input,
-3 validation error, 4 precondition error.
+3 validation error, 4 precondition error.  COMMANDS is the one table of
+commands; a known command is parsed by its own parser alone.
 """
 
 from __future__ import annotations
@@ -298,89 +299,82 @@ def cmd_catalog(args, out):
     raise CliError(EXIT_PARSE, "unknown catalog action %r" % args.action)
 
 
+_ALGEBRA = ("--algebra", dict(required=True, help="catalog name or algebra file"))
+_MAY_MODULE = ("--module", dict(help="catalog name or module file"))
+_MODULE = ("--module", dict(_MAY_MODULE[1], required=True))
+_INT = dict(type=int, required=True)
+_FLAG = dict(action="store_true")
+
+# name -> (handler, help, options as (flag, add_argument keywords) pairs)
+COMMANDS = {
+    "check": (cmd_check, "validate inputs", [_ALGEBRA, _MAY_MODULE]),
+    "cohomology": (cmd_cohomology, "cohomology dimensions", [
+        _ALGEBRA, _MODULE, ("--nmax", _INT), ("--representatives", _FLAG),
+        ("--oracle-check", dict(
+            action="store_true",
+            help="cross-check trivial coefficients against the invariant "
+                 "eps-skew forms on the adjoint; this holds only below the "
+                 "first n where the two differ (n = 5 on sl12, n = 3 on "
+                 "gl11, n = 2 on psl22)")),
+        ("--csv", _FLAG)]),
+    "invariant-forms": (cmd_invariant_forms, "invariant multilinear forms", [
+        _ALGEBRA, _MAY_MODULE, ("--arity", _INT),
+        ("--symmetry", dict(choices=["none", "sym", "skew"], default="none"))]),
+    "casimir-check": (cmd_casimir_check, "vanishing criterion witness",
+                      [_ALGEBRA, _MODULE]),
+    "homotopy-check": (cmd_homotopy_check, "contracting-homotopy identity",
+                       [_ALGEBRA, _MODULE, ("--n", _INT)]),
+    "homology2": (cmd_homology2, "second homology", [_ALGEBRA]),
+    "covering": (cmd_covering, "universal central covering", [
+        _ALGEBRA, ("--export", dict(help="write the covering as an algebra file"))]),
+    "atypical": (cmd_atypical, "gl(m|n) Casimir-vanishing test", [
+        ("--m", _INT), ("--n", _INT),
+        ("--weight", dict(required=True, help="comma-separated rationals")),
+        ("--sl", dict(action="store_true",
+                      help="project onto the special linear weight first"))]),
+    "catalog": (cmd_catalog, "list or export built-in entries", [
+        ("action", dict(choices=["list", "export"])),
+        ("--algebra", {}), ("--module", {}), ("--out", {})]),
+}
+
+
+def _add_options(parser, name):
+    for flag, kwargs in COMMANDS[name][2]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="epslie",
         description="exact cohomology of Lie superalgebras and color Lie algebras",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def alg(sp, module_required=None):
-        sp.add_argument("--algebra", required=True,
-                        help="catalog name or algebra file")
-        if module_required is not None:
-            sp.add_argument("--module", required=module_required,
-                            help="catalog name or module file")
-
-    sp = sub.add_parser("check", help="validate inputs")
-    alg(sp, module_required=False)
-
-    sp = sub.add_parser("cohomology", help="cohomology dimensions")
-    alg(sp, module_required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--representatives", action="store_true")
-    sp.add_argument("--oracle-check", action="store_true",
-                    help="cross-check trivial coefficients against the invariant "
-                         "eps-skew forms on the adjoint; this holds only below the "
-                         "first n where the two differ (n = 5 on sl12, n = 3 on "
-                         "gl11, n = 2 on psl22)")
-    sp.add_argument("--csv", action="store_true")
-
-    sp = sub.add_parser("invariant-forms", help="invariant multilinear forms")
-    alg(sp, module_required=False)
-    sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--symmetry", choices=["none", "sym", "skew"], default="none")
-
-    sp = sub.add_parser("casimir-check", help="vanishing criterion witness")
-    alg(sp, module_required=True)
-
-    sp = sub.add_parser("homotopy-check", help="contracting-homotopy identity")
-    alg(sp, module_required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("homology2", help="second homology")
-    alg(sp)
-
-    sp = sub.add_parser("covering", help="universal central covering")
-    alg(sp)
-    sp.add_argument("--export", help="write the covering as an algebra file")
-
-    sp = sub.add_parser("atypical", help="gl(m|n) Casimir-vanishing test")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--weight", required=True, help="comma-separated rationals")
-    sp.add_argument("--sl", action="store_true",
-                    help="project onto the special linear weight first")
-
-    sp = sub.add_parser("catalog", help="list or export built-in entries")
-    sp.add_argument("action", choices=["list", "export"])
-    sp.add_argument("--algebra")
-    sp.add_argument("--module")
-    sp.add_argument("--out")
-
+    for name, (_, text, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
     return p
 
 
-HANDLERS = {
-    "check": cmd_check,
-    "cohomology": cmd_cohomology,
-    "invariant-forms": cmd_invariant_forms,
-    "casimir-check": cmd_casimir_check,
-    "homotopy-check": cmd_homotopy_check,
-    "homology2": cmd_homology2,
-    "covering": cmd_covering,
-    "atypical": cmd_atypical,
-    "catalog": cmd_catalog,
-}
+def parse_args(argv):
+    """A known command is parsed by its own parser alone, which reads as the
+    full parser's subparser: same prog, nothing inherited.  The rest, with
+    leftover arguments, goes to the full parser, whose errors those are."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = _add_options(argparse.ArgumentParser(prog="epslie " + argv[0]), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     out = lambda line: print(line, file=stdout)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
-        return HANDLERS[args.command](args, out)
+        return COMMANDS[args.command][0](args, out)
     except CliError as e:
         out("error: %s" % e.message)
         return e.code

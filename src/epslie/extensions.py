@@ -301,7 +301,13 @@ def universal_covering(L):
     f = make_cochain(L, W, 2, vals)
     E = extension_from_cocycle(L, W, f).total
 
-    derived = E.derived_subalgebra()
+    # [E, E] is spanned by the brackets of the free monomials alone.  W is
+    # central, and <e_i, e_j> in E is <e_i, e_j> in L plus the class of
+    # e_i ^ e_j in W: linear in e_i ^ e_j and zero on im d3, whose elements
+    # are cycles (d2 d3 = 0) of class zero.  So it factors through the
+    # exterior square modulo im d3, which the free monomials span, and
+    # subquotient reduces any spanning set to the same echelon basis.
+    derived = [E.bracket_basis(*monos2[p]) for p in free]
     Lhat, hat_reps = E.subquotient(derived, (), label_prefix="^")
     nl = L.dim
     proj = RationalSparseMatrix.from_columns(

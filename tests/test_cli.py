@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -73,7 +75,9 @@ def test_cohomology_oracle_check():
 
 def test_oracle_check_solves_each_torus_once(monkeypatch):
     """One solve for the trivial module of the complex and one for the
-    adjoint, which the invariant forms of every arity share."""
+    adjoint, which the invariant forms of every arity share.  The catalog
+    memoizes its modules, so the trivial one is built afresh here."""
+    catalog.get_module.cache_clear()
     solved = []
     original = gmodule.inner_torus
 
@@ -580,3 +584,46 @@ def test_oracle_check_refuses_module_coefficients_before_any_work(monkeypatch):
     args = ["cohomology", "--algebra", "sl12", "--module", "v_half", "--nmax", "1",
             "--oracle-check"]
     assert run_cli(args) == (4, "error: --oracle-check applies to trivial coefficients\n")
+
+
+def _replay(argv):
+    """Exit code, stdout and stderr of one command line, as a shell sees them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+with open(os.path.join(GOLDEN, "cli-usage.json"), encoding="utf-8") as _fh:
+    USAGE_CASES = json.load(_fh)
+
+
+# Help and error text of the command line, pinned while every command line
+# still went through the parser of all commands.  argparse wraps help at
+# the terminal width, which COLUMNS sets.
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda c: " ".join(c["argv"]) or "-")
+def test_usage_and_errors_match_the_pinned_ones(monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _replay(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_a_known_command_builds_only_its_own_parser(monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _ = run_cli(["cohomology", "--algebra", "sl2", "--module", "trivial",
+                       "--nmax", "1"])
+    assert code == 0 and built == ["epslie cohomology"]
+    # A leftover argument is the top-level parser's error, as before.
+    code, _, err = _replay(["covering", "--algebra", "psl22", "extra"])
+    assert code == 2
+    assert err.startswith("usage: epslie [-h]\n")
+    assert err.endswith("epslie: error: unrecognized arguments: extra\n")

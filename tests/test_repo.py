@@ -489,3 +489,19 @@ def test_canonicalize_is_the_one_reordering_sign_rule():
              for fn, node in _calls_by_function(tree)
              if ast.unparse(node.func).split(".")[-1] in ("eps_n", "permutation_sign")]
     assert calls == []
+
+
+def test_the_command_table_is_the_one_list_of_commands():
+    """README's "Command line" block shows exactly the commands of
+    cli.COMMANDS, and cli names each command once, as a key of that table."""
+    from epslie import cli
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"## Command line\n\n```\n(.*?)```", fh.read(), re.S).group(1)
+    assert {line.split()[1] for line in block.splitlines()} == set(cli.COMMANDS)
+    assert not hasattr(cli, "HANDLERS")
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in cli.COMMANDS]
+    assert sorted(named) == sorted(cli.COMMANDS)
