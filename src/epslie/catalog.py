@@ -538,7 +538,6 @@ def module_names(algebra_name):
     return list(_REGISTRY[algebra_name][1])
 
 
-@functools.cache
 def get_module(L, algebra_name, module_name):
     modules = _REGISTRY[algebra_name][1] if algebra_name in _REGISTRY else {}
     if module_name not in modules:

@@ -43,9 +43,8 @@ def test_every_catalog_module_validates():
 
 def test_each_catalog_builder_returns_one_object():
     """The builders are memoized: a repeated call returns the first call's
-    object, whatever form the call takes.  get_module is memoized too, so
-    trivial, adjoint and coadjoint, gmodule's builders for any algebra,
-    are built once per catalog algebra."""
+    object, whatever form the call takes.  trivial, adjoint and coadjoint
+    are gmodule's builders for any algebra and are built afresh."""
     assert catalog.sl12() is catalog.sl12("Z") is catalog.get_algebra("sl12")
     assert catalog.sl12("Z2") is catalog.get_algebra("sl12_z2")
     assert catalog.osp12() is catalog.osp12_in_sl12()[0] is catalog.get_algebra("osp12")
@@ -55,7 +54,8 @@ def test_each_catalog_builder_returns_one_object():
         L = catalog.get_algebra(aname)
         assert catalog.get_algebra(aname) is L
         for mname in catalog.module_names(aname):
-            assert catalog.get_module(L, aname, mname) is catalog.get_module(L, aname, mname)
+            if mname not in ("trivial", "adjoint", "coadjoint"):
+                assert catalog.get_module(L, aname, mname) is catalog.get_module(L, aname, mname)
     L = catalog.sl12()
     assert catalog.get_module(L, "sl12", "w2") is catalog.module_wn(L, 2) is catalog.module_vq(L, 2)
     assert catalog.get_module(L, "sl12", "v8") is catalog.module_v8(L)

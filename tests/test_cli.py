@@ -75,9 +75,7 @@ def test_cohomology_oracle_check():
 
 def test_oracle_check_solves_each_torus_once(monkeypatch):
     """One solve for the trivial module of the complex and one for the
-    adjoint, which the invariant forms of every arity share.  The catalog
-    memoizes its modules, so the trivial one is built afresh here."""
-    catalog.get_module.cache_clear()
+    adjoint, which the invariant forms of every arity share."""
     solved = []
     original = gmodule.inner_torus
 
